@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import detect, evaluate, export, features, importance, learn, simulate
+from .tables import TraceFormatError, write_table
 from .topology import ConfigError, Topology, SystemParams, get_taxonomy, load_system_config
 
 EXIT_OK = 0
@@ -49,7 +50,6 @@ def derive_seed(master: int, stage: str) -> int:
 class RunConfig:
     subcommand: str
     seed: int = DEFAULT_SEED
-    threads: int = 0  # reserved capacity hint; never affects results
     classes: str = "body_style"
     count: int = 100
     in_path: str | None = None
@@ -152,10 +152,7 @@ def _run_extract(config: RunConfig) -> int:
 def _run_train(config: RunConfig) -> int:
     x, labels = features.read_features_csv(config.features_path)
     taxonomy = get_taxonomy(config.taxonomy)
-    from .topology import labels_for_taxonomy
-
-    mapped = labels_for_taxonomy(labels, taxonomy)
-    y_idx = np.array([taxonomy.index(lab) for lab in mapped], dtype=int)
+    y_idx = taxonomy.encode(labels)
     scaling = features.fit_scaling(x)
     x_scaled = scaling.apply(x)
     spec = _model_spec(config)
@@ -180,16 +177,10 @@ def _run_evaluate(config: RunConfig) -> int:
             x, labels, taxonomy, spec, specs, k=config.k, seed=seed
         )
         for subset, report in pairs:
-            for fold, acc in enumerate(report.fold_accuracies):
-                result_rows.append((taxonomy.name, report.model, subset.id, fold, acc))
-            summary_rows.append(
-                (taxonomy.name, report.model, subset.id, report.acc_mean, report.acc_std)
-            )
+            _add_report_rows(result_rows, summary_rows, report, report.model, subset.id)
     else:
         report = evaluate.cross_validate(x, labels, taxonomy, spec, k=config.k, seed=seed)
-        for fold, acc in enumerate(report.fold_accuracies):
-            result_rows.append((taxonomy.name, report.model, "A", fold, acc))
-        summary_rows.append((taxonomy.name, report.model, "A", report.acc_mean, report.acc_std))
+        _add_report_rows(result_rows, summary_rows, report, report.model, "A")
     out_results = config.out_results or "results.csv"
     out_summary = config.out_summary or "summary.csv"
     evaluate.write_results_csv(out_results, result_rows)
@@ -263,27 +254,25 @@ def _run_sweetspot(config: RunConfig) -> int:
 
 
 def _write_grid_csv(path: str, grid: list[dict]) -> None:
-    import csv
+    write_table(
+        path,
+        ["n_trees", "max_depth", "acc_mean", "acc_std", "code_bytes", "op_count"]
+        + [f"fits_{p.name}" for p in export.PLATFORMS],
+        (
+            [cell["n_trees"], cell["max_depth"], cell["acc_mean"], cell["acc_std"],
+             cell["code_bytes"], cell["op_count"]]
+            + [int(cell["code_bytes"] <= p.program_memory_bytes) for p in export.PLATFORMS]
+            for cell in grid
+        ),
+    )
 
-    fit_columns = [f"fits_{p.name}" for p in export.PLATFORMS]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["n_trees", "max_depth", "acc_mean", "acc_std", "code_bytes", "op_count"]
-            + fit_columns
-        )
-        for cell in grid:
-            writer.writerow(
-                [
-                    cell["n_trees"],
-                    cell["max_depth"],
-                    repr(cell["acc_mean"]),
-                    repr(cell["acc_std"]),
-                    cell["code_bytes"],
-                    cell["op_count"],
-                ]
-                + [int(cell["code_bytes"] <= p.program_memory_bytes) for p in export.PLATFORMS]
-            )
+
+def _add_report_rows(result_rows: list, summary_rows: list,
+                     report: evaluate.EvaluationReport, model: str, subset: str) -> None:
+    """Append a cross-validation report's per-fold rows and its summary row."""
+    for fold, acc in enumerate(report.fold_accuracies.tolist()):
+        result_rows.append((report.taxonomy, model, subset, fold, acc))
+    summary_rows.append((report.taxonomy, model, subset, report.acc_mean, report.acc_std))
 
 
 def _run_reproduce(config: RunConfig) -> int:
@@ -311,9 +300,7 @@ def _run_reproduce(config: RunConfig) -> int:
             report = evaluate.cross_validate(
                 x, labels, taxonomy, spec, k=config.k, seed=eval_seed
             )
-            for fold, acc in enumerate(report.fold_accuracies):
-                result_rows.append((taxonomy.name, spec.kind, "A", fold, acc))
-            summary_rows.append((taxonomy.name, spec.kind, "A", report.acc_mean, report.acc_std))
+            _add_report_rows(result_rows, summary_rows, report, spec.kind, "A")
             evaluate.write_confusion_csv(
                 os.path.join(out, f"confusion_{taxonomy.name}_{spec.kind}.csv"),
                 report.confusion, taxonomy,
@@ -323,16 +310,13 @@ def _run_reproduce(config: RunConfig) -> int:
     evaluate.write_summary_csv(os.path.join(out, "accuracy_summary.csv"), summary_rows)
 
     # per-taxonomy importance from ensembles trained on the full corpus
-    from .topology import labels_for_taxonomy
-
     train_seed = derive_seed(config.seed, "reproduce-train")
     scaling = features.fit_scaling(x)
     x_scaled = scaling.apply(x)
     for taxonomy in taxonomies:
-        mapped = labels_for_taxonomy(labels, taxonomy)
-        y_idx = np.array([taxonomy.index(lab) for lab in mapped], dtype=int)
         ensemble = learn.train_svm_ensemble(
-            x_scaled, y_idx, taxonomy.classes, c=config.c, epochs=config.epochs, seed=train_seed
+            x_scaled, taxonomy.encode(labels), taxonomy.classes,
+            c=config.c, epochs=config.epochs, seed=train_seed,
         )
         matrix = importance.importance_multiclass(ensemble)
         importance.write_importance_csv(
@@ -358,11 +342,7 @@ def _run_reproduce(config: RunConfig) -> int:
             k=config.k, seed=subset_seed,
         )
         for subset, report in pairs:
-            for fold, acc in enumerate(report.fold_accuracies):
-                subset_results.append((taxonomy.name, "svm", subset.id, fold, acc))
-            subset_summary.append(
-                (taxonomy.name, "svm", subset.id, report.acc_mean, report.acc_std)
-            )
+            _add_report_rows(subset_results, subset_summary, report, "svm", subset.id)
     evaluate.write_results_csv(os.path.join(out, "subset_per_fold.csv"), subset_results)
     evaluate.write_summary_csv(os.path.join(out, "subset_summary.csv"), subset_summary)
     print(f"subset study: {len(subset_summary)} cells")
@@ -378,28 +358,17 @@ def _run_reproduce(config: RunConfig) -> int:
     best_rows = []
     for profile in export.PLATFORMS:
         result = export.best_fitting(grid, profile)
-        best_rows.append(
-            [
-                profile.name,
-                int(result.found),
-                result.n_trees if result.found else "",
-                result.max_depth if result.found else "",
-                repr(result.acc_mean) if result.found else "",
-                result.code_bytes if result.found else "",
-            ]
-        )
+        best_rows.append([profile.name, int(result.found), result.n_trees,
+                          result.max_depth, result.acc_mean, result.code_bytes])
         status = (
             f"{result.n_trees} trees depth {result.max_depth} ACC {result.acc_mean:.4f}"
             if result.found else "no fit"
         )
         print(f"sweet spot {profile.name}: {status}")
     _write_grid_csv(os.path.join(out, "sweetspot_grid.csv"), grid)
-    import csv
-
-    with open(os.path.join(out, "sweetspot_best.csv"), "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["platform", "found", "n_trees", "max_depth", "acc_mean", "code_bytes"])
-        writer.writerows(best_rows)
+    write_table(os.path.join(out, "sweetspot_best.csv"),
+                ["platform", "found", "n_trees", "max_depth", "acc_mean", "code_bytes"],
+                best_rows)
     print(f"reproduce outputs written to {out}")
     return EXIT_OK
 
@@ -421,13 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="radio-fingerprint vehicle detection and classification pipeline",
     )
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default 7)")
-    parser.add_argument("--threads", type=int, default=0,
-                        help="parallelism cap hint; never affects results")
     # accepted before or after the subcommand; the subparser copy only
     # overrides when given explicitly
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    common.add_argument("--threads", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("simulate", parents=[common], help="generate labeled synthetic traces")
@@ -537,8 +503,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def run(config: RunConfig) -> int:
     """Execute one pipeline stage; returns the process exit status."""
-    if config.threads < 0:
-        raise ConfigError("--threads must be >= 0")
     handler = _HANDLERS.get(config.subcommand)
     if handler is None:
         raise ConfigError(f"unknown subcommand {config.subcommand!r}")
@@ -550,7 +514,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(config_from_args(args))
-    except simulate.TraceFormatError as exc:
+    except TraceFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:

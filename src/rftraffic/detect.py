@@ -16,13 +16,13 @@ negative for wrong-way drivers -- and the length estimate.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .simulate import TraceBundle
+from .tables import write_table
 from .topology import LINK_IDS, STRAIGHT_LINKS, SystemParams, Topology, link_distance
 
 
@@ -266,30 +266,17 @@ OBSERVATIONS_HEADER = ["vehicle_id", "v_mps", "l_m", "direction"]
 
 
 def write_events_csv(path: str, observations: list[VehicleObservation]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENTS_HEADER)
-        for obs in observations:
-            for link in sorted(obs.events):
-                ev = obs.events[link]
-                writer.writerow(
-                    [obs.vehicle_id, link, repr(ev.t_start_ms), repr(ev.t_end_ms), repr(ev.min_level)]
-                )
+    write_table(path, EVENTS_HEADER, (
+        [obs.vehicle_id, link, ev.t_start_ms, ev.t_end_ms, ev.min_level]
+        for obs in observations
+        for link, ev in sorted(obs.events.items())
+    ))
 
 
 def write_observations_csv(path: str, observations: list[VehicleObservation]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(OBSERVATIONS_HEADER)
-        for obs in observations:
-            writer.writerow(
-                [
-                    obs.vehicle_id,
-                    "" if obs.v_mps is None else repr(obs.v_mps),
-                    "" if obs.l_m is None else repr(obs.l_m),
-                    obs.direction or "",
-                ]
-            )
+    write_table(path, OBSERVATIONS_HEADER, (
+        [obs.vehicle_id, obs.v_mps, obs.l_m, obs.direction] for obs in observations
+    ))
 
 
 class PipelineSink:

@@ -10,7 +10,6 @@ be shared across model kinds and across all link subsets for fair comparison.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,8 @@ from .learn import (
     train_random_forest,
     train_svm_ensemble,
 )
-from .topology import STRAIGHT_LINKS, Taxonomy, labels_for_taxonomy
+from .tables import write_table
+from .topology import STRAIGHT_LINKS, Taxonomy
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,7 @@ def cross_validate(
     before scaling when a subset cannot support them.
     """
     x = np.asarray(x, dtype=float)
-    mapped = labels_for_taxonomy(list(labels), taxonomy)
-    y_idx = np.array([taxonomy.index(lab) for lab in mapped], dtype=int)
+    y_idx = taxonomy.encode(labels)
     if fold_plan is None:
         fold_plan = build_fold_plan(y_idx, k, seed)
     if column_mask is None:
@@ -262,8 +261,7 @@ def subset_evaluation(
     """Cross-validate once per link subset, sharing a single fold plan."""
     if not specs:
         raise ValueError("need at least one subset spec")
-    mapped = labels_for_taxonomy(list(labels), taxonomy)
-    y_idx = np.array([taxonomy.index(lab) for lab in mapped], dtype=int)
+    y_idx = taxonomy.encode(labels)
     if fold_plan is None:
         fold_plan = build_fold_plan(y_idx, k, seed)
     results = []
@@ -285,24 +283,14 @@ SUMMARY_HEADER = ["taxonomy", "model", "subset", "acc_mean", "acc_std"]
 
 
 def write_results_csv(path: str, rows: list[tuple[str, str, str, int, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        for taxonomy, model, subset, fold, acc in rows:
-            writer.writerow([taxonomy, model, subset, fold, repr(float(acc))])
+    write_table(path, RESULTS_HEADER, rows)
 
 
 def write_summary_csv(path: str, rows: list[tuple[str, str, str, float, float]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        for taxonomy, model, subset, mean, std in rows:
-            writer.writerow([taxonomy, model, subset, repr(float(mean)), repr(float(std))])
+    write_table(path, SUMMARY_HEADER, rows)
 
 
 def write_confusion_csv(path: str, matrix: np.ndarray, taxonomy: Taxonomy) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class"] + list(taxonomy.classes))
-        for name, row in zip(taxonomy.classes, matrix):
-            writer.writerow([name] + [repr(float(v)) for v in row])
+    rows = np.asarray(matrix, dtype=float).tolist()
+    write_table(path, ["class"] + list(taxonomy.classes),
+                ([name] + row for name, row in zip(taxonomy.classes, rows)))

@@ -23,7 +23,7 @@ from . import __version__
 from .evaluate import FoldPlan, ModelSpec, build_fold_plan, cross_validate
 from .features import fit_scaling
 from .learn import RandomForest, SvmEnsemble, train_random_forest
-from .topology import Taxonomy, labels_for_taxonomy
+from .topology import Taxonomy
 
 
 @dataclass(frozen=True)
@@ -286,8 +286,7 @@ def grid_search(
     if not tree_counts or not depths:
         raise ValueError("tree and depth grids must be nonempty")
     x = np.asarray(x, dtype=float)
-    mapped = labels_for_taxonomy(list(labels), taxonomy)
-    y_idx = np.array([taxonomy.index(lab) for lab in mapped], dtype=int)
+    y_idx = taxonomy.encode(labels)
     plan: FoldPlan = build_fold_plan(y_idx, k, seed)
     scaling = fit_scaling(x)
     x_scaled = scaling.apply(x)

@@ -9,13 +9,13 @@ contribute an all-zero block so the dimensionality never varies.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .detect import FilteredSeries, VehicleObservation, process_bundle
 from .simulate import TraceBundle
+from .tables import read_table, write_table
 from .topology import LINK_IDS, SystemParams, Topology
 
 N_FEATURES = 92
@@ -33,6 +33,9 @@ def feature_names() -> list[str]:
     for link in LINK_IDS:
         names.extend(f"phi{link}_{field}" for field in _BLOCK_FIELDS)
     return names
+
+
+FEATURES_HEADER = ["label"] + feature_names()
 
 
 def feature_groups() -> list[str]:
@@ -159,32 +162,16 @@ def fit_scaling(train: np.ndarray) -> ScalingTransform:
     return ScalingTransform(lo=train.min(axis=0), hi=train.max(axis=0))
 
 
-def apply_scaling(transform: ScalingTransform, x: np.ndarray) -> np.ndarray:
-    return transform.apply(x)
-
-
 def write_features_csv(path: str, features: np.ndarray, labels: list[str]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + feature_names())
-        for label, row in zip(labels, features):
-            writer.writerow([label] + [repr(float(v)) for v in row])
+    rows = np.asarray(features, dtype=float).tolist()
+    write_table(path, FEATURES_HEADER, ([label] + row for label, row in zip(labels, rows)))
 
 
 def read_features_csv(path: str) -> tuple[np.ndarray, list[str]]:
-    from .simulate import TraceFormatError
-
     labels = []
     rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["label"] + feature_names():
-            raise TraceFormatError(f"{path}: unexpected feature matrix header")
-        for row in reader:
-            if len(row) != 1 + N_FEATURES:
-                raise TraceFormatError(f"{path}: malformed row of {len(row)} columns")
-            labels.append(row[0])
-            rows.append([float(v) for v in row[1:]])
+    for row in read_table(path, FEATURES_HEADER):
+        labels.append(row[0])
+        rows.append([float(v) for v in row[1:]])
     matrix = np.array(rows) if rows else np.empty((0, N_FEATURES))
     return matrix, labels

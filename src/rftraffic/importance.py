@@ -10,13 +10,13 @@ group and is excluded.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import feature_groups
 from .learn import LinearSvm, SvmEnsemble
+from .tables import write_table
 
 
 @dataclass(frozen=True)
@@ -114,9 +114,8 @@ def importance_multiclass(
 
 def write_importance_csv(path: str, matrix: ImportanceMatrix) -> None:
     """`group,class,importance` rows ready for stacked-bar plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["group", "class", "importance"])
-        for g, group in enumerate(matrix.groups):
-            for c, klass in enumerate(matrix.classes):
-                writer.writerow([group, klass, repr(float(matrix.values[g, c]))])
+    write_table(path, ["group", "class", "importance"], (
+        [group, klass, value]
+        for group, row in zip(matrix.groups, matrix.values.tolist())
+        for klass, value in zip(matrix.classes, row)
+    ))

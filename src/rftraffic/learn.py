@@ -26,8 +26,16 @@ from .topology import Taxonomy
 
 
 def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
-    """Derive n child seeds; accepts ints and already-spawned SeedSequences."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+    """Derive n child seeds from an int or a SeedSequence, leaving the sequence untouched.
+
+    Spawning from a copy makes the children depend only on the seed, not on how
+    many times the caller's sequence was used before.
+    """
+    if isinstance(seed, np.random.SeedSequence):
+        ss = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                    pool_size=seed.pool_size)
+    else:
+        ss = np.random.SeedSequence(seed)
     return ss.spawn(max(n, 1))
 
 
@@ -174,10 +182,6 @@ def train_svm_ensemble(
             )
         )
     return SvmEnsemble(svms=svms, classes=tuple(classes))
-
-
-def predict_ensemble(model: SvmEnsemble, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +384,6 @@ def train_random_forest(
         trees.append(_prune_tree(full, max_depth))
     return RandomForest(trees=trees, classes=tuple(classes), max_depth=max_depth,
                         feature_subset=feature_subset)
-
-
-def predict_forest(model: RandomForest, x: np.ndarray) -> np.ndarray:
-    return model.predict(x)
 
 
 # ---------------------------------------------------------------------------

@@ -18,12 +18,12 @@ independently testable consumer of these traces.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .tables import TraceFormatError, read_table, write_table
 from .topology import LINK_IDS, STRAIGHT_LINKS, SystemParams, Topology
 
 KMH_TO_MPS = 1.0 / 3.6
@@ -43,10 +43,6 @@ MIN_LENGTH_M = 2.5
 
 _LEAD_S = 0.6
 _TAIL_S = 0.6
-
-
-class TraceFormatError(ValueError):
-    """Raised when a trace or label file violates the expected schema."""
 
 
 @dataclass(frozen=True)
@@ -422,6 +418,8 @@ def generate_dataset(
 def proportional_counts(total: int, proportions: dict[str, float] | None = None) -> dict[str, int]:
     """Split ``total`` into per-class counts by largest remainder, each >= 1."""
     props = proportions or BODY_STYLE_PROPORTIONS
+    if total < len(props):
+        raise ValueError(f"a total of {total} cannot give each of {len(props)} classes one trace")
     raw = {label: total * p for label, p in props.items()}
     counts = {label: max(1, int(x)) for label, x in raw.items()}
     remainder = sorted(props, key=lambda lab: raw[lab] - int(raw[lab]), reverse=True)
@@ -430,9 +428,7 @@ def proportional_counts(total: int, proportions: dict[str, float] | None = None)
         counts[remainder[idx % len(remainder)]] += 1
         idx += 1
     while sum(counts.values()) > total:
-        biggest = max(counts, key=lambda lab: (counts[lab], lab))
-        if counts[biggest] > 1:
-            counts[biggest] -= 1
+        counts[max(counts, key=lambda lab: (counts[lab], lab))] -= 1
     return counts
 
 
@@ -469,52 +465,48 @@ def replay(trace: TraceBundle, sink) -> None:
 # file formats
 
 
+TRACE_HEADER = ["t_ms", "link", "rssi_dbm"]
+
+
 def write_trace_csv(path: str, trace: TraceBundle) -> None:
     """Write `t_ms,link,rssi_dbm` rows sorted by time then link."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t_ms", "link", "rssi_dbm"])
-        period = trace.sample_period_ms
-        for k in range(trace.n_samples):
-            t = trace.t0_ms + k * period
-            for link in LINK_IDS:
-                writer.writerow([repr(t), link, repr(float(trace.rssi_dbm[link - 1, k]))])
+    period = trace.sample_period_ms
+    write_table(path, TRACE_HEADER, (
+        [trace.t0_ms + k * period, link, rssi]
+        for k, epoch in enumerate(trace.rssi_dbm.T.tolist())
+        for link, rssi in zip(LINK_IDS, epoch)
+    ))
 
 
 def read_trace_csv(path: str) -> TraceBundle:
     """Read a trace file; idle levels are estimated from the leading samples."""
     per_link: dict[int, list[float]] = {link: [] for link in LINK_IDS}
     times: list[float] = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["t_ms", "link", "rssi_dbm"]:
-            raise TraceFormatError(f"{path}: expected header t_ms,link,rssi_dbm")
-        prev_key = None
-        for row in reader:
-            if len(row) != 3:
-                raise TraceFormatError(f"{path}: malformed row {row!r}")
-            try:
-                t = float(row[0])
-                link = int(row[1])
-                rssi = float(row[2])
-            except ValueError:
-                raise TraceFormatError(f"{path}: malformed row {row!r}") from None
-            if link not in per_link:
-                raise TraceFormatError(f"{path}: link {link} out of range 1..9")
-            key = (t, link)
-            if prev_key is not None and key <= prev_key:
-                raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
-            prev_key = key
-            per_link[link].append(rssi)
-            if link == 1:
-                times.append(t)
+    prev_t, prev_link = -math.inf, 0
+    for row in read_table(path, TRACE_HEADER):
+        try:
+            t = float(row[0])
+            link = int(row[1])
+            rssi = float(row[2])
+        except ValueError:
+            raise TraceFormatError(f"{path}: malformed row {row!r}") from None
+        stream = per_link.get(link)
+        if stream is None:
+            raise TraceFormatError(f"{path}: link {link} out of range 1..9")
+        if t < prev_t or (t == prev_t and link <= prev_link):
+            raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
+        prev_t, prev_link = t, link
+        stream.append(rssi)
+        if link == 1:
+            times.append(t)
     lengths = {len(v) for v in per_link.values()}
     if lengths == {0}:
         raise TraceFormatError(f"{path}: empty trace")
     if len(lengths) != 1:
         raise TraceFormatError(f"{path}: unequal stream lengths {sorted(lengths)}")
     streams = np.array([per_link[link] for link in LINK_IDS])
+    if not (np.isfinite(streams).all() and (streams < 0).all()):
+        raise TraceFormatError(f"{path}: rssi_dbm must be finite negative dBm")
     if len(times) >= 2:
         period = times[1] - times[0]
     else:
@@ -533,25 +525,14 @@ LABELS_HEADER = ["trace_file", "label", "speed_mps", "length_m", "direction"]
 
 
 def write_labels_csv(path: str, rows: list[tuple[str, str, float, float, int]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABELS_HEADER)
-        for trace_file, label, speed, length, direction in rows:
-            writer.writerow([trace_file, label, repr(float(speed)), repr(float(length)), direction])
+    write_table(path, LABELS_HEADER, rows)
 
 
 def read_labels_csv(path: str) -> list[tuple[str, str, float, float, int]]:
     rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABELS_HEADER:
-            raise TraceFormatError(f"{path}: expected header {','.join(LABELS_HEADER)}")
-        for row in reader:
-            if len(row) != 5:
-                raise TraceFormatError(f"{path}: malformed row {row!r}")
-            try:
-                rows.append((row[0], row[1], float(row[2]), float(row[3]), int(row[4])))
-            except ValueError:
-                raise TraceFormatError(f"{path}: malformed row {row!r}") from None
+    for row in read_table(path, LABELS_HEADER):
+        try:
+            rows.append((row[0], row[1], float(row[2]), float(row[3]), int(row[4])))
+        except ValueError:
+            raise TraceFormatError(f"{path}: malformed row {row!r}") from None
     return rows

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 LINK_IDS: tuple[int, ...] = (1, 2, 3, 4, 5, 6, 7, 8, 9)
 STRAIGHT_LINKS: tuple[int, ...] = (1, 5, 9)
 
@@ -139,6 +141,11 @@ class Taxonomy:
             return self.classes.index(label)
         except ValueError:
             raise KeyError(f"label {label!r} not in taxonomy {self.name!r}") from None
+
+    def encode(self, labels) -> np.ndarray:
+        """Class indices of dataset labels, coarsened onto this taxonomy."""
+        mapped = labels_for_taxonomy(list(labels), self)
+        return np.array([self.index(lab) for lab in mapped], dtype=int)
 
 
 BINARY = Taxonomy("binary", BINARY_CLASSES)

@@ -70,6 +70,34 @@ def test_detect_malformed_file_exit_code(tmp_path):
     assert rc == EXIT_INPUT
 
 
+def test_detect_nan_trace_exit_code(tmp_path):
+    streams = np.full((9, 300), -60.0)
+    streams[0, 0] = np.nan  # lands in the idle-level window
+    trace = tmp_path / "nan.csv"
+    simulate.write_trace_csv(str(trace), simulate.TraceBundle(streams, np.full(9, -60.0), 8.0))
+    rc = main(["detect", "--in", str(trace), "--out-events", str(tmp_path / "e.csv"),
+               "--out-observations", str(tmp_path / "o.csv")])
+    assert rc == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--count", "3"],
+    ["reproduce", "--count", "5"],
+])
+def test_corpus_smaller_than_class_count_is_config_error(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["--threads", "2", "simulate", "--out", "x"],
+    ["simulate", "--threads", "2", "--out", "x"],
+])
+def test_threads_flag_is_gone(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_full_flow_simulate_extract_train_evaluate(tmp_path, topo, params):
     traces = tmp_path / "traces"
     assert main(["simulate", "--classes", "binary", "--count", "30", "--seed", "9",

@@ -162,6 +162,18 @@ def test_sweet_spot_dominance_and_tiebreak(binary_small):
     assert result.code_bytes == min(c["code_bytes"] for c in ties)
 
 
+def test_grid_cell_does_not_depend_on_other_cells(binary_small):
+    x, labels = binary_small
+    full = grid_search(x, labels, BINARY, tree_counts=(2, 5), depths=(2, 6, 10), k=2, seed=4)
+    alone = grid_search(x, labels, BINARY, tree_counts=(5,), depths=(6,), k=2, seed=4)
+    cell = next(c for c in full if (c["n_trees"], c["max_depth"]) == (5, 6))
+    assert (cell["code_bytes"], cell["op_count"]) == (alone[0]["code_bytes"], alone[0]["op_count"])
+    assert cell["acc_mean"] == alone[0]["acc_mean"]
+    for n_trees in (2, 5):
+        sizes = [c["code_bytes"] for c in full if c["n_trees"] == n_trees]
+        assert sizes == sorted(sizes)  # a deeper cap on the same forest is never smaller
+
+
 def test_grid_rejects_empty(binary_small):
     x, labels = binary_small
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from rftraffic.features import (
     N_FEATURES,
     FeatureVector,
     ScalingTransform,
-    apply_scaling,
     extract_features,
     feature_groups,
     feature_names,
@@ -123,17 +122,17 @@ def test_truck_histogram_mass_sits_lower_than_car(topo, params):
 
 def test_scaling_midpoint_and_constant():
     t = fit_scaling(np.array([[0.0, 3.0], [10.0, 3.0]]))
-    out = apply_scaling(t, np.array([5.0, 3.0]))
+    out = t.apply(np.array([5.0, 3.0]))
     assert out[0] == pytest.approx(0.0)
     assert out[1] == 0.0  # constant dimension maps to zero
-    assert np.all(apply_scaling(t, np.array([[0.0, 3.0], [10.0, 3.0]])) == [[-1, 0], [1, 0]])
+    assert np.all(t.apply(np.array([[0.0, 3.0], [10.0, 3.0]])) == [[-1, 0], [1, 0]])
 
 
 def test_scaling_maps_training_data_into_unit_box():
     rng = np.random.default_rng(3)
     x = rng.normal(size=(40, 7)) * 10
     t = fit_scaling(x)
-    scaled = apply_scaling(t, x)
+    scaled = t.apply(x)
     assert scaled.min() >= -1.0 and scaled.max() <= 1.0
     assert np.isclose(scaled.min(axis=0), -1.0).all()
     assert np.isclose(scaled.max(axis=0), 1.0).all()
@@ -148,7 +147,7 @@ def test_scaling_maps_training_data_into_unit_box():
 )
 def test_scaling_clamps_out_of_range_test_points(train, test):
     t = fit_scaling(train)
-    out = apply_scaling(t, test)
+    out = t.apply(test)
     assert np.all(out >= -1.0) and np.all(out <= 1.0)
 
 

@@ -9,8 +9,6 @@ from rftraffic.learn import (
     SvmEnsemble,
     augment,
     load_model,
-    predict_ensemble,
-    predict_forest,
     save_model,
     svm_objective,
     train_random_forest,
@@ -123,7 +121,7 @@ def test_ensemble_prediction_equals_independent_vote_tally(body_small):
     y = np.array([BODY_STYLE.index(l) for l in labels])
     ens = train_svm_ensemble(scaled, y, BODY_STYLE.classes, epochs=10, seed=4)
     sample = scaled[:40]
-    pred = predict_ensemble(ens, sample)
+    pred = ens.predict(sample)
     # brute-force recount, one decision at a time
     for row, p in zip(sample, pred):
         tally = [0] * 7
@@ -169,7 +167,7 @@ def test_pure_data_gives_single_leaf_trees():
     for tree in forest.trees:
         assert tree.n_nodes == 1
         assert tree.feature[0] == -1
-    assert np.all(predict_forest(forest, x) == 0)
+    assert np.all(forest.predict(x) == 0)
 
 
 def test_stump_splits_separable_line():
@@ -182,7 +180,7 @@ def test_stump_splits_separable_line():
     assert tree.feature[0] == 0
     assert 1.0 < tree.threshold[0] < 2.0
     boot = tree.bootstrap_indices
-    assert (predict_forest(forest, x[boot]) == y[boot]).mean() == 1.0
+    assert (forest.predict(x[boot]) == y[boot]).mean() == 1.0
 
 
 def test_forest_determinism_node_for_node(binary_small):
@@ -210,7 +208,7 @@ def test_forest_vote_recount(binary_small):
     x, labels = binary_small
     y = np.array([BINARY.index(l) for l in labels])
     forest = train_random_forest(x, y, BINARY.classes, n_trees=15, max_depth=8, seed=2)
-    pred = predict_forest(forest, x[:25])
+    pred = forest.predict(x[:25])
     for row, p in zip(x[:25], pred):
         votes = [0, 0]
         for tree in forest.trees:

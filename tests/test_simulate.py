@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rftraffic import simulate
 from rftraffic.detect import PipelineSink, process_bundle
@@ -116,6 +118,20 @@ def test_proportional_counts_totals_and_bus_rarity():
     assert counts["passenger car"] == max(counts.values())
 
 
+@pytest.mark.parametrize("total", range(7))
+def test_proportional_counts_rejects_totals_below_class_count(total):
+    with pytest.raises(ValueError, match="each of 7 classes"):
+        proportional_counts(total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(7, 20_000))
+def test_proportional_counts_sums_exactly(total):
+    counts = proportional_counts(total)
+    assert sum(counts.values()) == total
+    assert all(c >= 1 for c in counts.values())
+
+
 def test_invert_direction_is_involution(topo, params):
     bundle = generate_trace(CAR_LIKE, topo, params, seed=4)
     twice = invert_direction(invert_direction(bundle))
@@ -191,6 +207,16 @@ def test_trace_csv_rejects_malformed(tmp_path):
     bad.write_text("t_ms,link,rssi_dbm\n8.0,1,-60.0\n0.0,1,-61.0\n")
     with pytest.raises(TraceFormatError, match="sorted"):
         read_trace_csv(str(bad))
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf, 0.0, 3.5])
+def test_trace_csv_rejects_non_finite_or_non_negative_rssi(tmp_path, value):
+    streams = np.full((9, 40), -60.0)
+    streams[4, 30] = value
+    path = tmp_path / "bad.csv"
+    write_trace_csv(str(path), TraceBundle(streams, np.full(9, -60.0), 8.0))
+    with pytest.raises(TraceFormatError, match="finite negative"):
+        read_trace_csv(str(path))
 
 
 def test_labels_csv_roundtrip(tmp_path):

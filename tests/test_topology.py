@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rftraffic.topology import (
@@ -111,6 +112,18 @@ def test_coarsen_unknown_label():
 def test_labels_passthrough_when_already_coarse():
     assert labels_for_taxonomy(["car-like", "truck-like"], BINARY) == ["car-like", "truck-like"]
     assert labels_for_taxonomy(["van", "bus"], BINARY) == ["car-like", "truck-like"]
+
+
+def test_encode_maps_labels_to_class_indices():
+    labels = ["bus", "van", "passenger car", "truck with trailer"]
+    for taxonomy in (BINARY, SIZE_BASED, BODY_STYLE):
+        y = taxonomy.encode(labels)
+        assert y.dtype.kind == "i"
+        assert [taxonomy.classes[i] for i in y] == labels_for_taxonomy(labels, taxonomy)
+    assert BINARY.encode(["truck-like", "car-like"]).tolist() == [1, 0]
+    assert BODY_STYLE.encode([]).shape == (0,)
+    with pytest.raises(KeyError):
+        SIZE_BASED.encode(["car-like"])
 
 
 def test_get_taxonomy_unknown():
