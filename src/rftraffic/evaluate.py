@@ -115,6 +115,44 @@ def train_model(x_scaled: np.ndarray, y_idx: np.ndarray, classes: tuple[str, ...
     )
 
 
+@dataclass(frozen=True)
+class ScaledFold:
+    """One fold's splits, scaled by the training split, and its model seed."""
+
+    index: int
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_test: np.ndarray
+    y_test: np.ndarray
+    model_seed: np.random.SeedSequence
+
+
+def scaled_folds(x: np.ndarray, y_idx: np.ndarray, fold_plan: FoldPlan, seed):
+    """Yield every fold of the plan with scaling fitted on its training split.
+
+    Fold ``i`` trains its model from child ``i`` of ``SeedSequence([seed, 0x5EED])``,
+    so the same seed and plan give every caller the same per-fold models.
+    """
+    model_seeds = np.random.SeedSequence([int(seed), 0x5EED]).spawn(fold_plan.k)
+    for fold in range(fold_plan.k):
+        train_rows = fold_plan.train_rows(fold)
+        test_rows = fold_plan.test_rows(fold)
+        scaling = fit_scaling(x[train_rows])
+        yield ScaledFold(
+            index=fold,
+            x_train=scaling.apply(x[train_rows]),
+            y_train=y_idx[train_rows],
+            x_test=scaling.apply(x[test_rows]),
+            y_test=y_idx[test_rows],
+            model_seed=model_seeds[fold],
+        )
+
+
+def fold_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
+    """Exact-match fraction of one test split; an empty split scores 1."""
+    return float((pred == truth).mean()) if len(truth) else 1.0
+
+
 @dataclass
 class EvaluationReport:
     taxonomy: str
@@ -159,22 +197,15 @@ def cross_validate(
         work[:, 0:2] = 0.0
     work = work[:, column_mask]
 
-    model_seeds = np.random.SeedSequence([int(seed), 0x5EED]).spawn(fold_plan.k)
     y_classes = len(taxonomy.classes)
     counts = np.zeros((y_classes, y_classes))
     fold_acc = np.empty(fold_plan.k)
-    for fold in range(fold_plan.k):
-        train_rows = fold_plan.train_rows(fold)
-        test_rows = fold_plan.test_rows(fold)
-        scaling = fit_scaling(work[train_rows])
-        x_train = scaling.apply(work[train_rows])
-        x_test = scaling.apply(work[test_rows])
-        model = train_model(x_train, y_idx[train_rows], taxonomy.classes,
-                            model_spec, model_seeds[fold])
-        pred = np.atleast_1d(model.predict(x_test))
-        truth = y_idx[test_rows]
-        fold_acc[fold] = float((pred == truth).mean()) if len(truth) else 1.0
-        for p, t in zip(pred, truth):
+    for fold in scaled_folds(work, y_idx, fold_plan, seed):
+        model = train_model(fold.x_train, fold.y_train, taxonomy.classes,
+                            model_spec, fold.model_seed)
+        pred = np.atleast_1d(model.predict(fold.x_test))
+        fold_acc[fold.index] = fold_accuracy(pred, fold.y_test)
+        for p, t in zip(pred, fold.y_test):
             counts[t, p] += 1
     sums = counts.sum(axis=1, keepdims=True)
     confusion = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .evaluate import FoldPlan, ModelSpec, build_fold_plan, cross_validate
+from .evaluate import FoldPlan, build_fold_plan, fold_accuracy, fold_summary, scaled_folds
 from .features import fit_scaling
 from .learn import RandomForest, SvmEnsemble, train_random_forest
 from .topology import Taxonomy
@@ -279,38 +279,62 @@ def grid_search(
 ) -> list[dict]:
     """Evaluate every forest parameterization once, platform-independently.
 
-    Accuracy per cell comes from cross-validation on a shared fold plan; the
-    memory estimate comes from a forest trained on the full corpus, which is
-    what would be deployed.
+    Accuracy per cell is what ``evaluate.cross_validate`` reports on a shared
+    fold plan; the memory estimate comes from a forest trained on the full
+    corpus, which is what would be deployed.
+
+    Trees grow to purity before they are pruned, and tree i's seed depends on
+    i alone, so a forest's first n trees pruned to depth d are the forest the
+    same seed trains at (n, d).  Each fold therefore trains one forest at the
+    largest tree count and depth; per depth every tree is pruned and predicts
+    once, and the votes summed over the sorted tree counts score every cell.
+    The deployed forests are cut the same way from one forest.
     """
     if not tree_counts or not depths:
         raise ValueError("tree and depth grids must be nonempty")
+    if min(tree_counts) < 0:
+        raise ValueError("tree counts must not be negative")
     x = np.asarray(x, dtype=float)
     y_idx = taxonomy.encode(labels)
     plan: FoldPlan = build_fold_plan(y_idx, k, seed)
-    scaling = fit_scaling(x)
-    x_scaled = scaling.apply(x)
-    deploy_seed = np.random.SeedSequence([int(seed), 0xDE9107]).spawn(1)[0]
+    counts, caps = sorted(tree_counts), sorted(depths)
+    n_classes = len(taxonomy.classes)
 
+    fold_acc = np.empty((len(counts), len(caps), plan.k))
+    for fold in scaled_folds(x, y_idx, plan, seed):
+        forest = train_random_forest(
+            fold.x_train, fold.y_train, taxonomy.classes,
+            n_trees=counts[-1], max_depth=caps[-1], seed=fold.model_seed,
+        )
+        rows = np.arange(len(fold.x_test))
+        for j, depth in enumerate(caps):
+            trees = forest.truncated(counts[-1], depth).trees
+            votes = np.zeros((len(rows), n_classes), dtype=int)
+            done = 0
+            for i, n_trees in enumerate(counts):
+                for tree in trees[done:n_trees]:
+                    votes[rows, tree.predict(fold.x_test)] += 1
+                done = n_trees
+                fold_acc[i, j, fold.index] = fold_accuracy(votes.argmax(axis=1), fold.y_test)
+
+    x_scaled = fit_scaling(x).apply(x)
+    deploy_seed = np.random.SeedSequence([int(seed), 0xDE9107]).spawn(1)[0]
+    largest = train_random_forest(
+        x_scaled, y_idx, taxonomy.classes,
+        n_trees=counts[-1], max_depth=caps[-1], seed=deploy_seed,
+    )
     grid = []
-    for n_trees in sorted(tree_counts):
-        for depth in sorted(depths):
-            spec = ModelSpec(kind="rf", n_trees=n_trees, max_depth=depth)
-            report = cross_validate(
-                x, labels, taxonomy, spec, k=k, seed=seed, fold_plan=plan
-            )
-            deployed = train_random_forest(
-                x_scaled, y_idx, taxonomy.classes,
-                n_trees=n_trees, max_depth=depth, seed=deploy_seed,
-            )
-            estimate = estimate_memory(deployed, cost=cost)
+    for i, n_trees in enumerate(counts):
+        for j, depth in enumerate(caps):
+            deployed = largest.truncated(n_trees, depth)
+            acc_mean, acc_std = fold_summary(fold_acc[i, j])
             grid.append(
                 {
                     "n_trees": n_trees,
                     "max_depth": depth,
-                    "acc_mean": report.acc_mean,
-                    "acc_std": report.acc_std,
-                    "code_bytes": estimate.code_bytes,
+                    "acc_mean": acc_mean,
+                    "acc_std": acc_std,
+                    "code_bytes": estimate_memory(deployed, cost=cost).code_bytes,
                     "op_count": count_operations(deployed),
                 }
             )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .detect import FilteredSeries, VehicleObservation, process_bundle
 from .simulate import TraceBundle
-from .tables import read_table, write_table
+from .tables import TraceFormatError, read_table, write_table
 from .topology import LINK_IDS, SystemParams, Topology
 
 N_FEATURES = 92
@@ -170,8 +170,11 @@ def write_features_csv(path: str, features: np.ndarray, labels: list[str]) -> No
 def read_features_csv(path: str) -> tuple[np.ndarray, list[str]]:
     labels = []
     rows = []
-    for row in read_table(path, FEATURES_HEADER):
+    for line, row in enumerate(read_table(path, FEATURES_HEADER), start=2):
         labels.append(row[0])
-        rows.append([float(v) for v in row[1:]])
+        try:
+            rows.append([float(v) for v in row[1:]])
+        except ValueError as exc:
+            raise TraceFormatError(f"{path}: line {line}: {exc}") from None
     matrix = np.array(rows) if rows else np.empty((0, N_FEATURES))
     return matrix, labels

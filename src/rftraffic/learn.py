@@ -11,6 +11,12 @@ combined by majority vote.
 The random forest grows bootstrapped CART trees with Gini-impurity splits over
 a fresh random feature subset per node; prediction is the majority vote over
 trees.  Ties break toward the lowest class index everywhere.
+
+Every tree is grown to purity from a seed derived from its index alone and only
+then pruned to the depth cap.  The first n trees of a forest, each pruned again
+to a smaller depth d, are therefore node for node the forest that the same seed
+trains with n trees at depth d (``RandomForest.truncated``); the forest grid of
+``export.grid_search`` derives all of its cells from one forest this way.
 """
 
 from __future__ import annotations
@@ -113,7 +119,7 @@ def train_svm_binary(
             if np.any(viol):
                 grad = grad - (yb[viol, None] * xb[viol]).sum(axis=0) / len(chunk)
             beta = beta - eta * grad
-            norm = np.linalg.norm(beta)
+            norm = np.sqrt(beta.dot(beta))  # np.linalg.norm's arithmetic, without its checks
             if norm > radius:
                 beta = beta * (radius / norm)
             running_sum += beta
@@ -217,38 +223,45 @@ class CartTree:
 
 
 def _gini_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    frac = counts / totals[:, None]
-    return 1.0 - (frac * frac).sum(axis=1)
+    """Gini impurity of class counts along the last axis, given their totals."""
+    frac = counts / totals[..., None]
+    return 1.0 - (frac * frac).sum(axis=-1)
 
 
 def _best_split(x, y, idx, n_classes, feature_ids):
-    """Lowest weighted child Gini over candidate midpoints of the features."""
+    """Lowest weighted child Gini over candidate midpoints of the features.
+
+    All candidate columns are scored in one pass over the ``(n, F)`` block.
+    Ties go to the first split position of a feature, then to the first
+    feature in ``feature_ids``; a feature without two distinct values offers
+    no split.
+    """
     n = len(idx)
-    ys = y[idx]
-    best = None  # (cost, feature, threshold)
-    for f in feature_ids:
-        col = x[idx, f]
-        order = np.argsort(col, kind="stable")
-        cs = col[order]
-        change = np.flatnonzero(cs[1:] > cs[:-1])
-        if len(change) == 0:
-            continue
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), ys[order]] = 1.0
-        prefix = np.cumsum(onehot, axis=0)
-        left_counts = prefix[change]
-        total = prefix[-1]
-        right_counts = total - left_counts
-        n_left = (change + 1).astype(float)
-        n_right = n - n_left
-        cost = (
-            n_left * _gini_counts(left_counts, n_left)
-            + n_right * _gini_counts(right_counts, n_right)
-        ) / n
-        j = int(np.argmin(cost))
-        if best is None or cost[j] < best[0]:
-            best = (float(cost[j]), int(f), float(0.5 * (cs[change[j]] + cs[change[j] + 1])))
-    return best
+    if n < 2:
+        return None
+    columns = np.arange(len(feature_ids))
+    block = x[idx[:, None], feature_ids]
+    order = np.argsort(block, axis=0, kind="stable")
+    cs = block[order, columns]
+    change = cs[1:] > cs[:-1]  # (n - 1, F): a split may follow row p
+    if not change.any():
+        return None
+    onehot = y[idx][order][:, :, None] == np.arange(n_classes)
+    prefix = np.cumsum(onehot, axis=0, dtype=float)
+    left_counts = prefix[:-1]
+    right_counts = prefix[-1] - left_counts
+    n_left = np.arange(1.0, n)[:, None]
+    n_right = n - n_left
+    cost = (
+        n_left * _gini_counts(left_counts, n_left)
+        + n_right * _gini_counts(right_counts, n_right)
+    ) / n
+    cost[~change] = np.inf
+    pos = cost.argmin(axis=0)
+    per_feature = cost[pos, columns]
+    j = int(per_feature.argmin())
+    p = pos[j]
+    return (float(per_feature[j]), int(feature_ids[j]), float(0.5 * (cs[p, j] + cs[p + 1, j])))
 
 
 def _grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
@@ -356,6 +369,22 @@ class RandomForest:
             votes[rows, tree.predict(x)] += 1
         pred = votes.argmax(axis=1)
         return pred[0] if single else pred
+
+    def truncated(self, n_trees: int, max_depth: int) -> RandomForest:
+        """The first ``n_trees`` trees pruned to ``max_depth``.
+
+        Equal node for node to the forest the same seed trains with
+        ``n_trees`` trees at ``max_depth``.
+        """
+        if not 0 <= n_trees <= len(self.trees) or max_depth > self.max_depth:
+            raise ValueError(
+                f"cannot cut {n_trees} trees at depth {max_depth} from "
+                f"{len(self.trees)} trees at depth {self.max_depth}"
+            )
+        return RandomForest(
+            trees=[_prune_tree(tree, max_depth) for tree in self.trees[:n_trees]],
+            classes=self.classes, max_depth=max_depth, feature_subset=self.feature_subset,
+        )
 
 
 def train_random_forest(

@@ -479,10 +479,16 @@ def write_trace_csv(path: str, trace: TraceBundle) -> None:
 
 
 def read_trace_csv(path: str) -> TraceBundle:
-    """Read a trace file; idle levels are estimated from the leading samples."""
+    """Read a trace file; idle levels are estimated from the leading samples.
+
+    Rows must be strictly sorted by ``t_ms`` then link, every timestamp must be
+    finite, and the link-1 timestamps must be evenly spaced: a missing epoch
+    would otherwise stretch every time difference after it.
+    """
     per_link: dict[int, list[float]] = {link: [] for link in LINK_IDS}
     times: list[float] = []
-    prev_t, prev_link = -math.inf, 0
+    # no link exceeds prev_link, so the first row needs t > -inf
+    prev_t, prev_link = -math.inf, math.inf
     for row in read_table(path, TRACE_HEADER):
         try:
             t = float(row[0])
@@ -493,7 +499,8 @@ def read_trace_csv(path: str) -> TraceBundle:
         stream = per_link.get(link)
         if stream is None:
             raise TraceFormatError(f"{path}: link {link} out of range 1..9")
-        if t < prev_t or (t == prev_t and link <= prev_link):
+        # the positive form also rejects nan, which fails every comparison
+        if not (t > prev_t or (t == prev_t and link > prev_link)):
             raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
         prev_t, prev_link = t, link
         stream.append(rssi)
@@ -504,11 +511,15 @@ def read_trace_csv(path: str) -> TraceBundle:
         raise TraceFormatError(f"{path}: empty trace")
     if len(lengths) != 1:
         raise TraceFormatError(f"{path}: unequal stream lengths {sorted(lengths)}")
+    if not math.isfinite(prev_t):  # rows rise strictly, so only the last can be +inf
+        raise TraceFormatError(f"{path}: t_ms must be finite")
     streams = np.array([per_link[link] for link in LINK_IDS])
     if not (np.isfinite(streams).all() and (streams < 0).all()):
         raise TraceFormatError(f"{path}: rssi_dbm must be finite negative dBm")
     if len(times) >= 2:
         period = times[1] - times[0]
+        if np.abs(np.diff(times) - period).max() > 1e-6 * period:
+            raise TraceFormatError(f"{path}: link-1 timestamps must be evenly spaced")
     else:
         period = SystemParams().sample_period_ms
     head = streams[:, : min(25, streams.shape[1])]

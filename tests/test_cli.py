@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 import os
 
 import numpy as np
@@ -77,6 +78,31 @@ def test_detect_nan_trace_exit_code(tmp_path):
     simulate.write_trace_csv(str(trace), simulate.TraceBundle(streams, np.full(9, -60.0), 8.0))
     rc = main(["detect", "--in", str(trace), "--out-events", str(tmp_path / "e.csv"),
                "--out-observations", str(tmp_path / "o.csv")])
+    assert rc == EXIT_INPUT
+
+
+def test_detect_dropped_epoch_exit_code(tmp_path):
+    trace = tmp_path / "gap.csv"
+    simulate.write_trace_csv(str(trace), simulate.TraceBundle(
+        np.full((9, 300), -60.0), np.full(9, -60.0), 8.0))
+    lines = trace.read_text().splitlines(keepends=True)
+    del lines[1 + 9 * 150: 1 + 9 * 151]
+    trace.write_text("".join(lines))
+    rc = main(["detect", "--in", str(trace), "--out-events", str(tmp_path / "e.csv"),
+               "--out-observations", str(tmp_path / "o.csv")])
+    assert rc == EXIT_INPUT
+
+
+def test_train_malformed_feature_cell_exit_code(tmp_path, binary_small):
+    x, labels = binary_small
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), x[:2], labels[:2])
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[5] = "zero"
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+    rc = main(["train", "--features", str(path), "--out", str(tmp_path / "m.json")])
     assert rc == EXIT_INPUT
 
 
@@ -231,3 +257,38 @@ def test_scaled_down_reproduce_is_deterministic(tmp_path):
         assert f"importance_{taxonomy}.csv" in tree1
         for model in ("svm", "rf"):
             assert f"confusion_{taxonomy}_{model}.csv" in tree1
+
+
+#: sha256 of every file of the small reproduce run below.  A change that means
+#: to alter output updates these pins and says why in CHANGES.md; floating-point
+#: results were pinned on x86-64 with numpy 2.x and OpenBLAS.
+GOLDEN_REPRODUCE_SHA256 = {
+    "accuracy_per_fold.csv": "5a331abb09a48c580265d336cc14f14ed3d72ff901024e2236b8ef27793e756e",
+    "accuracy_summary.csv": "6ec643358efeaa1abe3291af7851e0c53441fc4dcc2836fa2ca157c879fa3c33",
+    "confusion_binary_rf.csv": "8a3b1e7e96eedfa63a707ed180ed898af1f053f2b23f8e178c993bafc2771f9c",
+    "confusion_binary_svm.csv": "6784e7617737cc56475620c3250bf41591c7f2f5444135d11e885936c8918b4c",
+    "confusion_body_style_rf.csv": "095965a91a9d8272bb5b95a0c1aa48f8b7de61a7730083d41025bf18243c9f62",
+    "confusion_body_style_svm.csv": "764cfabb665a5bd626172a2cb9dd60968e91db6e25addf6ec0d662eddbcb57e1",
+    "confusion_size_based_rf.csv": "474d67fd96579e71184cca6e59af617a3995c36b66f453d3aa87f9a57307a9e0",
+    "confusion_size_based_svm.csv": "39fb10f5721377a47c12338ba7b640c5ae7077dcefaffe67479d74b181d1a9c6",
+    "features.csv": "60569d912c6ce426362bfee6a73870d4c9198d9a3ad4f49e78ee331972f7ffba",
+    "importance_binary.csv": "1a09343840b7ca139fb6376b67ab34cf584f8154fb9adeebd3f808cce1239762",
+    "importance_body_style.csv": "b36a3e105661d5068b3be4e76d91be666e3d1667545a1d8dbc573ff2d49ec1ac",
+    "importance_size_based.csv": "e957a96676da5adb51b03d792ee788e69880f246a18625f2ba46bbfa39087763",
+    "infer_svm_body_style.c": "1e0e94bb063124d0001d1ee9193cc3e0f3cc9d84df2431dea3232b877aded2ae",
+    "model_svm_body_style.json": "5f25e5905b5ecddc046db9c570fb8912823db8f662ef10a7775dbf88fcb758c0",
+    "subset_per_fold.csv": "7db3a6d47b722a0f93615917275a21600760a3a0fec25475484f8b95db048d0b",
+    "subset_summary.csv": "93e7c0fd49dded8d84a32012d000709ab47b162b9600592f49ad0e064ddb671e",
+    "sweetspot_best.csv": "dffd352463dd7edff5fd03f6214de5588ba80d819e315407719c58144171ae44",
+    "sweetspot_grid.csv": "57cb4d0e58cbddbf27b131d08fc46fb2b442952c45718aea546fb0b21a88cd38",
+}
+
+
+def test_small_reproduce_matches_golden_digests(tmp_path):
+    """Catches a speed-up that silently changes what reproduce writes."""
+    out = tmp_path / "golden"
+    assert main(["reproduce", "--count", "40", "--seed", "93", "--k", "3", "--epochs", "10",
+                 "--n-trees", "5", "--max-depth", "4", "--tree-grid", "2,5",
+                 "--depth-grid", "2,6,10", "--out", str(out)]) == EXIT_OK
+    digests = {rel: hashlib.sha256(data).hexdigest() for rel, data in _tree_bytes(out).items()}
+    assert digests == GOLDEN_REPRODUCE_SHA256

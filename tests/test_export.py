@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import compile_and_predict
+from rftraffic.evaluate import ModelSpec, build_fold_plan, cross_validate
 from rftraffic.export import (
     PLATFORMS,
     CostModel,
@@ -178,3 +179,29 @@ def test_grid_rejects_empty(binary_small):
     x, labels = binary_small
     with pytest.raises(ValueError):
         grid_search(x, labels, BINARY, tree_counts=(), depths=(2,), k=3, seed=0)
+
+
+def test_grid_cells_equal_per_cell_training(binary_small):
+    x, labels = binary_small
+    tree_counts, depths, k, seed = (5, 2, 5, 8), (7, 1, 3), 3, 4
+    grid = grid_search(x, labels, BINARY, tree_counts=tree_counts, depths=depths, k=k, seed=seed)
+    assert [(c["n_trees"], c["max_depth"]) for c in grid] == [
+        (n, d) for n in sorted(tree_counts) for d in sorted(depths)]
+    y = BINARY.encode(labels)
+    plan = build_fold_plan(y, k, seed)
+    x_scaled = fit_scaling(x).apply(x)
+    deploy_seed = np.random.SeedSequence([seed, 0xDE9107]).spawn(1)[0]
+    for cell in grid:
+        spec = ModelSpec(kind="rf", n_trees=cell["n_trees"], max_depth=cell["max_depth"])
+        report = cross_validate(x, labels, BINARY, spec, k=k, seed=seed, fold_plan=plan)
+        assert (cell["acc_mean"], cell["acc_std"]) == (report.acc_mean, report.acc_std)
+        deployed = train_random_forest(x_scaled, y, BINARY.classes, n_trees=cell["n_trees"],
+                                       max_depth=cell["max_depth"], seed=deploy_seed)
+        assert cell["code_bytes"] == estimate_memory(deployed).code_bytes
+        assert cell["op_count"] == count_operations(deployed)
+
+
+def test_grid_rejects_negative_tree_count(binary_small):
+    x, labels = binary_small
+    with pytest.raises(ValueError):
+        grid_search(x, labels, BINARY, tree_counts=(-1, 2), depths=(2,), k=3, seed=0)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rftraffic.features import fit_scaling, link_block_slice
 from rftraffic.learn import (
+    _best_split,
     LinearSvm,
     ModelBundle,
     RandomForest,
@@ -183,17 +186,106 @@ def test_stump_splits_separable_line():
     assert (forest.predict(x[boot]) == y[boot]).mean() == 1.0
 
 
-def test_forest_determinism_node_for_node(binary_small):
-    x, labels = binary_small
-    y = np.array([BINARY.index(l) for l in labels])
-    a = train_random_forest(x, y, BINARY.classes, n_trees=10, max_depth=6, seed=9)
-    b = train_random_forest(x, y, BINARY.classes, n_trees=10, max_depth=6, seed=9)
+def _assert_same_trees(a, b):
+    assert len(a.trees) == len(b.trees)
     for ta, tb in zip(a.trees, b.trees):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.threshold, tb.threshold)
         assert np.array_equal(ta.left, tb.left)
         assert np.array_equal(ta.right, tb.right)
         assert np.array_equal(ta.klass, tb.klass)
+
+
+def test_forest_determinism_node_for_node(binary_small):
+    x, labels = binary_small
+    y = np.array([BINARY.index(l) for l in labels])
+    a = train_random_forest(x, y, BINARY.classes, n_trees=10, max_depth=6, seed=9)
+    b = train_random_forest(x, y, BINARY.classes, n_trees=10, max_depth=6, seed=9)
+    _assert_same_trees(a, b)
+
+
+def _reference_gini_counts(counts, totals):
+    frac = counts / totals[:, None]
+    return 1.0 - (frac * frac).sum(axis=1)
+
+
+def _reference_best_split(x, y, idx, n_classes, feature_ids):
+    """The split search as one loop per feature; the oracle for ``_best_split``."""
+    n = len(idx)
+    ys = y[idx]
+    best = None  # (cost, feature, threshold)
+    for f in feature_ids:
+        col = x[idx, f]
+        order = np.argsort(col, kind="stable")
+        cs = col[order]
+        change = np.flatnonzero(cs[1:] > cs[:-1])
+        if len(change) == 0:
+            continue
+        onehot = np.zeros((n, n_classes))
+        onehot[np.arange(n), ys[order]] = 1.0
+        prefix = np.cumsum(onehot, axis=0)
+        left_counts = prefix[change]
+        total = prefix[-1]
+        right_counts = total - left_counts
+        n_left = (change + 1).astype(float)
+        n_right = n - n_left
+        cost = (
+            n_left * _reference_gini_counts(left_counts, n_left)
+            + n_right * _reference_gini_counts(right_counts, n_right)
+        ) / n
+        j = int(np.argmin(cost))
+        if best is None or cost[j] < best[0]:
+            best = (float(cost[j]), int(f), float(0.5 * (cs[change[j]] + cs[change[j] + 1])))
+    return best
+
+
+@st.composite
+def split_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 8))
+    n_classes = draw(st.integers(2, 7))
+    # few distinct integer values make tied costs and constant columns common
+    values = st.integers(-3, 3)
+    x = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
+    feature_ids = np.array(draw(st.permutations(range(d)))[: draw(st.integers(1, d))])
+    return x, y, idx, n_classes, feature_ids
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_problems())
+def test_split_search_matches_per_feature_loop(problem):
+    assert _best_split(*problem) == _reference_best_split(*problem)
+
+
+def test_split_search_on_corpus_matches_per_feature_loop(body_small):
+    x, labels = body_small
+    y = BODY_STYLE.encode(labels)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        idx = rng.integers(0, len(x), size=int(rng.integers(2, len(x))))
+        feats = rng.choice(x.shape[1], size=10, replace=False)
+        expected = _reference_best_split(x, y, idx, len(BODY_STYLE.classes), feats)
+        assert _best_split(x, y, idx, len(BODY_STYLE.classes), feats) == expected
+
+
+def test_truncated_forest_equals_trained_forest(body_small):
+    x, labels = body_small
+    y = BODY_STYLE.encode(labels)
+    seed = np.random.SeedSequence([11, 12]).spawn(1)[0]
+    largest = train_random_forest(x, y, BODY_STYLE.classes, n_trees=12, max_depth=14, seed=seed)
+    for n_trees, depth in [(12, 14), (5, 14), (12, 3), (1, 1), (7, 0), (0, 6)]:
+        cut = largest.truncated(n_trees, depth)
+        trained = train_random_forest(x, y, BODY_STYLE.classes, n_trees=n_trees,
+                                      max_depth=depth, seed=seed)
+        _assert_same_trees(cut, trained)
+        assert (cut.max_depth, cut.feature_subset) == (trained.max_depth, trained.feature_subset)
+    with pytest.raises(ValueError):
+        largest.truncated(13, 14)
+    with pytest.raises(ValueError):
+        largest.truncated(5, 15)
 
 
 def test_bootstrap_unique_fraction(binary_small):

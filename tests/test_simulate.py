@@ -219,6 +219,54 @@ def test_trace_csv_rejects_non_finite_or_non_negative_rssi(tmp_path, value):
         read_trace_csv(str(path))
 
 
+def _idle_trace_lines(tmp_path, epochs=40):
+    path = tmp_path / "idle.csv"
+    write_trace_csv(str(path), TraceBundle(np.full((9, epochs), -60.0), np.full(9, -60.0), 8.0))
+    return path, path.read_text().splitlines(keepends=True)
+
+
+def _set_time(line, value):
+    return ",".join([value] + line.split(",")[1:])
+
+
+@pytest.mark.parametrize("row,value", [
+    (1, "nan"),           # first row
+    (1 + 9 * 10 + 3, "nan"),  # link 4 of a later epoch
+    (1, "-inf"),          # first row
+])
+def test_trace_csv_rejects_unordered_timestamps(tmp_path, row, value):
+    path, lines = _idle_trace_lines(tmp_path)
+    lines[row] = _set_time(lines[row], value)
+    path.write_text("".join(lines))
+    with pytest.raises(TraceFormatError, match="sorted"):
+        read_trace_csv(str(path))
+
+
+def test_trace_csv_rejects_trailing_infinite_timestamp(tmp_path):
+    path, lines = _idle_trace_lines(tmp_path)
+    lines[-1] = _set_time(lines[-1], "inf")
+    path.write_text("".join(lines))
+    with pytest.raises(TraceFormatError, match="finite"):
+        read_trace_csv(str(path))
+
+
+def test_trace_csv_rejects_dropped_epoch(tmp_path):
+    path, lines = _idle_trace_lines(tmp_path)
+    del lines[1 + 9 * 20: 1 + 9 * 21]
+    path.write_text("".join(lines))
+    with pytest.raises(TraceFormatError, match="evenly spaced"):
+        read_trace_csv(str(path))
+
+
+def test_trace_csv_accepts_offset_start(tmp_path):
+    path = tmp_path / "late.csv"
+    bundle = TraceBundle(np.full((9, 40), -60.0), np.full(9, -60.0), 12.5, t0_ms=1.0e9 + 0.1)
+    write_trace_csv(str(path), bundle)
+    back = read_trace_csv(str(path))
+    assert back.t0_ms == bundle.t0_ms
+    assert back.sample_period_ms == pytest.approx(12.5)
+
+
 def test_labels_csv_roundtrip(tmp_path):
     rows = [("trace_0.csv", "van", 10.5, 5.75, 1), ("trace_1.csv", "bus", 8.25, 13.0, -1)]
     path = tmp_path / "labels.csv"
