@@ -10,6 +10,7 @@ be shared across model kinds and across all link subsets for fair comparison.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,13 @@ class ModelSpec:
     def __post_init__(self):
         if self.kind not in ("svm", "rf"):
             raise ValueError(f"unknown model kind {self.kind!r}")
+        if not (math.isfinite(self.c) and self.c > 0):
+            raise ValueError(f"C must be finite and positive, got {self.c}")
+        for name in ("epochs", "batch_size", "n_trees"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.max_depth < 0:
+            raise ValueError(f"max_depth must be at least 0, got {self.max_depth}")
 
     def describe(self) -> str:
         # no commas: the descriptor lands in CSV columns

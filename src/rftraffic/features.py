@@ -177,4 +177,8 @@ def read_features_csv(path: str) -> tuple[np.ndarray, list[str]]:
         except ValueError as exc:
             raise TraceFormatError(f"{path}: line {line}: {exc}") from None
     matrix = np.array(rows) if rows else np.empty((0, N_FEATURES))
+    finite = np.isfinite(matrix).all(axis=1)
+    if not finite.all():
+        line = 2 + int(np.argmin(finite))
+        raise TraceFormatError(f"{path}: line {line}: feature values must be finite")
     return matrix, labels

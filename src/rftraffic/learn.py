@@ -4,9 +4,10 @@ The SVM minimizes ``0.5 * ||b||^2 + C * sum(max(0, 1 - y * <b, x>))`` by
 stochastic subgradient descent with the step schedule ``eta_t = 1 / (lambda t)``
 where ``lambda = 1 / (C * |D|)``.  A constant-one feature augments the inputs
 so the bias is regularized like every other weight and the objective keeps its
-plain form over the augmented space.  Multi-class problems are composed
-one-vs-one: one SVM per class pair plus a mapping from (pair, sign) to class,
-combined by majority vote.
+plain form over the augmented space.  The trainer works on label-signed rows
+``y * [x, 1]``, so a margin is one dot product and a violator's subgradient
+term is its row.  Multi-class problems are composed one-vs-one: one SVM per
+class pair plus a mapping from (pair, sign) to class, combined by majority vote.
 
 The random forest grows bootstrapped CART trees with Gini-impurity splits over
 a fresh random feature subset per node; prediction is the majority vote over
@@ -22,6 +23,7 @@ trains with n trees at depth d (``RandomForest.truncated``); the forest grid of
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -66,11 +68,17 @@ class LinearSvm:
         return np.asarray(x_aug, dtype=float) @ self.beta
 
 
-def svm_objective(beta: np.ndarray, x_aug: np.ndarray, y: np.ndarray, c: float) -> float:
-    """Regularized hinge objective evaluated on the full data set."""
-    margins = y * (x_aug @ beta)
+def svm_objective(beta: np.ndarray, x_aug: np.ndarray, y: np.ndarray, c: float):
+    """Regularized hinge objective evaluated on the full data set.
+
+    ``beta`` is one weight vector (a float comes back) or an ``(E, d)`` stack of
+    them (one value per row comes back, all from one matrix product).
+    """
+    betas = np.atleast_2d(beta)
+    margins = y[:, None] * (x_aug @ betas.T)
     hinge = np.maximum(0.0, 1.0 - margins)
-    return float(0.5 * beta @ beta + c * hinge.sum())
+    values = 0.5 * np.einsum("ij,ij->i", betas, betas) + c * hinge.sum(axis=0)
+    return float(values[0]) if np.ndim(beta) == 1 else values
 
 
 def train_svm_binary(
@@ -85,49 +93,57 @@ def train_svm_binary(
     """Fit one binary SVM on +/-1 labels; deterministic for a given seed.
 
     Mini-batches of a seeded shuffle feed the subgradient steps.  At every
-    epoch end the objective is recorded at the average of all iterates so far;
-    that averaged vector is also the returned weight vector after the final
-    epoch.
+    epoch end the average of all iterates so far is kept; the objective is
+    recorded at each of these averages, and the last one is the returned
+    weight vector.
+
+    The steps run on label-signed rows ``y * [x, 1]``: a row's margin is its
+    dot product with ``beta`` and a violator's subgradient term is the row
+    itself.  With labels of exactly +/-1 this is the same arithmetic, bit for
+    bit, as multiplying by the label after the product, because negation is
+    exact and round-to-nearest is symmetric.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or len(x) != len(y):
         raise ValueError("x must be 2-d with one label per row")
+    if not np.all((y == 1.0) | (y == -1.0)):
+        raise ValueError("labels must be exactly +1 or -1")
     if not (np.any(y > 0) and np.any(y < 0)):
         raise ValueError("training data must contain both classes")
     n = len(x)
     x_aug = augment(x)
+    signed = x_aug * y[:, None]
     lam = 1.0 / (c * n)
     radius = 1.0 / np.sqrt(lam)
     rng = np.random.default_rng(seed)
     beta = np.zeros(x_aug.shape[1])
     running_sum = np.zeros_like(beta)
+    averages = np.empty((max(epochs, 0), len(beta)))
     steps = 0
-    svm = LinearSvm(beta=beta, c=c, class_pair=class_pair)
     t = 0  # samples processed; keeps the schedule on the per-sample scale
-    for _ in range(epochs):
-        perm = rng.permutation(n)
+    for epoch in range(epochs):
+        shuffled = signed[rng.permutation(n)]
         for lo in range(0, n, batch_size):
-            chunk = perm[lo: lo + batch_size]
-            t += len(chunk)
+            batch = shuffled[lo: lo + batch_size]
+            m = len(batch)
+            t += m
             eta = 1.0 / (lam * t)
-            xb = x_aug[chunk]
-            yb = y[chunk]
-            margins = yb * (xb @ beta)
-            viol = margins < 1.0
-            grad = lam * beta
-            if np.any(viol):
-                grad = grad - (yb[viol, None] * xb[viol]).sum(axis=0) / len(chunk)
-            beta = beta - eta * grad
-            norm = np.sqrt(beta.dot(beta))  # np.linalg.norm's arithmetic, without its checks
+            viol = batch[batch @ beta < 1.0]
+            if len(viol):
+                beta = beta - eta * (lam * beta - np.add.reduce(viol, axis=0) / m)
+            else:
+                beta = beta - eta * (lam * beta)
+            norm = math.sqrt(beta.dot(beta))  # np.linalg.norm's arithmetic, without its checks
             if norm > radius:
                 beta = beta * (radius / norm)
             running_sum += beta
             steps += 1
-        averaged = running_sum / steps
-        svm.objective_per_epoch.append(svm_objective(averaged, x_aug, y, c))
-        svm.beta = averaged
-    return svm
+        np.divide(running_sum, steps, out=averages[epoch])
+    if len(averages):
+        beta = averages[-1].copy()
+    return LinearSvm(beta=beta, c=c, class_pair=class_pair,
+                     objective_per_epoch=svm_objective(averages, x_aug, y, c).tolist())
 
 
 @dataclass
@@ -477,7 +493,7 @@ def save_model(path: str, bundle: ModelBundle) -> None:
             ],
         }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        json.dump(doc, fh, allow_nan=False)
 
 
 def load_model(path: str) -> ModelBundle:

@@ -106,6 +106,40 @@ def test_train_malformed_feature_cell_exit_code(tmp_path, binary_small):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_train_non_finite_feature_cell_exit_code(tmp_path, binary_small, cell):
+    x, labels = binary_small
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), x[:12], labels[:12])
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[4].split(",")
+    cells[7] = cell
+    lines[4] = ",".join(cells)
+    path.write_text("".join(lines))
+    out = tmp_path / "m.json"
+    assert main(["train", "--features", str(path), "--out", str(out)]) == EXIT_INPUT
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--C", "0"],
+    ["--C", "-1"],
+    ["--C", "nan"],
+    ["--C", "inf"],
+    ["--epochs", "-3"],
+    ["--epochs", "0"],
+    ["--model", "rf", "--n-trees", "0"],
+    ["--model", "rf", "--max-depth", "-2"],
+])
+def test_train_degenerate_hyper_parameters_exit_config(tmp_path, binary_small, flags):
+    x, labels = binary_small
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), x[:12], labels[:12])
+    out = tmp_path / "m.json"
+    assert main(["train", "--features", str(path), "--out", str(out)] + flags) == EXIT_CONFIG
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--count", "3"],
     ["reproduce", "--count", "5"],

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,14 @@ from rftraffic.detect import (
     normalize_and_filter,
     process_bundle,
 )
-from rftraffic.simulate import CAR_LIKE, TRUCK_LIKE, ClassTemplate, generate_trace, invert_direction
+from rftraffic.simulate import (
+    BODY_STYLE_TEMPLATES,
+    CAR_LIKE,
+    TRUCK_LIKE,
+    ClassTemplate,
+    generate_trace,
+    invert_direction,
+)
 from rftraffic.topology import SystemParams, Topology
 
 
@@ -251,6 +260,31 @@ def test_direction_antisymmetry_noise_free(topo, params):
     assert rev[0].v_mps == -fwd[0].v_mps
     assert fwd[0].direction == "forward"
     assert rev[0].direction == "wrong_way"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    template=st.sampled_from(BODY_STYLE_TEMPLATES),
+    seed=st.integers(0, 2**32 - 1),
+    shift_ms=st.floats(-1e6, 1e6),
+)
+def test_detection_invariant_to_time_origin_shift(topo, params, template, seed, shift_ms):
+    bundle = generate_trace(template, topo, params, seed)
+    base, _ = process_bundle(bundle, topo, params)
+    moved, _ = process_bundle(replace(bundle, t0_ms=bundle.t0_ms + shift_ms), topo, params)
+    assert base and len(moved) == len(base)
+    for a, b in zip(base, moved):
+        assert (b.vehicle_id, b.direction, b.low_confidence) == (a.vehicle_id, a.direction,
+                                                                 a.low_confidence)
+        assert sorted(b.events) == sorted(a.events)
+        for link, ev in a.events.items():
+            assert b.events[link].min_level == ev.min_level
+            assert b.events[link].t_start_ms == pytest.approx(ev.t_start_ms + shift_ms, abs=1e-6)
+            assert b.events[link].t_end_ms == pytest.approx(ev.t_end_ms + shift_ms, abs=1e-6)
+        for got, want in ((b.v_mps, a.v_mps), (b.l_m, a.l_m)):
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_speed_covariance_doubling(topo, params):

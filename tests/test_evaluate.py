@@ -24,6 +24,21 @@ from rftraffic.evaluate import (
 from rftraffic.topology import BINARY, SIZE_BASED, STRAIGHT_LINKS, Taxonomy
 
 
+@pytest.mark.parametrize("fields", [
+    {"c": 0.0}, {"c": -1.0}, {"c": float("nan")}, {"c": float("inf")},
+    {"epochs": 0}, {"epochs": -3}, {"batch_size": 0}, {"n_trees": 0}, {"max_depth": -1},
+])
+def test_model_spec_rejects_degenerate_hyper_parameters(fields):
+    with pytest.raises(ValueError):
+        ModelSpec(kind="svm", **fields)
+    with pytest.raises(ValueError):
+        ModelSpec(kind="rf", **fields)
+
+
+def test_model_spec_accepts_smallest_valid_values():
+    ModelSpec(kind="rf", c=1e-300, epochs=1, batch_size=1, n_trees=1, max_depth=0)
+
+
 def test_accuracy_examples():
     assert accuracy(["a", "b", "a"], ["a", "b", "a"]) == 1.0
     assert accuracy(["a", "a"], ["a", "b"]) == 0.5

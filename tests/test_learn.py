@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from rftraffic.features import fit_scaling, link_block_slice
+from rftraffic.features import ScalingTransform, fit_scaling, link_block_slice
 from rftraffic.learn import (
     _best_split,
     LinearSvm,
@@ -88,6 +91,97 @@ def test_synthetic_binary_heldout_accuracy(binary_small):
     svm = train_svm_binary(x[train], y[train], epochs=50, seed=2)
     pred = np.where(augment(x[test]) @ svm.beta >= 0, 1.0, -1.0)
     assert (pred == y[test]).mean() >= 0.98
+
+
+def test_labels_other_than_plus_minus_one_rejected():
+    x = np.array([[0.0], [1.0], [2.0]])
+    for labels in ([-1.0, 2.0, 2.0], [-1.0, 1.0, 0.5], [-1.0, 1.0, np.nan]):
+        with pytest.raises(ValueError, match="labels"):
+            train_svm_binary(x, np.array(labels))
+
+
+def _reference_train_svm_binary(x, y, c=1.0, epochs=50, batch_size=32, seed=0):
+    """The trainer as one fancy-index copy per mini-batch, with the label applied
+    after the product and the objective taken at every epoch end; the oracle for
+    ``train_svm_binary``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    x_aug = augment(x)
+    lam = 1.0 / (c * n)
+    radius = 1.0 / np.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    beta = np.zeros(x_aug.shape[1])
+    running_sum = np.zeros_like(beta)
+    objectives = []
+    steps = 0
+    t = 0
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for lo in range(0, n, batch_size):
+            chunk = perm[lo: lo + batch_size]
+            t += len(chunk)
+            eta = 1.0 / (lam * t)
+            xb = x_aug[chunk]
+            yb = y[chunk]
+            margins = yb * (xb @ beta)
+            viol = margins < 1.0
+            grad = lam * beta
+            if np.any(viol):
+                grad = grad - (yb[viol, None] * xb[viol]).sum(axis=0) / len(chunk)
+            beta = beta - eta * grad
+            norm = np.sqrt(beta.dot(beta))
+            if norm > radius:
+                beta = beta * (radius / norm)
+            running_sum += beta
+            steps += 1
+        averaged = running_sum / steps
+        margins = y * (x_aug @ averaged)
+        objectives.append(float(0.5 * averaged @ averaged
+                                + c * np.maximum(0.0, 1.0 - margins).sum()))
+        beta_out = averaged
+    return beta_out, objectives
+
+
+def _assert_matches_reference(x, y, **kwargs):
+    svm = train_svm_binary(x, y, **kwargs)
+    beta, objectives = _reference_train_svm_binary(x, y, **kwargs)
+    assert svm.beta.tobytes() == beta.tobytes()
+    assert svm.objective_per_epoch == pytest.approx(objectives, rel=1e-12)
+
+
+@st.composite
+def svm_problems(draw):
+    n = draw(st.integers(2, 80))
+    d = draw(st.integers(1, 12))
+    x = draw(hnp.arrays(float, (n, d), elements=st.floats(-1e3, 1e3)))
+    y = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+    pos, neg = draw(st.permutations(range(n)))[:2]
+    y[pos], y[neg] = 1.0, -1.0  # both classes present
+    return x, y
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    problem=svm_problems(),
+    batch_size=st.sampled_from([1, 7, 32]),
+    epochs=st.integers(1, 15),
+    c=st.sampled_from([0.01, 1.0, 10.0, 1e4]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_svm_trainer_matches_per_batch_reference(problem, batch_size, epochs, c, seed):
+    x, y = problem
+    _assert_matches_reference(x, y, c=c, epochs=epochs, batch_size=batch_size, seed=seed)
+
+
+def test_svm_trainer_matches_reference_on_every_corpus_pair(body_small):
+    x, labels = body_small
+    scaled = fit_scaling(x).apply(x)
+    y_idx = BODY_STYLE.encode(labels)
+    for k, (a, b) in enumerate(combinations(range(len(BODY_STYLE.classes)), 2)):
+        mask = (y_idx == a) | (y_idx == b)
+        y = np.where(y_idx[mask] == b, 1.0, -1.0)
+        _assert_matches_reference(scaled[mask], y, c=10.0, epochs=12, seed=k)
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +466,13 @@ def test_model_json_roundtrip_forest(tmp_path, binary_small):
         assert np.array_equal(orig.threshold, re.threshold)
         assert np.array_equal(orig.feature, re.feature)
     assert np.array_equal(back.model.predict(scaling.apply(x)), forest.predict(scaling.apply(x)))
+
+
+def test_model_json_refuses_non_finite_values(tmp_path):
+    scaling = ScalingTransform(lo=np.array([np.nan, 0.0]), hi=np.array([1.0, 1.0]))
+    ens = SvmEnsemble(svms=[LinearSvm(np.zeros(3), 1.0, (0, 1))], classes=BINARY.classes)
+    with pytest.raises(ValueError):
+        save_model(str(tmp_path / "nan.json"), ModelBundle(BINARY, scaling, ens))
 
 
 def test_model_json_rejects_unknown_version(tmp_path):

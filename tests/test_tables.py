@@ -41,6 +41,19 @@ def test_read_table_yields_rows_before_a_bad_one(tmp_path):
         next(rows)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_feature_table_rejects_non_finite_cells_with_line_number(tmp_path, cell):
+    path = tmp_path / "f.csv"
+    write_features_csv(str(path), np.zeros((3, N_FEATURES)), ["a", "b", "c"])
+    lines = path.read_text().splitlines(keepends=True)
+    cells = lines[2].split(",")
+    cells[N_FEATURES // 2] = cell
+    lines[2] = ",".join(cells)
+    path.write_text("".join(lines))
+    with pytest.raises(TraceFormatError, match="line 3: feature values must be finite"):
+        read_features_csv(str(path))
+
+
 def test_trace_format_error_is_shared():
     assert simulate.TraceFormatError is TraceFormatError
     assert issubclass(TraceFormatError, ValueError)
