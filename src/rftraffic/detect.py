@@ -278,37 +278,3 @@ def write_observations_csv(path: str, observations: list[VehicleObservation]) ->
         [obs.vehicle_id, obs.v_mps, obs.l_m, obs.direction] for obs in observations
     ))
 
-
-class PipelineSink:
-    """Replay consumer that buffers samples and runs the detection chain.
-
-    Feed it to :func:`rftraffic.simulate.replay`; call :meth:`finish` once the
-    stream ends to obtain the observations and filtered series.
-    """
-
-    def __init__(self, topology: Topology, params: SystemParams):
-        self.topology = topology
-        self.params = params
-        self._samples: dict[int, list[float]] = {link: [] for link in LINK_IDS}
-        self._t0: float | None = None
-        self.count = 0
-
-    def __call__(self, sample) -> None:
-        if self._t0 is None:
-            self._t0 = sample.t_ms
-        self._samples[sample.link].append(sample.rssi_dbm)
-        self.count += 1
-
-    def finish(self) -> tuple[list[VehicleObservation], dict[int, FilteredSeries]]:
-        lengths = {len(v) for v in self._samples.values()}
-        if lengths == {0}:
-            return [], {}
-        streams = np.array([self._samples[link] for link in LINK_IDS])
-        head = streams[:, : min(25, streams.shape[1])]
-        bundle = TraceBundle(
-            rssi_dbm=streams,
-            idle_level_dbm=head.mean(axis=1),
-            sample_period_ms=self.params.sample_period_ms,
-            t0_ms=self._t0 or 0.0,
-        )
-        return process_bundle(bundle, self.topology, self.params)

@@ -6,6 +6,10 @@ the per-fold accuracies and their population standard deviation
 seeded shuffle and a rotating remainder offset, so fold sizes never differ by
 more than one sample while class proportions stay balanced.  One FoldPlan can
 be shared across model kinds and across all link subsets for fair comparison.
+
+The subset study is fold-major: each fold is scaled once on all 92 columns and
+every subset is a column slice of it.  Subsets of equal width fit together, one
+stacked SVM run per class pair; the built-in twenty form six width groups.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .learn import (
     SvmEnsemble,
     train_random_forest,
     train_svm_ensemble,
+    train_svm_ensembles,
 )
 from .tables import write_table
 from .topology import STRAIGHT_LINKS, Taxonomy
@@ -185,47 +190,63 @@ def cross_validate(
     k: int = 10,
     seed: int = 0,
     fold_plan: FoldPlan | None = None,
-    column_mask: np.ndarray | None = None,
-    zero_globals: bool = False,
 ) -> EvaluationReport:
-    """Fit scaling and model per fold on the training split, score the test split.
+    """Fit scaling and model per fold on the training split, score the test split."""
+    every_column = np.ones(np.shape(x)[1], dtype=bool)
+    return _cross_validate_views(x, labels, taxonomy, model_spec, [(every_column, False)],
+                                 k, seed, fold_plan)[0]
 
-    ``column_mask`` restricts the feature columns (the subset study drops the
-    blocks of excluded links); ``zero_globals`` blanks the speed/length pair
-    before scaling when a subset cannot support them.
+
+def _column_view(x: np.ndarray, columns: np.ndarray, zero_globals: bool) -> np.ndarray:
+    view = x[:, columns]
+    if zero_globals:
+        view[:, 0:2] = 0.0
+    return view
+
+
+def _train_views(views: list[np.ndarray], y_idx: np.ndarray, classes: tuple[str, ...],
+                 spec: ModelSpec, seed) -> list[SvmEnsemble | RandomForest]:
+    """One model per view; several same-width SVM views train as one stack."""
+    if spec.kind == "svm" and len(views) > 1:
+        return train_svm_ensembles(np.stack(views), y_idx, classes, c=spec.c,
+                                   epochs=spec.epochs, batch_size=spec.batch_size, seed=seed)
+    return [train_model(view, y_idx, classes, spec, seed) for view in views]
+
+
+def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
+                          fold_plan) -> list[EvaluationReport]:
+    """Cross-validate the model on column views of ``x``, fold-major.
+
+    A view is ``(columns, zero_globals)``: a column mask and whether the
+    speed/length pair is blanked.  Every fold is scaled once on all columns and
+    each view slices it; scaling works column by column and a zero column
+    scales to exactly 0.0, so a view scores as if it had been cut and blanked
+    before scaling.  Views of equal width train together in one
+    ``_train_views`` call.  Reports come back in view order.
     """
     x = np.asarray(x, dtype=float)
     y_idx = taxonomy.encode(labels)
     if fold_plan is None:
         fold_plan = build_fold_plan(y_idx, k, seed)
-    if column_mask is None:
-        column_mask = np.ones(x.shape[1], dtype=bool)
-    work = x.copy()
-    if zero_globals:
-        work[:, 0:2] = 0.0
-    work = work[:, column_mask]
+    groups: dict[int, list[int]] = {}
+    for i, (columns, _) in enumerate(views):
+        groups.setdefault(int(np.count_nonzero(columns)), []).append(i)
 
     y_classes = len(taxonomy.classes)
-    counts = np.zeros((y_classes, y_classes))
-    fold_acc = np.empty(fold_plan.k)
-    for fold in scaled_folds(work, y_idx, fold_plan, seed):
-        model = train_model(fold.x_train, fold.y_train, taxonomy.classes,
-                            model_spec, fold.model_seed)
-        pred = np.atleast_1d(model.predict(fold.x_test))
-        fold_acc[fold.index] = fold_accuracy(pred, fold.y_test)
-        for p, t in zip(pred, fold.y_test):
-            counts[t, p] += 1
-    sums = counts.sum(axis=1, keepdims=True)
+    counts = np.zeros((len(views), y_classes, y_classes))
+    fold_acc = np.empty((len(views), fold_plan.k))
+    for fold in scaled_folds(x, y_idx, fold_plan, seed):
+        for members in groups.values():
+            models = _train_views([_column_view(fold.x_train, *views[i]) for i in members],
+                                  fold.y_train, taxonomy.classes, model_spec, fold.model_seed)
+            for i, model in zip(members, models):
+                pred = np.atleast_1d(model.predict(_column_view(fold.x_test, *views[i])))
+                fold_acc[i, fold.index] = fold_accuracy(pred, fold.y_test)
+                np.add.at(counts[i], (fold.y_test, pred), 1)
+    sums = counts.sum(axis=2, keepdims=True)
     confusion = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
-    mean, std = fold_summary(fold_acc)
-    return EvaluationReport(
-        taxonomy=taxonomy.name,
-        model=model_spec.describe(),
-        fold_accuracies=fold_acc,
-        acc_mean=mean,
-        acc_std=std,
-        confusion=confusion,
-    )
+    return [EvaluationReport(taxonomy.name, model_spec.describe(), acc, *fold_summary(acc), matrix)
+            for acc, matrix in zip(fold_acc, confusion)]
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +318,18 @@ def subset_evaluation(
     seed: int = 0,
     fold_plan: FoldPlan | None = None,
 ) -> list[tuple[SubsetSpec, EvaluationReport]]:
-    """Cross-validate once per link subset, sharing a single fold plan."""
+    """Cross-validate every link subset on one fold plan, in spec order.
+
+    The loop is fold-major: each fold is scaled once, and subsets of equal
+    width (2 + 10 per link) fit together, so an SVM class pair is one stacked
+    Pegasos run per width.  The built-in subsets form six width groups: nine
+    one-link subsets, four two-link, four four-link, and H, P and A alone.
+    """
     if not specs:
         raise ValueError("need at least one subset spec")
-    y_idx = taxonomy.encode(labels)
-    if fold_plan is None:
-        fold_plan = build_fold_plan(y_idx, k, seed)
-    results = []
-    for spec in specs:
-        mask, zero_globals = subset_columns(spec)
-        report = cross_validate(
-            x, labels, taxonomy, model_spec, k=k, seed=seed,
-            fold_plan=fold_plan, column_mask=mask, zero_globals=zero_globals,
-        )
-        results.append((spec, report))
-    return results
+    views = [subset_columns(spec) for spec in specs]
+    reports = _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed, fold_plan)
+    return list(zip(specs, reports))
 
 
 # ---------------------------------------------------------------------------

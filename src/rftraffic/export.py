@@ -292,8 +292,8 @@ def grid_search(
     """
     if not tree_counts or not depths:
         raise ValueError("tree and depth grids must be nonempty")
-    if min(tree_counts) < 0:
-        raise ValueError("tree counts must not be negative")
+    if min(tree_counts) < 1 or min(depths) < 0:
+        raise ValueError("tree counts must be at least 1 and depths at least 0")
     x = np.asarray(x, dtype=float)
     y_idx = taxonomy.encode(labels)
     plan: FoldPlan = build_fold_plan(y_idx, k, seed)

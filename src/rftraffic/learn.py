@@ -5,9 +5,11 @@ stochastic subgradient descent with the step schedule ``eta_t = 1 / (lambda t)``
 where ``lambda = 1 / (C * |D|)``.  A constant-one feature augments the inputs
 so the bias is regularized like every other weight and the objective keeps its
 plain form over the augmented space.  The trainer works on label-signed rows
-``y * [x, 1]``, so a margin is one dot product and a violator's subgradient
-term is its row.  Multi-class problems are composed one-vs-one: one SVM per
-class pair plus a mapping from (pair, sign) to class, combined by majority vote.
+``y * [x, 1]`` and runs on a stack of same-shape problems that share labels and
+seed (``train_svm_stack``): every slice takes the same shuffles and batches and
+comes out bit for bit as its fit alone, and one fit is the one-slice case.
+Multi-class problems are composed one-vs-one: one SVM per class pair plus a
+mapping from (pair, sign) to class, combined by majority vote.
 
 The random forest grows bootstrapped CART trees with Gini-impurity splits over
 a fresh random feature subset per node; prediction is the majority vote over
@@ -23,7 +25,6 @@ trains with n trees at depth d (``RandomForest.truncated``); the forest grid of
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -48,11 +49,9 @@ def spawn_seeds(seed, n: int) -> list[np.random.SeedSequence]:
 
 
 def augment(x: np.ndarray) -> np.ndarray:
-    """Append the constant-one bias feature."""
+    """Append the constant-one bias feature along the last axis."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return np.concatenate([x, [1.0]])
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 @dataclass
@@ -72,13 +71,85 @@ def svm_objective(beta: np.ndarray, x_aug: np.ndarray, y: np.ndarray, c: float):
     """Regularized hinge objective evaluated on the full data set.
 
     ``beta`` is one weight vector (a float comes back) or an ``(E, d)`` stack of
-    them (one value per row comes back, all from one matrix product).
+    them (one value per row comes back, all from one matrix product).  With an
+    ``(S, n, d)`` stack of data sets, ``beta`` is ``(S, E, d)`` and an ``(S, E)``
+    array comes back.
     """
     betas = np.atleast_2d(beta)
-    margins = y[:, None] * (x_aug @ betas.T)
+    margins = y[:, None] * np.matmul(x_aug, np.swapaxes(betas, -1, -2))
     hinge = np.maximum(0.0, 1.0 - margins)
-    values = 0.5 * np.einsum("ij,ij->i", betas, betas) + c * hinge.sum(axis=0)
+    values = 0.5 * np.einsum("...ij,...ij->...i", betas, betas) + c * hinge.sum(axis=-2)
     return float(values[0]) if np.ndim(beta) == 1 else values
+
+
+def train_svm_stack(
+    x: np.ndarray,
+    y: np.ndarray,
+    c: float = 1.0,
+    epochs: int = 50,
+    batch_size: int = 32,
+    seed=0,
+    class_pair: tuple[int, int] = (0, 1),
+) -> list[LinearSvm]:
+    """Fit one binary SVM per slice of an ``(S, n, d)`` stack on shared +/-1 labels.
+
+    Mini-batches of a seeded shuffle feed the subgradient steps; every slice
+    sees the same shuffles and batches.  At every epoch end the average of all
+    iterates so far is kept; the objective is recorded at each of these
+    averages, and the last one is the slice's weight vector.
+
+    The steps run on label-signed rows ``y * [x, 1]``: a row's margin is its
+    dot product with ``beta`` and a violator's subgradient term is the row
+    itself.  With labels of exactly +/-1 this is the same arithmetic, bit for
+    bit, as multiplying by the label after the product, because negation is
+    exact and round-to-nearest is symmetric.  The rows are held as ``(n, S, d)``,
+    so a batch is one contiguous block summed down its first axis.  Each slice
+    comes out bit for bit as a fit of that slice alone: the margins and squared
+    norms are one ``matmul`` per slice, the violator sum skips the rows that do
+    not violate (starting from 0.0 moves at most the sign of a zero, which
+    never reaches ``beta``), and the projection factor is exactly 1.0 inside
+    the radius.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 3 or x.shape[1] != len(y):
+        raise ValueError("x must be an (S, n, d) stack with one label per row")
+    if not np.all((y == 1.0) | (y == -1.0)):
+        raise ValueError("labels must be exactly +1 or -1")
+    if not (np.any(y > 0) and np.any(y < 0)):
+        raise ValueError("training data must contain both classes")
+    n = len(y)
+    x_aug = augment(x)
+    signed = np.ascontiguousarray(x_aug.transpose(1, 0, 2)) * y[:, None, None]  # (n, S, d)
+    lam = 1.0 / (c * n)
+    radius = 1.0 / np.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    beta = np.zeros((len(x), x_aug.shape[2]))  # updated in place through both views
+    row, column = beta[:, None, :], beta[:, :, None]
+    running_sum = np.zeros_like(beta)
+    averages = np.empty((len(x), max(epochs, 0), x_aug.shape[2]))
+    steps = 0
+    t = 0  # samples processed; keeps the schedule on the per-sample scale
+    for epoch in range(epochs):
+        shuffled = signed[rng.permutation(n)]
+        for lo in range(0, n, batch_size):
+            batch = shuffled[lo: lo + batch_size]  # (m, S, d)
+            m = len(batch)
+            t += m
+            eta = 1.0 / (lam * t)
+            margins = np.matmul(batch.transpose(1, 0, 2), column)  # (S, m, 1)
+            violators = np.add.reduce(batch, axis=0, where=(margins < 1.0).transpose(1, 0, 2))
+            beta -= eta * (lam * beta - violators / m)
+            row *= radius / np.maximum(np.sqrt(np.matmul(row, column)), radius)
+            running_sum += beta
+            steps += 1
+        np.divide(running_sum, steps, out=averages[:, epoch])
+    objectives = svm_objective(averages, x_aug, y, c)
+    return [
+        LinearSvm(beta=averages[s, -1].copy() if epochs > 0 else np.zeros(x_aug.shape[2]),
+                  c=c, class_pair=class_pair, objective_per_epoch=objectives[s].tolist())
+        for s in range(len(x))
+    ]
 
 
 def train_svm_binary(
@@ -90,60 +161,9 @@ def train_svm_binary(
     seed=0,
     class_pair: tuple[int, int] = (0, 1),
 ) -> LinearSvm:
-    """Fit one binary SVM on +/-1 labels; deterministic for a given seed.
-
-    Mini-batches of a seeded shuffle feed the subgradient steps.  At every
-    epoch end the average of all iterates so far is kept; the objective is
-    recorded at each of these averages, and the last one is the returned
-    weight vector.
-
-    The steps run on label-signed rows ``y * [x, 1]``: a row's margin is its
-    dot product with ``beta`` and a violator's subgradient term is the row
-    itself.  With labels of exactly +/-1 this is the same arithmetic, bit for
-    bit, as multiplying by the label after the product, because negation is
-    exact and round-to-nearest is symmetric.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or len(x) != len(y):
-        raise ValueError("x must be 2-d with one label per row")
-    if not np.all((y == 1.0) | (y == -1.0)):
-        raise ValueError("labels must be exactly +1 or -1")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise ValueError("training data must contain both classes")
-    n = len(x)
-    x_aug = augment(x)
-    signed = x_aug * y[:, None]
-    lam = 1.0 / (c * n)
-    radius = 1.0 / np.sqrt(lam)
-    rng = np.random.default_rng(seed)
-    beta = np.zeros(x_aug.shape[1])
-    running_sum = np.zeros_like(beta)
-    averages = np.empty((max(epochs, 0), len(beta)))
-    steps = 0
-    t = 0  # samples processed; keeps the schedule on the per-sample scale
-    for epoch in range(epochs):
-        shuffled = signed[rng.permutation(n)]
-        for lo in range(0, n, batch_size):
-            batch = shuffled[lo: lo + batch_size]
-            m = len(batch)
-            t += m
-            eta = 1.0 / (lam * t)
-            viol = batch[batch @ beta < 1.0]
-            if len(viol):
-                beta = beta - eta * (lam * beta - np.add.reduce(viol, axis=0) / m)
-            else:
-                beta = beta - eta * (lam * beta)
-            norm = math.sqrt(beta.dot(beta))  # np.linalg.norm's arithmetic, without its checks
-            if norm > radius:
-                beta = beta * (radius / norm)
-            running_sum += beta
-            steps += 1
-        np.divide(running_sum, steps, out=averages[epoch])
-    if len(averages):
-        beta = averages[-1].copy()
-    return LinearSvm(beta=beta, c=c, class_pair=class_pair,
-                     objective_per_epoch=svm_objective(averages, x_aug, y, c).tolist())
+    """Fit one binary SVM on +/-1 labels: ``train_svm_stack`` of a one-slice stack."""
+    return train_svm_stack(np.asarray(x, dtype=float)[None], y, c=c, epochs=epochs,
+                           batch_size=batch_size, seed=seed, class_pair=class_pair)[0]
 
 
 @dataclass
@@ -178,6 +198,15 @@ class SvmEnsemble:
         return pred[0] if single else pred
 
 
+def _pair_problems(y_idx: np.ndarray, n_classes: int, seed):
+    """Each class pair present in ``y_idx``: the pair, its rows, +/-1 labels and seed."""
+    present = set(np.unique(y_idx).tolist())
+    pairs = [p for p in combinations(range(n_classes), 2) if p[0] in present and p[1] in present]
+    for (a, b), child in zip(pairs, spawn_seeds(seed, len(pairs))):
+        rows = (y_idx == a) | (y_idx == b)
+        yield (a, b), rows, np.where(y_idx[rows] == b, 1.0, -1.0), child
+
+
 def train_svm_ensemble(
     x: np.ndarray,
     y_idx: np.ndarray,
@@ -189,21 +218,37 @@ def train_svm_ensemble(
 ) -> SvmEnsemble:
     """Train all pairwise SVMs; pairs missing a class in the data are skipped."""
     x = np.asarray(x, dtype=float)
-    y_idx = np.asarray(y_idx, dtype=int)
-    present = set(np.unique(y_idx).tolist())
-    pairs = [p for p in combinations(range(len(classes)), 2) if p[0] in present and p[1] in present]
-    children = spawn_seeds(seed, len(pairs))
-    svms = []
-    for k, (a, b) in enumerate(pairs):
-        mask = (y_idx == a) | (y_idx == b)
-        labels = np.where(y_idx[mask] == b, 1.0, -1.0)
-        svms.append(
-            train_svm_binary(
-                x[mask], labels, c=c, epochs=epochs, batch_size=batch_size,
-                seed=children[k], class_pair=(a, b),
-            )
-        )
+    svms = [
+        train_svm_binary(x[rows], labels, c=c, epochs=epochs, batch_size=batch_size,
+                         seed=child, class_pair=pair)
+        for pair, rows, labels, child in _pair_problems(np.asarray(y_idx, dtype=int),
+                                                        len(classes), seed)
+    ]
     return SvmEnsemble(svms=svms, classes=tuple(classes))
+
+
+def train_svm_ensembles(
+    x: np.ndarray,
+    y_idx: np.ndarray,
+    classes: tuple[str, ...],
+    c: float = 1.0,
+    epochs: int = 50,
+    batch_size: int = 32,
+    seed=0,
+) -> list[SvmEnsemble]:
+    """``train_svm_ensemble`` of every slice of an ``(S, n, d)`` stack, bit for bit.
+
+    Each class pair is one ``train_svm_stack`` run over all slices.
+    """
+    x = np.asarray(x, dtype=float)
+    per_pair = [
+        train_svm_stack(x[:, rows], labels, c=c, epochs=epochs, batch_size=batch_size,
+                        seed=child, class_pair=pair)
+        for pair, rows, labels, child in _pair_problems(np.asarray(y_idx, dtype=int),
+                                                        len(classes), seed)
+    ]
+    return [SvmEnsemble(svms=[fits[s] for fits in per_pair], classes=tuple(classes))
+            for s in range(len(x))]
 
 
 # ---------------------------------------------------------------------------

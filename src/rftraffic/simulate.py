@@ -1,4 +1,4 @@
-"""Synthetic generation and replay of nine-link RSSI trace bundles.
+"""Synthetic generation and CSV files of nine-link RSSI trace bundles.
 
 A passing vehicle depresses each link's received signal strength for roughly
 ``length / speed`` seconds.  The generator synthesizes that dip as a smooth
@@ -46,13 +46,6 @@ _TAIL_S = 0.6
 
 
 @dataclass(frozen=True)
-class RssiSample:
-    t_ms: float
-    link: int
-    rssi_dbm: float
-
-
-@dataclass(frozen=True)
 class GroundTruth:
     label: str
     speed_mps: float
@@ -83,10 +76,6 @@ class TraceBundle:
             raise ValueError("idle levels must be finite negative dBm")
         if self.sample_period_ms <= 0:
             raise ValueError("sample period must be positive")
-
-    @property
-    def n_samples(self) -> int:
-        return self.rssi_dbm.shape[1]
 
     def link_stream(self, link: int) -> np.ndarray:
         return self.rssi_dbm[link - 1]
@@ -445,20 +434,6 @@ def invert_direction(trace: TraceBundle) -> TraceBundle:
         t0_ms=trace.t0_ms,
         truth=truth,
     )
-
-
-def replay(trace: TraceBundle, sink) -> None:
-    """Feed all samples to ``sink`` in timestamp order, links round-robin.
-
-    ``sink`` is any callable accepting an RssiSample.  Within one sampling
-    epoch the links are visited in ascending id order, mirroring the token
-    ring schedule of the live system.
-    """
-    period = trace.sample_period_ms
-    for k in range(trace.n_samples):
-        t = trace.t0_ms + k * period
-        for link in LINK_IDS:
-            sink(RssiSample(t, link, float(trace.rssi_dbm[link - 1, k])))
 
 
 # ---------------------------------------------------------------------------

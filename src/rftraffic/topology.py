@@ -26,10 +26,6 @@ class ConfigError(ValueError):
     """Raised for invalid or unknown configuration input."""
 
 
-def is_straight(link: int) -> bool:
-    return link in STRAIGHT_LINKS
-
-
 @dataclass(frozen=True)
 class Topology:
     """Longitudinal layout of the six sensor posts and the nine links."""

@@ -193,6 +193,22 @@ def test_full_flow_simulate_extract_train_evaluate(tmp_path, topo, params):
     assert "int predict(const double features[92])" in infer.read_text()
 
 
+@pytest.mark.parametrize("flags", [["--tree-grid=0"], ["--tree-grid=0,5"],
+                                   ["--depth-grid=-2"], ["--depth-grid=-1,4"]])
+@pytest.mark.parametrize("command", ["sweetspot", "reproduce"])
+def test_degenerate_grid_flags_exit_config(tmp_path, binary_small, command, flags):
+    if command == "sweetspot":
+        x, labels = binary_small
+        feats = tmp_path / "features.csv"
+        write_features_csv(str(feats), x, labels)
+        argv = ["sweetspot", "--features", str(feats), "--k", "3", "--platform", "esp",
+                "--out", str(tmp_path / "grid.csv")]
+    else:
+        argv = ["reproduce", "--count", "30", "--k", "3", "--epochs", "2", "--n-trees", "2",
+                "--max-depth", "2", "--out", str(tmp_path / "out")]
+    assert main(argv + flags) == EXIT_CONFIG
+
+
 def test_subset_evaluate_flags(tmp_path, binary_small):
     x, labels = binary_small
     feats = tmp_path / "features.csv"

@@ -22,6 +22,7 @@ from rftraffic.simulate import (
     CAR_LIKE,
     TRUCK_LIKE,
     ClassTemplate,
+    TraceBundle,
     generate_trace,
     invert_direction,
 )
@@ -285,6 +286,25 @@ def test_detection_invariant_to_time_origin_shift(topo, params, template, seed, 
             assert (got is None) == (want is None)
             if want is not None:
                 assert got == pytest.approx(want, rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(BODY_STYLE_TEMPLATES), st.integers(0, 2**32 - 1),
+                          st.booleans()), min_size=1, max_size=3))
+def test_detected_events_are_disjoint_and_time_ordered(topo, params, vehicles):
+    traces = [generate_trace(template, topo, params, seed) for template, seed, _ in vehicles]
+    traces = [invert_direction(t) if flip else t for t, (_, _, flip) in zip(traces, vehicles)]
+    bundle = TraceBundle(np.hstack([t.rssi_dbm for t in traces]), traces[0].idle_level_dbm,
+                         params.sample_period_ms)
+    observations, _ = process_bundle(bundle, topo, params)
+    assert [obs.vehicle_id for obs in observations] == list(range(len(observations)))
+    onsets = [min(ev.t_start_ms for ev in obs.events.values()) for obs in observations]
+    assert onsets == sorted(onsets)
+    for link in range(1, 10):
+        events = [obs.events[link] for obs in observations if link in obs.events]
+        assert all(ev.t_end_ms > ev.t_start_ms for ev in events)
+        for earlier, later in zip(events, events[1:]):
+            assert earlier.t_end_ms < later.t_start_ms
 
 
 def test_speed_covariance_doubling(topo, params):

@@ -224,6 +224,39 @@ def test_straight_pair_subsets_stay_accurate(binary_small):
         assert report.acc_mean >= 0.95, subset.id
 
 
+def test_subset_study_scales_each_fold_once(binary_small, monkeypatch):
+    x, labels = binary_small
+    plan = build_fold_plan(BINARY.encode(labels), 4, seed=5)
+    seen = []
+    original = ev.fit_scaling
+
+    def recording_fit(train):
+        seen.append(len(train))
+        return original(train)
+
+    monkeypatch.setattr(ev, "fit_scaling", recording_fit)
+    results = subset_evaluation(x, labels, BINARY, ModelSpec(kind="svm", epochs=1),
+                                BUILTIN_SUBSETS, seed=5, fold_plan=plan)
+    assert len(results) == 20
+    assert seen == [len(plan.train_rows(f)) for f in range(4)]  # k scalings, not 20 k
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(kind="svm", epochs=3),
+                                  ModelSpec(kind="rf", n_trees=3, max_depth=4)])
+def test_mixed_width_subsets_report_in_spec_order_as_alone(body_small, spec):
+    x, labels = body_small
+    ids = ["O", "C", "A", "S", "B", "M", "H", "E", "R", "T", "P", "Q"]
+    order = np.random.default_rng(4).permutation(len(ids))
+    chosen = [subset_by_id(ids[i]) for i in order]
+    together = subset_evaluation(x, labels, SIZE_BASED, spec, chosen, k=3, seed=8)
+    assert [subset for subset, _ in together] == chosen
+    for subset, report in together:
+        [(_, alone)] = subset_evaluation(x, labels, SIZE_BASED, spec, [subset], k=3, seed=8)
+        assert np.array_equal(report.fold_accuracies, alone.fold_accuracies), subset.id
+        assert np.array_equal(report.confusion, alone.confusion), subset.id
+        assert (report.acc_mean, report.acc_std) == (alone.acc_mean, alone.acc_std)
+
+
 def test_csv_writers(tmp_path):
     results = tmp_path / "r.csv"
     write_results_csv(str(results), [("binary", "svm", "A", 0, 0.5)])

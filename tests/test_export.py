@@ -205,3 +205,11 @@ def test_grid_rejects_negative_tree_count(binary_small):
     x, labels = binary_small
     with pytest.raises(ValueError):
         grid_search(x, labels, BINARY, tree_counts=(-1, 2), depths=(2,), k=3, seed=0)
+
+
+@pytest.mark.parametrize("tree_counts, depths", [((0,), (2,)), ((0, 3), (2,)), ((2,), (-2,)),
+                                                 ((2,), (-1, 4))])
+def test_grid_rejects_empty_forests_and_negative_depths(binary_small, tree_counts, depths):
+    x, labels = binary_small
+    with pytest.raises(ValueError):
+        grid_search(x, labels, BINARY, tree_counts=tree_counts, depths=depths, k=3, seed=0)

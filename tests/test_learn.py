@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -20,6 +21,8 @@ from rftraffic.learn import (
     train_random_forest,
     train_svm_binary,
     train_svm_ensemble,
+    train_svm_ensembles,
+    train_svm_stack,
 )
 from rftraffic.topology import BINARY, BODY_STYLE, Taxonomy, labels_for_taxonomy
 
@@ -172,6 +175,118 @@ def svm_problems(draw):
 def test_svm_trainer_matches_per_batch_reference(problem, batch_size, epochs, c, seed):
     x, y = problem
     _assert_matches_reference(x, y, c=c, epochs=epochs, batch_size=batch_size, seed=seed)
+
+
+def _single_fit_train_svm_binary(x, y, c=1.0, epochs=50, batch_size=32, seed=0):
+    """The trainer on one 1-d weight vector, before fits were stacked: signed
+    rows, one shuffled copy per epoch, violators selected by a boolean mask and
+    a Python-side projection test; the oracle for every slice of a stack."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(x)
+    x_aug = augment(x)
+    signed = x_aug * y[:, None]
+    lam = 1.0 / (c * n)
+    radius = 1.0 / np.sqrt(lam)
+    rng = np.random.default_rng(seed)
+    beta = np.zeros(x_aug.shape[1])
+    running_sum = np.zeros_like(beta)
+    averages = np.empty((epochs, len(beta)))
+    steps = 0
+    t = 0
+    for epoch in range(epochs):
+        shuffled = signed[rng.permutation(n)]
+        for lo in range(0, n, batch_size):
+            batch = shuffled[lo: lo + batch_size]
+            m = len(batch)
+            t += m
+            eta = 1.0 / (lam * t)
+            viol = batch[batch @ beta < 1.0]
+            if len(viol):
+                beta = beta - eta * (lam * beta - np.add.reduce(viol, axis=0) / m)
+            else:
+                beta = beta - eta * (lam * beta)
+            norm = math.sqrt(beta.dot(beta))
+            if norm > radius:
+                beta = beta * (radius / norm)
+            running_sum += beta
+            steps += 1
+        np.divide(running_sum, steps, out=averages[epoch])
+    return averages[-1].copy(), svm_objective(averages, x_aug, y, c).tolist()
+
+
+def _fold_like_stack(s, n, d, exact_fraction, zero_columns, seed):
+    """A stack shaped like scaled folds: cells in [-1, 1] with exact 0.0 and
+    +/-1.0 mixed in, some columns zero in every row, both labels present."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, (s, n, d))
+    exact = rng.random((s, n, d)) < exact_fraction
+    x[exact] = rng.choice([0.0, 1.0, -1.0], size=int(exact.sum()))
+    x[:, :, list(zero_columns)] = 0.0
+    y = np.where(rng.random(n) < rng.uniform(0.1, 0.9), 1.0, -1.0)
+    y[:2] = (1.0, -1.0)
+    return x, y
+
+
+@st.composite
+def svm_stacks(draw):
+    d = draw(st.integers(1, 40))
+    return _fold_like_stack(
+        s=draw(st.integers(1, 9)), n=draw(st.integers(2, 80)), d=d,
+        exact_fraction=draw(st.sampled_from([0.0, 0.2, 0.6])),
+        zero_columns=draw(st.lists(st.integers(0, d - 1), max_size=3)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+def _assert_slices_match_single_fits(x, y, **kwargs):
+    fits = train_svm_stack(x, y, class_pair=(2, 5), **kwargs)
+    assert len(fits) == len(x)
+    for xs, fit in zip(x, fits):
+        beta, objectives = _single_fit_train_svm_binary(xs, y, **kwargs)
+        assert fit.beta.tobytes() == beta.tobytes()
+        assert fit.objective_per_epoch == pytest.approx(objectives, rel=1e-12)
+        assert fit.class_pair == (2, 5)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    problem=svm_stacks(),
+    batch_size=st.sampled_from([1, 7, 32]),
+    epochs=st.integers(1, 15),
+    c=st.sampled_from([0.01, 1.0, 10.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_every_stack_slice_equals_its_single_fit(problem, batch_size, epochs, c, seed):
+    x, y = problem
+    _assert_slices_match_single_fits(x, y, c=c, epochs=epochs, batch_size=batch_size, seed=seed)
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 32])
+@pytest.mark.parametrize("shape", [(9, 80, 40), (9, 2, 40), (1, 80, 1), (4, 80, 13)])
+def test_stack_slices_at_the_corner_shapes(shape, batch_size):
+    x, y = _fold_like_stack(*shape, exact_fraction=0.3, zero_columns=(0,), seed=sum(shape))
+    _assert_slices_match_single_fits(x, y, c=1.0, epochs=15, batch_size=batch_size, seed=7)
+
+
+def test_stack_rejects_non_stacks():
+    with pytest.raises(ValueError, match="stack"):
+        train_svm_stack(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
+    with pytest.raises(ValueError, match="stack"):
+        train_svm_binary(np.zeros((1, 4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
+
+
+def test_stacked_ensembles_equal_one_ensemble_per_slice(body_small):
+    x, labels = body_small
+    y = BODY_STYLE.encode(labels)
+    scaled = fit_scaling(x).apply(x)
+    views = np.stack([scaled[:, link_block_slice(link)] for link in (1, 5, 9)])
+    stacked = train_svm_ensembles(views, y, BODY_STYLE.classes, epochs=4, seed=17)
+    for view, ensemble in zip(views, stacked):
+        alone = train_svm_ensemble(view, y, BODY_STYLE.classes, epochs=4, seed=17)
+        assert [s.class_pair for s in ensemble.svms] == [s.class_pair for s in alone.svms]
+        for got, want in zip(ensemble.svms, alone.svms):
+            assert got.beta.tobytes() == want.beta.tobytes()
 
 
 def test_svm_trainer_matches_reference_on_every_corpus_pair(body_small):
@@ -466,6 +581,39 @@ def test_model_json_roundtrip_forest(tmp_path, binary_small):
         assert np.array_equal(orig.threshold, re.threshold)
         assert np.array_equal(orig.feature, re.feature)
     assert np.array_equal(back.model.predict(scaling.apply(x)), forest.predict(scaling.apply(x)))
+
+
+@pytest.fixture(scope="module")
+def saved_and_loaded(tmp_path_factory, body_small):
+    """An SVM ensemble and a forest, each beside its reloaded model file."""
+    x, labels = body_small
+    scaling = fit_scaling(x)
+    y = BODY_STYLE.encode(labels)
+    models = [train_svm_ensemble(scaling.apply(x), y, BODY_STYLE.classes, epochs=5, seed=1),
+              train_random_forest(scaling.apply(x), y, BODY_STYLE.classes,
+                                  n_trees=9, max_depth=6, seed=1)]
+    pairs = []
+    for i, model in enumerate(models):
+        bundle = ModelBundle(BODY_STYLE, scaling, model)
+        path = str(tmp_path_factory.mktemp("models") / f"model{i}.json")
+        save_model(path, bundle)
+        pairs.append((bundle, load_model(path)))
+    return pairs, x
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=12),
+    noise=hnp.arrays(float, 92, elements=st.floats(-50.0, 50.0)),
+    far=st.booleans(),
+)
+def test_reloaded_models_predict_identically(saved_and_loaded, picks, noise, far):
+    pairs, x = saved_and_loaded
+    rows = x[[p % len(x) for p in picks]] + noise * (10.0 if far else 0.01)
+    for bundle, back in pairs:
+        assert back.kind == bundle.kind
+        assert back.predict_labels(rows) == bundle.predict_labels(rows)
+        assert back.predict_labels(rows[0]) == bundle.predict_labels(rows[0])
 
 
 def test_model_json_refuses_non_finite_values(tmp_path):

@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rftraffic import simulate
-from rftraffic.detect import PipelineSink, process_bundle
+from rftraffic.detect import process_bundle
 from rftraffic.simulate import (
     BINARY_TEMPLATES,
     CAR_LIKE,
     TRUCK_LIKE,
     ClassTemplate,
+    GroundTruth,
     TraceBundle,
     TraceFormatError,
     generate_dataset,
@@ -18,7 +20,6 @@ from rftraffic.simulate import (
     proportional_counts,
     read_labels_csv,
     read_trace_csv,
-    replay,
     write_labels_csv,
     write_trace_csv,
 )
@@ -140,6 +141,25 @@ def test_invert_direction_is_involution(topo, params):
     assert invert_direction(bundle).truth.direction == -1
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rssi=hnp.arrays(float, st.tuples(st.just(9), st.integers(0, 40)),
+                    elements=st.floats(-120.0, 0.0)),
+    idle=hnp.arrays(float, 9, elements=st.floats(-100.0, -1.0)),
+    t0_ms=st.floats(-1e6, 1e6),
+    truth=st.one_of(st.none(), st.builds(
+        GroundTruth, label=st.sampled_from(["car-like", "truck-like"]),
+        speed_mps=st.floats(0.5, 40.0), length_m=st.floats(1.0, 20.0),
+        direction=st.sampled_from([-1, 1]))),
+)
+def test_invert_direction_twice_is_the_identity(rssi, idle, t0_ms, truth):
+    bundle = TraceBundle(rssi, idle, 8.0, t0_ms, truth)
+    twice = invert_direction(invert_direction(bundle))
+    assert twice.rssi_dbm.tobytes() == bundle.rssi_dbm.tobytes()
+    assert twice.idle_level_dbm.tobytes() == bundle.idle_level_dbm.tobytes()
+    assert (twice.sample_period_ms, twice.t0_ms, twice.truth) == (8.0, t0_ms, truth)
+
+
 def test_invert_swaps_onsets(topo, params):
     bundle = generate_trace(noise_free(), topo, params, seed=2)
     fwd_obs, _ = process_bundle(bundle, topo, params)
@@ -153,35 +173,6 @@ def test_inverted_trace_yields_negative_speed(topo, params):
     obs, _ = process_bundle(invert_direction(bundle), topo, params)
     assert obs[0].v_mps < 0
     assert obs[0].direction == "wrong_way"
-
-
-def test_replay_order_and_cardinality(topo, params):
-    streams = np.full((9, 400), -60.0)
-    bundle = TraceBundle(streams, np.full(9, -60.0), 8.0)
-    seen = []
-    replay(bundle, seen.append)
-    assert len(seen) == 3600
-    stamps = [s.t_ms for s in seen]
-    assert stamps == sorted(stamps)
-    # round-robin link order inside each epoch
-    assert [s.link for s in seen[:9]] == list(range(1, 10))
-
-
-def test_replay_empty_bundle(topo, params):
-    bundle = TraceBundle(np.empty((9, 0)), np.full(9, -60.0), 8.0)
-    seen = []
-    replay(bundle, seen.append)
-    assert seen == []
-
-
-def test_replay_into_detector_gives_nine_events(topo, params):
-    bundle = generate_trace(CAR_LIKE, topo, params, seed=1)
-    sink = PipelineSink(topo, params)
-    replay(bundle, sink)
-    observations, _ = sink.finish()
-    assert sink.count == 9 * bundle.n_samples
-    assert len(observations) == 1
-    assert sorted(observations[0].events) == list(range(1, 10))
 
 
 def test_trace_csv_roundtrip_bytes(tmp_path, topo, params):
