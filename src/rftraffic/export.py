@@ -8,9 +8,9 @@ targets.
 
 Program-memory footprints are estimated with a declared cost model (bytes per
 serialized weight, bytes per tree node, fixed overhead) and checked against
-the built-in microcontroller profiles.  The sweet-spot search walks a forest
-parameter grid and returns the most accurate configuration whose estimate
-fits a given profile.
+the built-in microcontroller profiles.  The sweet-spot search scores a forest
+parameter grid once (``grid_search``) and picks, per profile, the most accurate
+configuration whose estimate fits it (``best_fitting``).
 """
 
 from __future__ import annotations
@@ -264,7 +264,14 @@ class SweetSpotResult:
     acc_mean: float | None = None
     acc_std: float | None = None
     code_bytes: int | None = None
-    grid: list[dict] | None = None
+
+
+def check_grid(tree_counts: tuple[int, ...], depths: tuple[int, ...]) -> None:
+    """Reject an empty grid, a tree count below 1 or a depth below 0."""
+    if not tree_counts or not depths:
+        raise ValueError("tree and depth grids must be nonempty")
+    if min(tree_counts) < 1 or min(depths) < 0:
+        raise ValueError("tree counts must be at least 1 and depths at least 0")
 
 
 def grid_search(
@@ -290,10 +297,7 @@ def grid_search(
     once, and the votes summed over the sorted tree counts score every cell.
     The deployed forests are cut the same way from one forest.
     """
-    if not tree_counts or not depths:
-        raise ValueError("tree and depth grids must be nonempty")
-    if min(tree_counts) < 1 or min(depths) < 0:
-        raise ValueError("tree counts must be at least 1 and depths at least 0")
+    check_grid(tree_counts, depths)
     x = np.asarray(x, dtype=float)
     y_idx = taxonomy.encode(labels)
     plan: FoldPlan = build_fold_plan(y_idx, k, seed)
@@ -346,11 +350,9 @@ def best_fitting(grid: list[dict], platform: PlatformProfile) -> SweetSpotResult
 
     Highest accuracy wins; ties break by smaller memory, then lower depth.
     """
-    annotated = [dict(cell, fits=cell["code_bytes"] <= platform.program_memory_bytes)
-                 for cell in grid]
-    fitting = [cell for cell in annotated if cell["fits"]]
+    fitting = [cell for cell in grid if cell["code_bytes"] <= platform.program_memory_bytes]
     if not fitting:
-        return SweetSpotResult(found=False, platform=platform.name, grid=annotated)
+        return SweetSpotResult(found=False, platform=platform.name)
     best = min(fitting, key=lambda c: (-c["acc_mean"], c["code_bytes"], c["max_depth"]))
     return SweetSpotResult(
         found=True,
@@ -360,21 +362,4 @@ def best_fitting(grid: list[dict], platform: PlatformProfile) -> SweetSpotResult
         acc_mean=best["acc_mean"],
         acc_std=best["acc_std"],
         code_bytes=best["code_bytes"],
-        grid=annotated,
     )
-
-
-def sweet_spot_search(
-    x: np.ndarray,
-    labels: list[str],
-    taxonomy: Taxonomy,
-    platform: PlatformProfile,
-    tree_counts: tuple[int, ...],
-    depths: tuple[int, ...],
-    k: int = 10,
-    seed: int = 0,
-    cost: CostModel = CostModel(),
-) -> SweetSpotResult:
-    """Exhaustive forest grid evaluation under a program-memory budget."""
-    grid = grid_search(x, labels, taxonomy, tree_counts, depths, k=k, seed=seed, cost=cost)
-    return best_fitting(grid, platform)

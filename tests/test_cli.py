@@ -146,6 +146,14 @@ def test_train_degenerate_hyper_parameters_exit_config(tmp_path, binary_small, f
 ])
 def test_corpus_smaller_than_class_count_is_config_error(tmp_path, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--n-trees", "0"], ["--C", "0"]])
+def test_reproduce_checks_model_flags_before_writing(tmp_path, flags):
+    out = tmp_path / "out"
+    assert main(["reproduce", "--count", "30", "--k", "3", "--out", str(out)] + flags) == EXIT_CONFIG
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -207,21 +215,32 @@ def test_degenerate_grid_flags_exit_config(tmp_path, binary_small, command, flag
         argv = ["reproduce", "--count", "30", "--k", "3", "--epochs", "2", "--n-trees", "2",
                 "--max-depth", "2", "--out", str(tmp_path / "out")]
     assert main(argv + flags) == EXIT_CONFIG
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "grid.csv").exists()
 
 
-def test_subset_evaluate_flags(tmp_path, binary_small):
+@pytest.mark.parametrize("flags, subsets", [
+    (["--subsets", "A,B"], ["A", "B"]),
+    (["--subsets", " A, B"], ["A", "B"]),
+    (["--subsets", "all"], list("ABCDEFGHIJKLMNOPQRST")),
+    ([], ["A"]),
+    (["--subsets", "A,Z"], None),
+], ids=["pair", "spaced", "all", "no-flag", "unknown"])
+def test_subset_evaluate_flags(tmp_path, binary_small, flags, subsets):
     x, labels = binary_small
     feats = tmp_path / "features.csv"
     write_features_csv(str(feats), x, labels)
     summary = tmp_path / "summary.csv"
     rc = main(["evaluate", "--features", str(feats), "--taxonomy", "binary",
-               "--model", "svm", "--epochs", "5", "--k", "4", "--subsets", "A,B",
-               "--out-results", str(tmp_path / "r.csv"), "--out-summary", str(summary)])
+               "--model", "svm", "--epochs", "5", "--k", "4",
+               "--out-results", str(tmp_path / "r.csv"), "--out-summary", str(summary)] + flags)
+    if subsets is None:
+        assert rc == EXIT_CONFIG
+        assert not summary.exists()
+        return
     assert rc == EXIT_OK
     lines = summary.read_text().splitlines()
-    assert len(lines) == 3
-    assert lines[1].split(",")[2] == "A"
-    assert lines[2].split(",")[2] == "B"
+    assert [line.split(",")[2] for line in lines[1:]] == subsets
 
 
 def test_importance_rejects_forest_models(tmp_path, binary_small):
@@ -342,3 +361,50 @@ def test_small_reproduce_matches_golden_digests(tmp_path):
                  "--depth-grid", "2,6,10", "--out", str(out)]) == EXIT_OK
     digests = {rel: hashlib.sha256(data).hexdigest() for rel, data in _tree_bytes(out).items()}
     assert digests == GOLDEN_REPRODUCE_SHA256
+
+
+#: sha256 of every file of the small file-driven chain below; the trace directory
+#: (31 traces and labels.csv) is folded into one digest over its sorted names and
+#: contents, and "stdout" is
+#: the printed text with the run directory replaced by "<tmp>".  Pinned like
+#: GOLDEN_REPRODUCE_SHA256 and updated the same way.
+GOLDEN_CHAIN_SHA256 = {
+    "confusion.csv": "ef9a7a0ac447fcc03448a3b1e57a28dca75a897141739258558d338cf816106a",
+    "features.csv": "2e9d59cf2c847a7b5abe3921b96591cfe56b2248be55d7621861b3704e53b71d",
+    "grid.csv": "e42380bba3efefa906499394babb32d9046b58393352e551b024b7482e866986",
+    "results.csv": "27387f1534e6bd483562a8d30a653b87ea8a916b2e87501f3381c36ddbfb635b",
+    "stdout": "b2b4e25f7b37a03183ff72172fe91ab986ba8da29b600fc54b68f7fa7ff388bb",
+    "subset_results.csv": "6775eb23c15d8eb8fde9a8ca52a5d727628e4d68ca1e358168d66369ff344428",
+    "subset_summary.csv": "5e7849d0b92c2ed9e4ce9126d62ce9bfe87be677d0fb559bc2a475f5745e90cf",
+    "summary.csv": "741670034864d02a714fb2153a262bddbbf539fd714e3df0ebd7a9fe6e628866",
+    "traces": "18cace9cac47a386a06b3b0059368752d5b17e3b1f88e4c1f05708dc3168d245",
+}
+
+
+def test_file_driven_chain_matches_golden_digests(tmp_path, capsys):
+    """simulate -> extract -> evaluate (plain, all subsets) -> confusion -> sweetspot."""
+    traces, feats = tmp_path / "traces", tmp_path / "features.csv"
+    model = ["--k", "3", "--epochs", "5", "--n-trees", "3", "--max-depth", "3"]
+    runs = [
+        ["simulate", "--classes", "binary", "--count", "31", "--seed", "5", "--out", str(traces)],
+        ["extract", "--traces", str(traces), "--out", str(feats)],
+        ["evaluate", "--features", str(feats), "--out-results", str(tmp_path / "results.csv"),
+         "--out-summary", str(tmp_path / "summary.csv")] + model,
+        ["evaluate", "--features", str(feats), "--subsets", "all", "--model", "rf",
+         "--out-results", str(tmp_path / "subset_results.csv"),
+         "--out-summary", str(tmp_path / "subset_summary.csv")] + model,
+        ["confusion", "--features", str(feats), "--out", str(tmp_path / "confusion.csv")] + model,
+        ["sweetspot", "--features", str(feats), "--tree-grid", "2,5", "--depth-grid", "2,4",
+         "--out", str(tmp_path / "grid.csv")] + model,
+    ]
+    for argv in runs:
+        assert main(["--seed", "11"] + argv) == EXIT_OK, argv
+    digests = {rel: hashlib.sha256(data).hexdigest()
+               for rel, data in _tree_bytes(tmp_path).items() if not rel.startswith("traces")}
+    trace_files = _tree_bytes(traces)
+    digests["traces"] = hashlib.sha256(
+        b"".join(rel.encode() + b"\0" + trace_files[rel] for rel in sorted(trace_files))
+    ).hexdigest()
+    stdout = capsys.readouterr().out.replace(str(tmp_path), "<tmp>")
+    digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+    assert digests == GOLDEN_CHAIN_SHA256

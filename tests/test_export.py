@@ -12,7 +12,6 @@ from rftraffic.export import (
     estimate_memory,
     grid_search,
     platform_by_name,
-    sweet_spot_search,
 )
 from rftraffic.features import fit_scaling
 from rftraffic.learn import (
@@ -132,11 +131,10 @@ def test_sweet_spot_unlimited_budget_is_grid_best(binary_small):
     from rftraffic.export import PlatformProfile
 
     unlimited = PlatformProfile("lab", 10**12, 10**9)
-    result = sweet_spot_search(x, labels, BINARY, unlimited,
-                               tree_counts=(2, 5), depths=(2, 4), k=3, seed=4)
+    grid = grid_search(x, labels, BINARY, tree_counts=(2, 5), depths=(2, 4), k=3, seed=4)
+    result = best_fitting(grid, unlimited)
     assert result.found
-    best_acc = max(cell["acc_mean"] for cell in result.grid)
-    assert result.acc_mean == best_acc
+    assert result.acc_mean == max(cell["acc_mean"] for cell in grid)
 
 
 def test_sweet_spot_zero_budget_is_no_fit(binary_small):
@@ -144,8 +142,8 @@ def test_sweet_spot_zero_budget_is_no_fit(binary_small):
     from rftraffic.export import PlatformProfile
 
     none = PlatformProfile("dust", 0, 0)
-    result = sweet_spot_search(x, labels, BINARY, none,
-                               tree_counts=(2,), depths=(2,), k=3, seed=4)
+    grid = grid_search(x, labels, BINARY, tree_counts=(2,), depths=(2,), k=3, seed=4)
+    result = best_fitting(grid, none)
     assert not result.found
     assert result.n_trees is None
 
@@ -157,7 +155,7 @@ def test_sweet_spot_dominance_and_tiebreak(binary_small):
     platform = platform_by_name("msp")
     result = best_fitting(grid, platform)
     assert result.found
-    fitting = [c for c in result.grid if c["fits"]]
+    fitting = [c for c in grid if c["code_bytes"] <= platform.program_memory_bytes]
     assert all(result.acc_mean >= c["acc_mean"] for c in fitting)
     ties = [c for c in fitting if c["acc_mean"] == result.acc_mean]
     assert result.code_bytes == min(c["code_bytes"] for c in ties)

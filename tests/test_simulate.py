@@ -133,6 +133,14 @@ def test_proportional_counts_sums_exactly(total):
     assert all(c >= 1 for c in counts.values())
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 500))
+def test_even_binary_split_gives_the_odd_trace_to_the_first_template(total):
+    first, second = (t.label for t in BINARY_TEMPLATES)
+    counts = proportional_counts(total, {first: 0.5, second: 0.5})
+    assert counts == {first: total // 2 + total % 2, second: total // 2}
+
+
 def test_invert_direction_is_involution(topo, params):
     bundle = generate_trace(CAR_LIKE, topo, params, seed=4)
     twice = invert_direction(invert_direction(bundle))
