@@ -11,11 +11,20 @@ derives from the single ``--seed`` flag: each stage hashes its name together
 with the master seed (sha256 of ``"<stage>:<seed>"``), so stages are decoupled
 but reproducible.  Exit codes: 0 success, 2 usage, 3 malformed input file,
 4 invalid configuration, 5 no model fits the requested platform.
+
+``reproduce`` runs its thirteen analyses (six cross-validations, three
+full-corpus SVM fits, three subset studies and the forest grid) in a fork pool
+with one worker per usable CPU, and inline when there is only one.  The bytes
+it writes cannot depend on which: every analysis draws only from its own stage
+seed, the parent collects the results in a fixed order, and every print and
+file write happens in the parent in that order.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import hashlib
 import os
 import sys
@@ -241,6 +250,55 @@ def _write_grid_csv(path: str, grid: list[dict]) -> None:
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot tell."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+@contextlib.contextmanager
+def _results_in_order(tasks: list, first: tuple[int, ...]):
+    """Yield an iterator over ``task()`` for every task, in list order.
+
+    With one usable CPU each task runs inline when its result is asked for.
+    Otherwise a fork pool of up to one worker per usable CPU runs them, started
+    in the order ``first`` (task indices), then the rest.  Leaving the block,
+    also when a task raised, cancels what has not started and waits for the
+    workers, so none outlives the call.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if workers < 2:
+        yield (task() for task in tasks)
+        return
+    # imported here: loading them costs every other subcommand start-up time
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        futures = {}
+        for i in list(first) + [i for i in range(len(tasks)) if i not in first]:
+            futures[i] = pool.submit(tasks[i])
+        yield (futures[i].result() for i in range(len(tasks)))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _fit_importance(x_scaled: np.ndarray, labels: list[str], taxonomy, c: float,
+                    epochs: int, seed: int):
+    """SVM ensemble on the full scaled corpus, and its importance matrix."""
+    ensemble = learn.train_svm_ensemble(x_scaled, taxonomy.encode(labels), taxonomy.classes,
+                                        c=c, epochs=epochs, seed=seed)
+    return ensemble, importance.importance_multiclass(ensemble)
+
+
+#: reproduce's slowest tasks, started first so that no worker is left with a
+#: long one at the end: the body_style subset study, body_style forest CV, the
+#: grid, size_based forest CV and the size_based subset study
+_REPRODUCE_LONGEST_FIRST = (11, 5, 12, 3, 10)
+
+
 def _run_reproduce(args: argparse.Namespace) -> int:
     """Regenerate the desk-scale analogues of all result tables."""
     topology, params = _load_params(args)
@@ -249,10 +307,13 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     # a lighter training budget keeps the 60 subset cells tractable
     subset_spec = evaluate.ModelSpec(kind="svm", c=args.c, epochs=min(args.epochs, 40))
     export.check_grid(args.tree_grid, args.depth_grid)
+    if args.k < 2:
+        raise ConfigError(f"fold count {args.k} must be at least 2")
     counts = simulate.proportional_counts(args.count)
     out = args.out
     os.makedirs(out, exist_ok=True)
     taxonomies = [get_taxonomy(name) for name in ("binary", "size_based", "body_style")]
+    body = taxonomies[2]
 
     dataset = simulate.generate_dataset(
         simulate.BODY_STYLE_TEMPLATES, counts,
@@ -260,66 +321,71 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     )
     x, labels = features.dataset_features(dataset, topology, params)
     features.write_features_csv(os.path.join(out, "features.csv"), x, labels)
-
-    eval_seed = derive_seed(args.seed, "reproduce-evaluate")
-    cells = []
-    for taxonomy in taxonomies:
-        for spec in (svm_spec, rf_spec):
-            report = evaluate.cross_validate(
-                x, labels, taxonomy, spec, k=args.k, seed=eval_seed
-            )
-            cells.append((spec.kind, "A", report))
-            evaluate.write_confusion_csv(
-                os.path.join(out, f"confusion_{taxonomy.name}_{spec.kind}.csv"),
-                report.confusion, taxonomy,
-            )
-            print(f"{taxonomy.name:>10} {spec.kind}: ACC {report.acc_mean:.4f} +/- {report.acc_std:.4f}")
-    _write_cv_tables(os.path.join(out, "accuracy_per_fold.csv"),
-                     os.path.join(out, "accuracy_summary.csv"), cells)
-
-    # per-taxonomy importance from ensembles trained on the full corpus
-    train_seed = derive_seed(args.seed, "reproduce-train")
     scaling = features.fit_scaling(x)
     x_scaled = scaling.apply(x)
-    for taxonomy in taxonomies:
-        ensemble = learn.train_svm_ensemble(
-            x_scaled, taxonomy.encode(labels), taxonomy.classes,
-            c=args.c, epochs=args.epochs, seed=train_seed,
-        )
-        matrix = importance.importance_multiclass(ensemble)
-        importance.write_importance_csv(
-            os.path.join(out, f"importance_{taxonomy.name}.csv"), matrix
-        )
-        if taxonomy.name == "body_style":
-            learn.save_model(
-                os.path.join(out, "model_svm_body_style.json"),
-                learn.ModelBundle(taxonomy, scaling, ensemble),
-            )
-            with open(os.path.join(out, "infer_svm_body_style.c"), "w", encoding="utf-8") as fh:
-                fh.write(export.emit_inference_source(ensemble))
 
-    # 20-subset study, all taxonomies, shared folds per taxonomy
+    # thirteen independent tasks, each seeded by its own stage seed, so their
+    # results cannot depend on where or in which order they run
+    eval_seed = derive_seed(args.seed, "reproduce-evaluate")
+    train_seed = derive_seed(args.seed, "reproduce-train")
     subset_seed = derive_seed(args.seed, "reproduce-subsets")
-    cells = [
-        ("svm", subset.id, report)
-        for taxonomy in taxonomies
-        for subset, report in evaluate.subset_evaluation(
-            x, labels, taxonomy, subset_spec, evaluate.BUILTIN_SUBSETS,
-            k=args.k, seed=subset_seed,
-        )
-    ]
-    _write_cv_tables(os.path.join(out, "subset_per_fold.csv"),
-                     os.path.join(out, "subset_summary.csv"), cells)
-    print(f"subset study: {len(cells)} cells")
-
-    # forest parameter grid against all platform budgets
     sweet_seed = derive_seed(args.seed, "reproduce-sweetspot")
-    body = get_taxonomy("body_style")
-    grid = export.grid_search(
-        x, labels, body,
-        tree_counts=args.tree_grid, depths=args.depth_grid,
-        k=min(args.k, 5), seed=sweet_seed,
-    )
+    tasks = [
+        functools.partial(evaluate.cross_validate, x, labels, taxonomy, spec,
+                          k=args.k, seed=eval_seed)
+        for taxonomy in taxonomies for spec in (svm_spec, rf_spec)
+    ] + [
+        # per-taxonomy importance from ensembles trained on the full corpus
+        functools.partial(_fit_importance, x_scaled, labels, taxonomy,
+                          args.c, args.epochs, train_seed)
+        for taxonomy in taxonomies
+    ] + [
+        # 20-subset study, all taxonomies, shared folds per taxonomy
+        functools.partial(evaluate.subset_evaluation, x, labels, taxonomy, subset_spec,
+                          evaluate.BUILTIN_SUBSETS, k=args.k, seed=subset_seed)
+        for taxonomy in taxonomies
+    ] + [
+        # forest parameter grid against all platform budgets
+        functools.partial(export.grid_search, x, labels, body,
+                          tree_counts=args.tree_grid, depths=args.depth_grid,
+                          k=min(args.k, 5), seed=sweet_seed),
+    ]
+
+    with _results_in_order(tasks, _REPRODUCE_LONGEST_FIRST) as results:
+        cells = []
+        for taxonomy in taxonomies:
+            for spec in (svm_spec, rf_spec):
+                report = next(results)
+                cells.append((spec.kind, "A", report))
+                evaluate.write_confusion_csv(
+                    os.path.join(out, f"confusion_{taxonomy.name}_{spec.kind}.csv"),
+                    report.confusion, taxonomy,
+                )
+                print(f"{taxonomy.name:>10} {spec.kind}: ACC {report.acc_mean:.4f} +/- {report.acc_std:.4f}")
+        _write_cv_tables(os.path.join(out, "accuracy_per_fold.csv"),
+                         os.path.join(out, "accuracy_summary.csv"), cells)
+
+        for taxonomy in taxonomies:
+            ensemble, matrix = next(results)
+            importance.write_importance_csv(
+                os.path.join(out, f"importance_{taxonomy.name}.csv"), matrix
+            )
+            if taxonomy is body:
+                learn.save_model(
+                    os.path.join(out, "model_svm_body_style.json"),
+                    learn.ModelBundle(taxonomy, scaling, ensemble),
+                )
+                with open(os.path.join(out, "infer_svm_body_style.c"), "w", encoding="utf-8") as fh:
+                    fh.write(export.emit_inference_source(ensemble))
+
+        cells = [("svm", subset.id, report)
+                 for _ in taxonomies for subset, report in next(results)]
+        _write_cv_tables(os.path.join(out, "subset_per_fold.csv"),
+                         os.path.join(out, "subset_summary.csv"), cells)
+        print(f"subset study: {len(cells)} cells")
+
+        grid = next(results)
+
     best_rows = []
     for profile in export.PLATFORMS:
         result = export.best_fitting(grid, profile)

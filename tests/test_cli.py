@@ -1,11 +1,15 @@
 import filecmp
 import hashlib
+import multiprocessing
 import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from rftraffic import simulate
+from rftraffic import cli, simulate
 from rftraffic.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -149,7 +153,8 @@ def test_corpus_smaller_than_class_count_is_config_error(tmp_path, argv):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--n-trees", "0"], ["--C", "0"]])
+@pytest.mark.parametrize("flags", [["--epochs", "0"], ["--n-trees", "0"], ["--C", "0"],
+                                   ["--k", "1"]])
 def test_reproduce_checks_model_flags_before_writing(tmp_path, flags):
     out = tmp_path / "out"
     assert main(["reproduce", "--count", "30", "--k", "3", "--out", str(out)] + flags) == EXIT_CONFIG
@@ -361,6 +366,50 @@ def test_small_reproduce_matches_golden_digests(tmp_path):
                  "--depth-grid", "2,6,10", "--out", str(out)]) == EXIT_OK
     digests = {rel: hashlib.sha256(data).hexdigest() for rel, data in _tree_bytes(out).items()}
     assert digests == GOLDEN_REPRODUCE_SHA256
+
+
+#: sha256 of what the golden reproduce run prints, its --out path replaced by "<out>"
+GOLDEN_REPRODUCE_STDOUT_SHA256 = "361e28bc0cdb41d3e3232ec4f2269730ff35eac244064f1f44c35dd7a5884d95"
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pool"])
+def test_reproduce_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, capsys, cpus):
+    """One usable CPU runs reproduce's analyses inline, more fan them out to workers."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "golden"
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert main(["reproduce", "--count", "40", "--seed", "93", "--k", "3", "--epochs", "10",
+                 "--n-trees", "5", "--max-depth", "4", "--tree-grid", "2,5",
+                 "--depth-grid", "2,6,10", "--out", str(out)]) == EXIT_OK
+    digests = {rel: hashlib.sha256(data).hexdigest() for rel, data in _tree_bytes(out).items()}
+    assert digests == GOLDEN_REPRODUCE_SHA256
+    stdout = capsys.readouterr().out.replace(str(out), "<out>")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_REPRODUCE_STDOUT_SHA256
+    assert multiprocessing.active_children() == []
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    worked_in_children = after.ru_utime + after.ru_stime > before.ru_utime + before.ru_stime
+    assert worked_in_children == (cpus > 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pool"])
+def test_reproduce_task_failure_writes_what_the_inline_path_writes(tmp_path, monkeypatch, cpus):
+    """--k 40 on 30 vehicles fails in the first cross-validation, after features.csv."""
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    out = tmp_path / "out"
+    assert main(["reproduce", "--count", "30", "--k", "40", "--out", str(out)]) == EXIT_CONFIG
+    assert sorted(os.listdir(out)) == ["features.csv"]
+    assert multiprocessing.active_children() == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    """The pool modules load only when reproduce fans out, not at every start-up."""
+    probe = ("import sys, rftraffic.cli; "
+             "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+             "if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 #: sha256 of every file of the small file-driven chain below; the trace directory
