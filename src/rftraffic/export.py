@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .evaluate import FoldPlan, build_fold_plan, fold_accuracy, fold_summary, scaled_folds
 from .features import fit_scaling
-from .learn import RandomForest, SvmEnsemble, train_random_forest
+from .learn import RandomForest, SvmEnsemble, train_random_forest, vote_counts
 from .topology import Taxonomy
 
 
@@ -91,18 +91,10 @@ def count_operations(model: SvmEnsemble | RandomForest) -> int:
     """Worst-case per-prediction operation count (multiply-adds or compares)."""
     if isinstance(model, SvmEnsemble):
         return sum(len(svm.beta) for svm in model.svms)
-    total = 0
-    for tree in model.trees:
-        depth = np.zeros(tree.n_nodes, dtype=int)
-        deepest = 0
-        for node in range(tree.n_nodes):  # parents precede children in the layout
-            if tree.feature[node] >= 0:
-                depth[tree.left[node]] = depth[node] + 1
-                depth[tree.right[node]] = depth[node] + 1
-            else:
-                deepest = max(deepest, int(depth[node]))
-        total += deepest
-    return total
+    if not model.trees:
+        return 0
+    packed = model.packed
+    return int(np.maximum.reduceat(packed.node_depth, packed.roots).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -192,24 +184,14 @@ def _emit_svm(model: SvmEnsemble) -> str:
 
 def _emit_forest(model: RandomForest, dim: int) -> str:
     y = model.n_classes
-    roots = []
-    feature, threshold, left, right, klass = [], [], [], [], []
-    offset = 0
-    for tree in model.trees:
-        roots.append(offset)
-        feature.extend(tree.feature.tolist())
-        threshold.extend(tree.threshold.tolist())
-        left.extend((tree.left + np.where(tree.left >= 0, offset, 0)).tolist())
-        right.extend((tree.right + np.where(tree.right >= 0, offset, 0)).tolist())
-        klass.extend(tree.klass.tolist())
-        offset += tree.n_nodes
+    packed = model.packed
     lines = _emit_header("random_forest")
-    lines.append(_c_int_table("tree_root", roots))
-    lines.append(_c_int_table("node_feature", feature))
-    lines.append(_c_double_table("node_threshold", threshold))
-    lines.append(_c_int_table("node_left", left))
-    lines.append(_c_int_table("node_right", right))
-    lines.append(_c_int_table("node_class", klass))
+    lines.append(_c_int_table("tree_root", packed.roots.tolist()))
+    lines.append(_c_int_table("node_feature", packed.feature.tolist()))
+    lines.append(_c_double_table("node_threshold", packed.threshold.tolist()))
+    lines.append(_c_int_table("node_left", packed.left.tolist()))
+    lines.append(_c_int_table("node_right", packed.right.tolist()))
+    lines.append(_c_int_table("node_class", packed.klass.tolist()))
     lines.extend(
         [
             "",
@@ -310,15 +292,10 @@ def grid_search(
             fold.x_train, fold.y_train, taxonomy.classes,
             n_trees=counts[-1], max_depth=caps[-1], seed=fold.model_seed,
         )
-        rows = np.arange(len(fold.x_test))
         for j, depth in enumerate(caps):
-            trees = forest.truncated(counts[-1], depth).trees
-            votes = np.zeros((len(rows), n_classes), dtype=int)
-            done = 0
+            voted = forest.truncated(counts[-1], depth).packed.tree_classes(fold.x_test)
             for i, n_trees in enumerate(counts):
-                for tree in trees[done:n_trees]:
-                    votes[rows, tree.predict(fold.x_test)] += 1
-                done = n_trees
+                votes = vote_counts(voted[:, :n_trees], n_classes)
                 fold_acc[i, j, fold.index] = fold_accuracy(votes.argmax(axis=1), fold.y_test)
 
     x_scaled = fit_scaling(x).apply(x)

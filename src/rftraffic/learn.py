@@ -24,6 +24,7 @@ trains with n trees at depth d (``RandomForest.truncated``); the forest grid of
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
@@ -257,7 +258,11 @@ def train_svm_ensembles(
 
 @dataclass
 class CartTree:
-    """Array-encoded binary decision tree (feature < 0 marks a leaf)."""
+    """Array-encoded binary decision tree (feature < 0 marks a leaf).
+
+    Children follow their parent in the arrays, so every root-to-leaf walk
+    visits rising node indices and ends.
+    """
 
     feature: np.ndarray
     threshold: np.ndarray
@@ -270,17 +275,62 @@ class CartTree:
     def n_nodes(self) -> int:
         return len(self.feature)
 
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        node = np.zeros(x.shape[0], dtype=int)
-        while True:
+
+@dataclass(frozen=True)
+class PackedForest:
+    """Every tree of a forest in one node table, the layout of the emitted C file.
+
+    Tree ``t`` starts at node ``roots[t]``; children are indices into the whole
+    table (-1 at leaves), ``node_depth`` is each node's depth in its tree and
+    ``depth`` the deepest of them.
+    """
+
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    klass: np.ndarray
+    node_depth: np.ndarray
+    depth: int
+
+    @classmethod
+    def of(cls, trees: list[CartTree]) -> PackedForest:
+        sizes = np.array([tree.n_nodes for tree in trees], dtype=int)
+        roots = np.cumsum(sizes) - sizes
+        offsets = np.repeat(roots, sizes)
+
+        def table(name, dtype):
+            return np.concatenate([getattr(tree, name) for tree in trees]
+                                  + [np.empty(0, dtype=dtype)]).astype(dtype, copy=False)
+
+        feature, left, right = table("feature", int), table("left", int), table("right", int)
+        left = left + np.where(left >= 0, offsets, 0)
+        right = right + np.where(right >= 0, offsets, 0)
+        node_depth = np.zeros(len(feature), dtype=int)
+        level, depth = roots, 0
+        while level.size:  # children follow their parents, so the levels run out
+            node_depth[level] = depth
+            inner = level[feature[level] >= 0]
+            level, depth = np.concatenate([left[inner], right[inner]]), depth + 1
+        return cls(roots=roots, feature=feature, threshold=table("threshold", float),
+                   left=left, right=right, klass=table("klass", int), node_depth=node_depth,
+                   depth=int(node_depth.max(initial=0)))
+
+    def tree_classes(self, x: np.ndarray) -> np.ndarray:
+        """The class each tree votes for each row of ``x``, shape ``(n, trees)``.
+
+        All trees step together, one level per step, for as many steps as the
+        deepest node is deep; a walk that has reached its leaf stays there.
+        """
+        rows = np.arange(len(x))[:, None]
+        node = np.repeat(self.roots[None, :], len(x), axis=0)
+        for _ in range(self.depth):
             feat = self.feature[node]
-            active = feat >= 0
-            if not active.any():
-                return self.klass[node]
-            idx = node[active]
-            go_left = x[active, feat[active]] <= self.threshold[idx]
-            node[active] = np.where(go_left, self.left[idx], self.right[idx])
+            go_left = x[rows, feat] <= self.threshold[node]
+            node = np.where(feat < 0, node,
+                            np.where(go_left, self.left[node], self.right[node]))
+        return self.klass[node]
 
 
 def _gini_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -404,6 +454,13 @@ def _prune_tree(tree: CartTree, max_depth: int) -> CartTree:
     )
 
 
+def vote_counts(classes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Votes per class in each row of an ``(n, voters)`` array of class indices."""
+    n = len(classes)
+    cells = (np.arange(n)[:, None] * n_classes + classes).ravel()
+    return np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
+
+
 @dataclass
 class RandomForest:
     trees: list[CartTree]
@@ -419,16 +476,17 @@ class RandomForest:
     def n_nodes(self) -> int:
         return sum(t.n_nodes for t in self.trees)
 
+    @functools.cached_property
+    def packed(self) -> PackedForest:
+        return PackedForest.of(self.trees)
+
     def predict(self, x: np.ndarray) -> np.ndarray:
+        """Majority vote over the trees, walked all at once; ties break low."""
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        votes = np.zeros((x.shape[0], self.n_classes), dtype=int)
-        rows = np.arange(x.shape[0])
-        for tree in self.trees:
-            votes[rows, tree.predict(x)] += 1
-        pred = votes.argmax(axis=1)
+        pred = vote_counts(self.packed.tree_classes(x), self.n_classes).argmax(axis=1)
         return pred[0] if single else pred
 
     def truncated(self, n_trees: int, max_depth: int) -> RandomForest:
@@ -541,26 +599,61 @@ def save_model(path: str, bundle: ModelBundle) -> None:
         json.dump(doc, fh, allow_nan=False)
 
 
+def _check_model(model: SvmEnsemble | RandomForest, n_features: int, n_classes: int) -> None:
+    """Reject a loaded model that would read outside its inputs or never end a walk."""
+    if isinstance(model, SvmEnsemble):
+        for k, svm in enumerate(model.svms):
+            if svm.beta.shape != (n_features + 1,) or not np.isfinite(svm.beta).all():
+                raise ValueError(f"svm pair {k}: need {n_features + 1} finite weights "
+                                 f"({n_features} features and the bias)")
+            if not (all(isinstance(i, int) and 0 <= i < n_classes for i in svm.class_pair)
+                    and svm.class_pair[0] != svm.class_pair[1]):
+                raise ValueError(f"svm pair {k}: class pair {svm.class_pair} is not two "
+                                 f"of the {n_classes} classes")
+        return
+    for t, tree in enumerate(model.trees):
+        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.klass)
+        n = tree.feature.size
+        if n == 0 or any(a.shape != (n,) for a in arrays):
+            raise ValueError(f"tree {t}: node arrays must be nonempty and of equal length")
+        inner = tree.feature >= 0
+        if not (np.all(tree.feature[~inner] == -1) and np.all(tree.feature < n_features)):
+            raise ValueError(f"tree {t}: node features must be -1 at leaves and below "
+                             f"{n_features} elsewhere")
+        nodes = np.flatnonzero(inner)
+        for child in (tree.left[inner], tree.right[inner]):
+            if not np.all((child > nodes) & (child < n)):
+                raise ValueError(f"tree {t}: a node's children must follow it in the tree")
+        if not np.isfinite(tree.threshold).all():
+            raise ValueError(f"tree {t}: thresholds must be finite")
+        if not np.all((tree.klass >= 0) & (tree.klass < n_classes)):
+            raise ValueError(f"tree {t}: node classes must lie in 0..{n_classes - 1}")
+
+
 def load_model(path: str) -> ModelBundle:
+    """Read a model file; one that ``save_model`` could not have written is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if doc.get("format_version") != FORMAT_VERSION:
         raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
     taxonomy = Taxonomy(doc["taxonomy"]["name"], tuple(doc["taxonomy"]["classes"]))
-    scaling = ScalingTransform(
-        lo=np.array(doc["scaling"]["lo"]), hi=np.array(doc["scaling"]["hi"])
-    )
+    scaling = ScalingTransform(lo=np.array(doc["scaling"]["lo"], dtype=float),
+                               hi=np.array(doc["scaling"]["hi"], dtype=float))
+    if scaling.lo.ndim != 1 or scaling.lo.shape != scaling.hi.shape:
+        raise ValueError("scaling lo and hi must be two lists of one length")
     spec = doc["model"]
+    if tuple(spec["classes"]) != taxonomy.classes:
+        raise ValueError("model classes differ from the taxonomy classes")
     if doc["model_kind"] == "svm_ensemble":
         svms = [
             LinearSvm(
-                beta=np.array(p["weights"]),
+                beta=np.array(p["weights"], dtype=float),
                 c=p["c"],
                 class_pair=(p["neg"], p["pos"]),
             )
             for p in spec["pairs"]
         ]
-        model: SvmEnsemble | RandomForest = SvmEnsemble(svms=svms, classes=tuple(spec["classes"]))
+        model: SvmEnsemble | RandomForest = SvmEnsemble(svms=svms, classes=taxonomy.classes)
     elif doc["model_kind"] == "random_forest":
         trees = [
             CartTree(
@@ -574,10 +667,11 @@ def load_model(path: str) -> ModelBundle:
         ]
         model = RandomForest(
             trees=trees,
-            classes=tuple(spec["classes"]),
+            classes=taxonomy.classes,
             max_depth=spec["max_depth"],
             feature_subset=spec["feature_subset"],
         )
     else:
         raise ValueError(f"unknown model kind {doc['model_kind']!r}")
+    _check_model(model, len(scaling.lo), len(taxonomy.classes))
     return ModelBundle(taxonomy=taxonomy, scaling=scaling, model=model)

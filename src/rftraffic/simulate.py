@@ -23,7 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .tables import TraceFormatError, read_table, write_table
+from .tables import (
+    TraceFormatError,
+    read_numeric_table,
+    read_table,
+    write_numeric_table,
+    write_table,
+)
 from .topology import LINK_IDS, STRAIGHT_LINKS, SystemParams, Topology
 
 KMH_TO_MPS = 1.0 / 3.6
@@ -441,16 +447,17 @@ def invert_direction(trace: TraceBundle) -> TraceBundle:
 
 
 TRACE_HEADER = ["t_ms", "link", "rssi_dbm"]
+TRACE_DTYPE = np.dtype([("t_ms", float), ("link", np.int64), ("rssi_dbm", float)])
+#: one epoch: the nine rows of one timestamp, links in order
+_EPOCH_FORMAT = "".join(f"{{0}},{link},{{{i}}}\r\n" for i, link in enumerate(LINK_IDS, 1))
 
 
 def write_trace_csv(path: str, trace: TraceBundle) -> None:
     """Write `t_ms,link,rssi_dbm` rows sorted by time then link."""
     period = trace.sample_period_ms
-    write_table(path, TRACE_HEADER, (
-        [trace.t0_ms + k * period, link, rssi]
-        for k, epoch in enumerate(trace.rssi_dbm.T.tolist())
-        for link, rssi in zip(LINK_IDS, epoch)
-    ))
+    stamps = [str(trace.t0_ms + k * period) for k in range(trace.rssi_dbm.shape[1])]
+    write_numeric_table(path, TRACE_HEADER, _EPOCH_FORMAT,
+                        zip(stamps, *trace.rssi_dbm.tolist()))
 
 
 def read_trace_csv(path: str) -> TraceBundle:
@@ -458,41 +465,38 @@ def read_trace_csv(path: str) -> TraceBundle:
 
     Rows must be strictly sorted by ``t_ms`` then link, every timestamp must be
     finite, and the link-1 timestamps must be evenly spaced: a missing epoch
-    would otherwise stretch every time difference after it.
+    would otherwise stretch every time difference after it.  Of the rows that
+    break the order or name a link outside 1..9, the first in the file is
+    reported.
     """
-    per_link: dict[int, list[float]] = {link: [] for link in LINK_IDS}
-    times: list[float] = []
-    # no link exceeds prev_link, so the first row needs t > -inf
-    prev_t, prev_link = -math.inf, math.inf
-    for row in read_table(path, TRACE_HEADER):
-        try:
-            t = float(row[0])
-            link = int(row[1])
-            rssi = float(row[2])
-        except ValueError:
-            raise TraceFormatError(f"{path}: malformed row {row!r}") from None
-        stream = per_link.get(link)
-        if stream is None:
-            raise TraceFormatError(f"{path}: link {link} out of range 1..9")
-        # the positive form also rejects nan, which fails every comparison
-        if not (t > prev_t or (t == prev_t and link > prev_link)):
-            raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
-        prev_t, prev_link = t, link
-        stream.append(rssi)
-        if link == 1:
-            times.append(t)
-    lengths = {len(v) for v in per_link.values()}
-    if lengths == {0}:
+    rows = read_numeric_table(path, TRACE_HEADER, TRACE_DTYPE)
+    if len(rows) == 0:
         raise TraceFormatError(f"{path}: empty trace")
-    if len(lengths) != 1:
-        raise TraceFormatError(f"{path}: unequal stream lengths {sorted(lengths)}")
-    if not math.isfinite(prev_t):  # rows rise strictly, so only the last can be +inf
+    t, link = rows["t_ms"], rows["link"]
+    bad_link = (link < 1) | (link > 9)
+    # the positive form also rejects nan, which fails every comparison; no
+    # link exceeds the one before the first row, so that row needs t > -inf
+    in_order = np.empty(len(rows), dtype=bool)
+    in_order[0] = t[0] > -math.inf
+    in_order[1:] = (t[1:] > t[:-1]) | ((t[1:] == t[:-1]) & (link[1:] > link[:-1]))
+    first_bad = np.flatnonzero(bad_link | ~in_order)
+    if first_bad.size:
+        i = first_bad[0]
+        if bad_link[i]:
+            raise TraceFormatError(f"{path}: link {int(link[i])} out of range 1..9")
+        raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
+    lengths = np.bincount(link - 1, minlength=9)
+    if lengths.min() != lengths.max():
+        raise TraceFormatError(f"{path}: unequal stream lengths {sorted(set(lengths.tolist()))}")
+    if not math.isfinite(t[-1]):  # rows rise strictly, so only the last can be +inf
         raise TraceFormatError(f"{path}: t_ms must be finite")
-    streams = np.array([per_link[link] for link in LINK_IDS])
+    # a stable sort by link keeps each stream in file order
+    streams = rows["rssi_dbm"][np.argsort(link, kind="stable")].reshape(9, -1)
     if not (np.isfinite(streams).all() and (streams < 0).all()):
         raise TraceFormatError(f"{path}: rssi_dbm must be finite negative dBm")
+    times = t[link == 1]
     if len(times) >= 2:
-        period = times[1] - times[0]
+        period = float(times[1] - times[0])
         if np.abs(np.diff(times) - period).max() > 1e-6 * period:
             raise TraceFormatError(f"{path}: link-1 timestamps must be evenly spaced")
     else:
@@ -503,7 +507,7 @@ def read_trace_csv(path: str) -> TraceBundle:
         rssi_dbm=streams,
         idle_level_dbm=idle,
         sample_period_ms=period,
-        t0_ms=times[0] if times else 0.0,
+        t0_ms=float(times[0]),
     )
 
 

@@ -1,5 +1,6 @@
 import filecmp
 import hashlib
+import json
 import multiprocessing
 import os
 import resource
@@ -276,6 +277,26 @@ def test_export_platform_no_fit(tmp_path, body_small):
     assert not out.exists()  # nothing written on refusal
     assert main(["export", "--model", str(path), "--out", str(out),
                  "--platform", "esp"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("node,key,value", [
+    (0, "left", 0),  # a walk that never leaves the root
+    (0, "left", 999),  # a child past the end of the tree
+    (0, "feature", 5000),  # a feature past the 92 of the scaling
+])
+def test_export_rejects_malformed_forest_files(tmp_path, binary_small, node, key, value):
+    x, labels = binary_small
+    scaling = fit_scaling(x)
+    forest = train_random_forest(scaling.apply(x), BINARY.encode(labels), BINARY.classes,
+                                 n_trees=3, max_depth=4, seed=0)
+    path = tmp_path / "rf.json"
+    save_model(str(path), ModelBundle(BINARY, scaling, forest))
+    doc = json.loads(path.read_text())
+    doc["model"]["trees"][0][key][node] = value
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "infer.c"
+    assert main(["export", "--model", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
 
 
 def test_custom_params_file(tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -101,6 +103,16 @@ def test_emitted_sources_match_library_predictions(trained):
         source = emit_inference_source(model)
         c_pred = compile_and_predict(source, vectors)
         assert np.array_equal(c_pred, model.predict(vectors))
+
+
+def test_emitted_forest_source_is_pinned(trained):
+    # the emitter and RandomForest.predict share one packed node table; the C
+    # file must stay byte for byte what the per-tree emitter wrote for this forest
+    _, _, _, forest = trained
+    source = emit_inference_source(forest)
+    assert (hashlib.sha256(source.encode()).hexdigest()
+            == "711a0d73f58d7120fa10187aed0de5a5670d9c026108176502123f6bd360a135")
+    assert count_operations(forest) == 85
 
 
 def test_stump_forest_emits_single_branch(binary_small):

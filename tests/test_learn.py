@@ -1,3 +1,4 @@
+import json
 import math
 from itertools import combinations
 
@@ -505,16 +506,67 @@ def test_bootstrap_unique_fraction(binary_small):
     assert abs(np.mean(fractions) - (1 - 1 / np.e)) < 0.02
 
 
+def reference_forest_vote(forest, row):
+    """Walk one row down each tree in turn and count the leaves' votes; ties go low."""
+    votes = [0] * forest.n_classes
+    for tree in forest.trees:
+        node = 0
+        while tree.feature[node] >= 0:
+            go_left = row[tree.feature[node]] <= tree.threshold[node]
+            node = tree.left[node] if go_left else tree.right[node]
+        votes[tree.klass[node]] += 1
+    return votes.index(max(votes))
+
+
 def test_forest_vote_recount(binary_small):
     x, labels = binary_small
     y = np.array([BINARY.index(l) for l in labels])
     forest = train_random_forest(x, y, BINARY.classes, n_trees=15, max_depth=8, seed=2)
     pred = forest.predict(x[:25])
-    for row, p in zip(x[:25], pred):
-        votes = [0, 0]
-        for tree in forest.trees:
-            votes[int(tree.predict(row[None, :])[0])] += 1
-        assert p == (0 if votes[0] >= votes[1] else 1)
+    assert pred.tolist() == [reference_forest_vote(forest, row) for row in x[:25]]
+
+
+@pytest.fixture(scope="module")
+def oracle_corpus(tmp_path_factory, body_small):
+    x, labels = body_small
+    return fit_scaling(x).apply(x), BODY_STYLE.encode(labels), tmp_path_factory.mktemp("oracle")
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_train=st.integers(8, 80),
+    n_trees=st.integers(1, 6),
+    max_depth=st.integers(0, 9),
+    seed=st.integers(0, 2**32 - 1),
+    cut=st.tuples(st.integers(0, 6), st.integers(0, 9)),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=20),
+    noise=st.floats(0.0, 3.0),
+    snap=st.booleans(),
+)
+def test_packed_walk_matches_per_tree_vote(oracle_corpus, n_train, n_trees, max_depth, seed,
+                                           cut, picks, noise, snap):
+    x, y, tmp = oracle_corpus
+    forest = train_random_forest(x[:n_train], y[:n_train], BODY_STYLE.classes,
+                                 n_trees=n_trees, max_depth=max_depth, seed=seed)
+    rng = np.random.default_rng(seed)
+    rows = x[[p % len(x) for p in picks]] + rng.normal(0.0, noise, (len(picks), x.shape[1]))
+    inner = [(t, i) for t, tree in enumerate(forest.trees) for i in np.flatnonzero(tree.feature >= 0)]
+    if snap and inner:  # land rows exactly on split thresholds, where ``<=`` decides
+        for row in rows:
+            t, i = inner[rng.integers(len(inner))]
+            row[forest.trees[t].feature[i]] = forest.trees[t].threshold[i]
+    path = str(tmp / "forest.json")
+    save_model(path, ModelBundle(BODY_STYLE, ScalingTransform(lo=np.zeros(92), hi=np.ones(92)),
+                                 forest))
+    models = [forest, forest.truncated(min(cut[0], n_trees), min(cut[1], max_depth)),
+              load_model(path).model]
+    for model in models:
+        expected = [reference_forest_vote(model, row) for row in rows]
+        assert model.predict(rows).tolist() == expected
+        single = model.predict(rows[0])
+        assert np.ndim(single) == 0 and single == expected[0]
+        empty = model.predict(np.empty((0, x.shape[1])))
+        assert empty.shape == (0,) and empty.dtype.kind == "i"
 
 
 def test_depth_cap_respected(binary_small):
@@ -628,3 +680,113 @@ def test_model_json_rejects_unknown_version(tmp_path):
     path.write_text('{"format_version": 99}')
     with pytest.raises(ValueError, match="version"):
         load_model(str(path))
+
+
+@pytest.fixture(scope="module")
+def model_docs(tmp_path_factory, binary_small):
+    """The JSON documents of a saved 3-tree forest and a saved SVM ensemble."""
+    x, labels = binary_small
+    scaling = fit_scaling(x)
+    y = BINARY.encode(labels)
+    models = {
+        "forest": train_random_forest(scaling.apply(x), y, BINARY.classes,
+                                      n_trees=3, max_depth=4, seed=1),
+        "svm": train_svm_ensemble(scaling.apply(x), y, BINARY.classes, epochs=3, seed=1),
+    }
+    docs = {}
+    for name, model in models.items():
+        path = tmp_path_factory.mktemp("docs") / f"{name}.json"
+        save_model(str(path), ModelBundle(BINARY, scaling, model))
+        docs[name] = json.loads(path.read_text())
+    return docs
+
+
+def _loop_to_self(tree):
+    tree["left"][0] = 0
+
+
+def _child_past_end(tree):
+    tree["left"][0] = 999
+
+
+def _child_before_parent(tree):
+    i = max(i for i, f in enumerate(tree["feature"]) if f >= 0)
+    tree["right"][i] = i - 1 if i else 0
+
+
+def _feature_past_width(tree):
+    tree["feature"][0] = 5000
+
+
+def _leaf_feature_below_minus_one(tree):
+    tree["feature"][tree["feature"].index(-1)] = -2
+
+
+def _short_threshold(tree):
+    tree["threshold"].pop()
+
+
+def _class_past_taxonomy(tree):
+    tree["class"][-1] = 2
+
+
+def _negative_class(tree):
+    tree["class"][0] = -1
+
+
+def _empty_tree(tree):
+    for key in ("feature", "threshold", "left", "right", "class"):
+        tree[key] = []
+
+
+def _nan_threshold(tree):
+    tree["threshold"][0] = float("nan")
+
+
+@pytest.mark.parametrize("corrupt", [
+    _loop_to_self, _child_past_end, _child_before_parent, _feature_past_width,
+    _leaf_feature_below_minus_one, _short_threshold, _class_past_taxonomy, _negative_class,
+    _empty_tree, _nan_threshold,
+])
+def test_load_model_rejects_malformed_forests(tmp_path, model_docs, corrupt):
+    doc = json.loads(json.dumps(model_docs["forest"]))
+    corrupt(doc["model"]["trees"][1])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="tree 1"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("field,value,match", [
+    ("weights", [0.5] * 92, "93 finite weights"),
+    ("weights", [0.5] * 94, "93 finite weights"),
+    ("weights", [float("nan")] * 93, "93 finite weights"),
+    ("neg", 2, "class pair"),
+    ("pos", -1, "class pair"),
+    ("pos", 0, "class pair"),
+    ("neg", 0.0, "class pair"),
+])
+def test_load_model_rejects_malformed_svms(tmp_path, model_docs, field, value, match):
+    doc = json.loads(json.dumps(model_docs["svm"]))
+    doc["model"]["pairs"][0][field] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=match):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind", ["forest", "svm"])
+def test_load_model_rejects_mismatched_scaling_and_classes(tmp_path, model_docs, kind):
+    path = tmp_path / "bad.json"
+    doc = json.loads(json.dumps(model_docs[kind]))
+    doc["scaling"]["hi"].pop()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="scaling"):
+        load_model(str(path))
+    doc = json.loads(json.dumps(model_docs[kind]))
+    doc["model"]["classes"].reverse()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="taxonomy"):
+        load_model(str(path))
+    path.write_text(json.dumps(model_docs[kind]))
+    assert load_model(str(path)).kind == {"forest": "random_forest", "svm": "svm_ensemble"}[kind]

@@ -1,3 +1,6 @@
+import csv
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +26,8 @@ from rftraffic.simulate import (
     write_labels_csv,
     write_trace_csv,
 )
+from rftraffic.tables import read_table
+from rftraffic.topology import LINK_IDS, SystemParams
 
 
 def noise_free(label="t", v_kmh=36.0, l_m=5.0, n_lobes=1):
@@ -264,6 +269,221 @@ def test_trace_csv_accepts_offset_start(tmp_path):
     back = read_trace_csv(str(path))
     assert back.t0_ms == bundle.t0_ms
     assert back.sample_period_ms == pytest.approx(12.5)
+
+
+def read_trace_rowwise(path):
+    """Row-by-row trace reader through ``read_table``: the oracle of ``read_trace_csv``."""
+    per_link = {link: [] for link in LINK_IDS}
+    times = []
+    prev_t, prev_link = -math.inf, math.inf
+    for row in read_table(path, simulate.TRACE_HEADER):
+        try:
+            t = float(row[0])
+            link = int(row[1])
+            rssi = float(row[2])
+        except ValueError:
+            raise TraceFormatError(f"{path}: malformed row {row!r}") from None
+        stream = per_link.get(link)
+        if stream is None:
+            raise TraceFormatError(f"{path}: link {link} out of range 1..9")
+        if not (t > prev_t or (t == prev_t and link > prev_link)):
+            raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
+        prev_t, prev_link = t, link
+        stream.append(rssi)
+        if link == 1:
+            times.append(t)
+    lengths = {len(v) for v in per_link.values()}
+    if lengths == {0}:
+        raise TraceFormatError(f"{path}: empty trace")
+    if len(lengths) != 1:
+        raise TraceFormatError(f"{path}: unequal stream lengths {sorted(lengths)}")
+    if not math.isfinite(prev_t):
+        raise TraceFormatError(f"{path}: t_ms must be finite")
+    streams = np.array([per_link[link] for link in LINK_IDS])
+    if not (np.isfinite(streams).all() and (streams < 0).all()):
+        raise TraceFormatError(f"{path}: rssi_dbm must be finite negative dBm")
+    if len(times) >= 2:
+        period = times[1] - times[0]
+        if np.abs(np.diff(times) - period).max() > 1e-6 * period:
+            raise TraceFormatError(f"{path}: link-1 timestamps must be evenly spaced")
+    else:
+        period = SystemParams().sample_period_ms
+    idle = streams[:, : min(25, streams.shape[1])].mean(axis=1)
+    return TraceBundle(rssi_dbm=streams, idle_level_dbm=idle, sample_period_ms=period,
+                       t0_ms=times[0] if times else 0.0)
+
+
+def assert_same_trace(got, want):
+    for name in ("rssi_dbm", "idle_level_dbm"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.shape, a.dtype, a.tobytes()) == (b.shape, b.dtype, b.tobytes()), name
+    for name in ("t0_ms", "sample_period_ms"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert type(a) is type(b) and repr(a) == repr(b), name
+
+
+def _trace_text(epochs=4, t0=0.0, period=8.0, line_end="\n", cell=repr):
+    rows = ["t_ms,link,rssi_dbm"]
+    for k in range(epochs):
+        for link in LINK_IDS:
+            rows.append(",".join([cell(t0 + k * period), cell(link), cell(-60.0 - link - k / 7)]))
+    return line_end.join(rows) + line_end
+
+
+def _swap_rows(text, i, j):
+    lines = text.splitlines(keepends=True)
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
+def _edit_row(text, row, column, value):
+    lines = text.split("\n")
+    cells = lines[row].split(",")
+    cells[column] = value
+    lines[row] = ",".join(cells)
+    return "\n".join(lines)
+
+
+#: files both readers accept, beyond what write_trace_csv writes
+ACCEPTED = {
+    "lf": _trace_text(),
+    "crlf": _trace_text(line_end="\r\n"),
+    "cr": _trace_text(line_end="\r"),
+    "no final line end": _trace_text().rstrip("\n"),
+    "quoted cells": _trace_text(cell=lambda v: f'"{v!r}"'),
+    "spaces around cells": _trace_text(cell=lambda v: f" {v!r} "),
+    "signs and exponents": _trace_text().replace(",1,", ",+1,").replace("-60.0", "-6.0e1"),
+    "one epoch": _trace_text(epochs=1),
+    "offset start": _trace_text(t0=1.0e9 + 0.1, period=12.5),
+    "quoted header": _trace_text().replace("t_ms,link", '"t_ms",link', 1),
+    # equal stream lengths without whole epochs: links 1-5 at 0 ms, 1-9 at 8 ms, 6-9 at 16 ms
+    "ragged epochs": "t_ms,link,rssi_dbm\n" + "".join(
+        f"{t},{link},-6{link}.5\n" for t, links in ((0.0, range(1, 6)), (8.0, LINK_IDS),
+                                                   (16.0, range(6, 10))) for link in links),
+}
+
+
+@pytest.mark.parametrize("name", list(ACCEPTED))
+def test_trace_reader_matches_rowwise_oracle_on_valid_files(tmp_path, name):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(ACCEPTED[name].encode())
+    assert_same_trace(read_trace_csv(str(path)), read_trace_rowwise(str(path)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rssi=hnp.arrays(float, st.tuples(st.just(9), st.integers(1, 30)),
+                    elements=st.floats(-1e300, -1e-300)),
+    t0_ms=st.floats(-1e6, 1e6),
+    period=st.floats(0.5, 50.0),
+)
+def test_trace_reader_matches_rowwise_oracle_on_written_files(tmp_path_factory, rssi, t0_ms,
+                                                              period):
+    path = tmp_path_factory.mktemp("written") / "trace.csv"
+    write_trace_csv(str(path), TraceBundle(rssi, np.full(9, -60.0), period, t0_ms))
+    assert_same_trace(read_trace_csv(str(path)), read_trace_rowwise(str(path)))
+
+
+def test_trace_reader_matches_rowwise_oracle_on_generated_traces(tmp_path, topo, params):
+    for seed, invert in ((1, False), (2, True), (3, False)):
+        bundle = generate_trace(CAR_LIKE, topo, params, seed=seed)
+        path = tmp_path / f"trace{seed}.csv"
+        write_trace_csv(str(path), invert_direction(bundle) if invert else bundle)
+        assert_same_trace(read_trace_csv(str(path)), read_trace_rowwise(str(path)))
+
+
+_LINES = _trace_text().split("\n")
+#: files both readers reject, each with a message both readers share
+REJECTED = {
+    "empty file": ("", "header"),
+    "wrong header": ("time,link,rssi\n0.0,1,-60.0\n", "header"),
+    "header only": ("t_ms,link,rssi_dbm\n", "empty trace"),
+    "header only crlf": ("t_ms,link,rssi_dbm\r\n", "empty trace"),
+    "blank line": (_trace_text().replace("\n", "\n\n", 3), "malformed row"),
+    "blank line after header": (_trace_text().replace("\n", "\n\n", 1), "malformed row"),
+    "trailing blank line": (_trace_text() + "\n", "malformed row"),
+    "blank crlf line": (_trace_text(line_end="\r\n").replace("\r\n", "\r\n\r\n", 5),
+                        "malformed row"),
+    "space-only line": (_trace_text().replace("\n", "\n \n", 2), "malformed row"),
+    "trailing comma": (_trace_text().replace("-61.0\n", "-61.0,\n"), "malformed row"),
+    "missing cell": (_edit_row(_trace_text(), 3, 1, ""), "malformed row"),
+    "two cells": (_trace_text().replace(",-61.0", "", 1), "malformed row"),
+    "comment line": (_trace_text().replace("\n", "\n# note\n", 1), "malformed row"),
+    "comment cell": (_edit_row(_trace_text(), 2, 0, "#0.0"), "malformed row"),
+    "link written 1.0": (_edit_row(_trace_text(), 1, 1, "1.0"), "malformed row"),
+    "link written 1e0": (_edit_row(_trace_text(), 1, 1, "1e0"), "malformed row"),
+    "text link": (_edit_row(_trace_text(), 5, 1, "x"), "malformed row"),
+    "text time": (_edit_row(_trace_text(), 5, 0, "soon"), "malformed row"),
+    "hex time": (_edit_row(_trace_text(), 5, 0, "0x1p3"), "malformed row"),
+    "semicolons": (_LINES[0] + "\n" + "\n".join(_LINES[1:]).replace(",", ";"), "malformed row"),
+    "link 12": (_edit_row(_trace_text(), 1, 1, "12"), "link 12 out of range"),
+    "link 0": (_edit_row(_trace_text(), 4, 1, "0"), "link 0 out of range"),
+    "link -3": (_edit_row(_trace_text(), 4, 1, "-3"), "link -3 out of range"),
+    "swapped links": (_swap_rows(_trace_text(), 3, 4), "sorted"),
+    "swapped epochs": (_swap_rows(_trace_text(), 3, 12), "sorted"),
+    "repeated row": (_trace_text().replace(_LINES[3] + "\n", _LINES[3] + "\n" + _LINES[3] + "\n"),
+                     "sorted"),
+    "nan first time": (_edit_row(_trace_text(), 1, 0, "nan"), "sorted"),
+    "nan later time": (_edit_row(_trace_text(), 20, 0, "nan"), "sorted"),
+    "-inf first time": (_edit_row(_trace_text(), 1, 0, "-inf"), "sorted"),
+    "inf last time": (_edit_row(_trace_text(), 36, 0, "inf"), "must be finite"),
+    # row 2 names link 12 and row 3 then breaks the order: the first fault wins
+    "bad link before disorder": (_edit_row(_swap_rows(_trace_text(), 3, 12), 2, 1, "12"),
+                                 "link 12 out of range"),
+    "disorder before bad link": (_edit_row(_swap_rows(_trace_text(), 3, 12), 20, 1, "12"),
+                                 "sorted"),
+    "short link stream": ("\n".join(_LINES[:-2]) + "\n", "unequal stream lengths \\[3, 4\\]"),
+    "nan rssi": (_edit_row(_trace_text(), 7, 2, "nan"), "finite negative"),
+    "zero rssi": (_edit_row(_trace_text(), 7, 2, "0.0"), "finite negative"),
+    "positive rssi": (_edit_row(_trace_text(), 7, 2, "4"), "finite negative"),
+    "dropped epoch": ("\n".join(_LINES[:10] + _LINES[19:]), "evenly spaced"),
+}
+
+
+@pytest.mark.parametrize("name", list(REJECTED))
+def test_trace_reader_rejects_what_the_rowwise_oracle_rejects(tmp_path, name):
+    text, match = REJECTED[name]
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    for reader in (read_trace_rowwise, read_trace_csv):
+        with pytest.raises(TraceFormatError, match=match):
+            reader(str(path))
+
+
+#: cells Python's float() or int() parses and numpy's parser does not: the
+#: bulk reader rejects them as malformed rows where the row-wise reader read a
+#: number (or, for a link, reported it out of range)
+@pytest.mark.parametrize("row,column,cell", [
+    (1, 0, "0_0"),  # digit separators in a time
+    (3, 1, "1_0"),  # ... and in a link
+    (3, 1, str(2**70)),  # a link past int64
+    (3, 1, "٣"),  # a non-ASCII digit
+])
+def test_trace_reader_rejects_cells_only_python_parses(tmp_path, row, column, cell):
+    path = tmp_path / "odd.csv"
+    path.write_text(_edit_row(_trace_text(), row, column, cell), encoding="utf-8")
+    try:
+        read_trace_rowwise(str(path))
+    except TraceFormatError as exc:
+        assert "out of range" in str(exc)
+    with pytest.raises(TraceFormatError, match="malformed row"):
+        read_trace_csv(str(path))
+
+
+def test_trace_writer_matches_csv_module_bytes(tmp_path, topo, params):
+    bundle = generate_trace(CAR_LIKE, topo, params, seed=5)
+    for trace in (bundle, TraceBundle(np.full((9, 3), -1e-300), np.full(9, -60.0), 1 / 3,
+                                      t0_ms=-1e17)):
+        path = tmp_path / "bulk.csv"
+        write_trace_csv(str(path), trace)
+        with open(tmp_path / "rows.csv", "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(simulate.TRACE_HEADER)
+            period = trace.sample_period_ms
+            writer.writerows([trace.t0_ms + k * period, link, rssi]
+                             for k, epoch in enumerate(trace.rssi_dbm.T.tolist())
+                             for link, rssi in zip(LINK_IDS, epoch))
+        assert path.read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 def test_labels_csv_roundtrip(tmp_path):

@@ -8,7 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from rftraffic import simulate
 from rftraffic.features import N_FEATURES, read_features_csv, write_features_csv
-from rftraffic.tables import TraceFormatError, read_table, write_table
+from rftraffic.tables import (
+    TraceFormatError,
+    read_numeric_table,
+    read_table,
+    write_numeric_table,
+    write_table,
+)
 from rftraffic.topology import BODY_STYLE_CLASSES
 
 
@@ -39,6 +45,41 @@ def test_read_table_yields_rows_before_a_bad_one(tmp_path):
     assert next(rows) == ["1", "2"]
     with pytest.raises(TraceFormatError):
         next(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(records=st.lists(st.tuples(st.integers(-10**20, 10**20), st.floats(), st.floats()),
+                        max_size=8))
+def test_write_numeric_table_writes_what_write_table_writes(tmp_path_factory, records):
+    d = tmp_path_factory.mktemp("numeric")
+    write_numeric_table(str(d / "bulk.csv"), ["a", "b"], "{0},{1}\r\n{0},{2}\r\n", records)
+    rows = [row for k, x, y in records for row in ([k, x], [k, y])]
+    write_table(str(d / "rows.csv"), ["a", "b"], rows)
+    assert (d / "bulk.csv").read_bytes() == (d / "rows.csv").read_bytes()
+
+
+NUMERIC = np.dtype([("a", np.int64), ("b", float)])
+
+
+def test_read_numeric_table_parses_the_body_in_one_array(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b'a,b\r\n1,0.1\r\n"-2", 1e-300 \r\n')
+    rows = read_numeric_table(str(path), ["a", "b"], NUMERIC)
+    assert rows.dtype == NUMERIC
+    assert rows["a"].tolist() == [1, -2] and rows["b"].tolist() == [0.1, 1e-300]
+    path.write_text("a,b\n")
+    assert read_numeric_table(str(path), ["a", "b"], NUMERIC).shape == (0,)
+    with pytest.raises(TraceFormatError, match="expected header a,c"):
+        read_numeric_table(str(path), ["a", "c"], NUMERIC)
+
+
+@pytest.mark.parametrize("body", ["1,2\n\n3,4\n", "\n1,2\n", "1,2\n\n", "1,2,3\n", "1\n",
+                                  "1.5,2\n", "1,x\n", "1_0,2\n"])
+def test_read_numeric_table_rejects_malformed_rows(tmp_path, body):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n" + body)
+    with pytest.raises(TraceFormatError, match="malformed row"):
+        read_numeric_table(str(path), ["a", "b"], NUMERIC)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
