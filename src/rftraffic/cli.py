@@ -293,10 +293,11 @@ def _fit_importance(x_scaled: np.ndarray, labels: list[str], taxonomy, c: float,
     return ensemble, importance.importance_multiclass(ensemble)
 
 
-#: reproduce's slowest tasks, started first so that no worker is left with a
-#: long one at the end: the body_style subset study, body_style forest CV, the
-#: grid, size_based forest CV and the size_based subset study
-_REPRODUCE_LONGEST_FIRST = (11, 5, 12, 3, 10)
+#: reproduce's tasks by their inline time at --count 90, longest first, so that
+#: no worker is left with a long one at the end: forest CV body_style, the
+#: body_style subset study, the grid, forest CV size_based, SVM CV body_style,
+#: the size_based subset study, forest CV binary, then the short SVM tasks
+_REPRODUCE_LONGEST_FIRST = (5, 11, 12, 3, 4, 10, 1, 9, 2, 8, 0, 7, 6)
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:

@@ -7,9 +7,10 @@ seeded shuffle and a rotating remainder offset, so fold sizes never differ by
 more than one sample while class proportions stay balanced.  One FoldPlan can
 be shared across model kinds and across all link subsets for fair comparison.
 
-The subset study is fold-major: each fold is scaled once on all 92 columns and
-every subset is a column slice of it.  Subsets of equal width fit together, one
-stacked SVM run per class pair; the built-in twenty form six width groups.
+Each fold is scaled once on all 92 columns and every link subset is a column
+slice of it.  Subsets of equal width fit together: the SVMs of every fold,
+class pair and subset of a width group are one lockstep Pegasos run; the
+built-in twenty form six width groups.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import N_FEATURES, fit_scaling, link_block_slice
+from .features import N_FEATURES, ScalingTransform, fit_scaling, link_block_slice
 from .learn import (
     RandomForest,
     SvmEnsemble,
@@ -130,14 +131,28 @@ def train_model(x_scaled: np.ndarray, y_idx: np.ndarray, classes: tuple[str, ...
 
 @dataclass(frozen=True)
 class ScaledFold:
-    """One fold's splits, scaled by the training split, and its model seed."""
+    """One fold's splits, scaled by the training split, and its model seed.
+
+    The scaled splits are computed each time they are read, so a list of all
+    folds holds no copy of the data.
+    """
 
     index: int
-    x_train: np.ndarray
+    x: np.ndarray
+    train_rows: np.ndarray
+    test_rows: np.ndarray
+    scaling: ScalingTransform
     y_train: np.ndarray
-    x_test: np.ndarray
     y_test: np.ndarray
     model_seed: np.random.SeedSequence
+
+    @property
+    def x_train(self) -> np.ndarray:
+        return self.scaling.apply(self.x[self.train_rows])
+
+    @property
+    def x_test(self) -> np.ndarray:
+        return self.scaling.apply(self.x[self.test_rows])
 
 
 def scaled_folds(x: np.ndarray, y_idx: np.ndarray, fold_plan: FoldPlan, seed):
@@ -150,14 +165,10 @@ def scaled_folds(x: np.ndarray, y_idx: np.ndarray, fold_plan: FoldPlan, seed):
     for fold in range(fold_plan.k):
         train_rows = fold_plan.train_rows(fold)
         test_rows = fold_plan.test_rows(fold)
-        scaling = fit_scaling(x[train_rows])
         yield ScaledFold(
-            index=fold,
-            x_train=scaling.apply(x[train_rows]),
-            y_train=y_idx[train_rows],
-            x_test=scaling.apply(x[test_rows]),
-            y_test=y_idx[test_rows],
-            model_seed=model_seeds[fold],
+            index=fold, x=x, train_rows=train_rows, test_rows=test_rows,
+            scaling=fit_scaling(x[train_rows]), y_train=y_idx[train_rows],
+            y_test=y_idx[test_rows], model_seed=model_seeds[fold],
         )
 
 
@@ -198,31 +209,55 @@ def cross_validate(
 
 
 def _column_view(x: np.ndarray, columns: np.ndarray, zero_globals: bool) -> np.ndarray:
+    if columns.all() and not zero_globals:
+        return x
     view = x[:, columns]
     if zero_globals:
         view[:, 0:2] = 0.0
     return view
 
 
-def _train_views(views: list[np.ndarray], y_idx: np.ndarray, classes: tuple[str, ...],
-                 spec: ModelSpec, seed) -> list[SvmEnsemble | RandomForest]:
-    """One model per view; several same-width SVM views train as one stack."""
-    if spec.kind == "svm" and len(views) > 1:
-        return train_svm_ensembles(np.stack(views), y_idx, classes, c=spec.c,
-                                   epochs=spec.epochs, batch_size=spec.batch_size, seed=seed)
-    return [train_model(view, y_idx, classes, spec, seed) for view in views]
+class _ColumnViews:
+    """Column views of one fold's training split, built as they are read."""
+
+    def __init__(self, fold: ScaledFold, views: list[tuple[np.ndarray, bool]]):
+        self.fold, self.views = fold, views
+
+    def __len__(self) -> int:
+        return len(self.views)
+
+    def __iter__(self):
+        x_train = self.fold.x_train
+        return (_column_view(x_train, *view) for view in self.views)
+
+
+def _fold_models(folds: list[ScaledFold], views, members: list[int], classes: tuple[str, ...],
+                 spec: ModelSpec):
+    """For each fold, one model per member view.
+
+    The SVMs of every fold, class pair and member view train in one lockstep
+    run, which copies each view as it reads it; forests train one fold at a
+    time, as the folds are iterated.
+    """
+    if spec.kind == "svm":
+        stacks = [(_ColumnViews(fold, [views[i] for i in members]), fold.y_train,
+                   fold.model_seed) for fold in folds]
+        return train_svm_ensembles(stacks, classes, c=spec.c, epochs=spec.epochs,
+                                   batch_size=spec.batch_size)
+    return ([train_model(_column_view(fold.x_train, *views[i]), fold.y_train, classes, spec,
+                         fold.model_seed) for i in members] for fold in folds)
 
 
 def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
                           fold_plan) -> list[EvaluationReport]:
-    """Cross-validate the model on column views of ``x``, fold-major.
+    """Cross-validate the model on column views of ``x``.
 
     A view is ``(columns, zero_globals)``: a column mask and whether the
     speed/length pair is blanked.  Every fold is scaled once on all columns and
     each view slices it; scaling works column by column and a zero column
     scales to exactly 0.0, so a view scores as if it had been cut and blanked
-    before scaling.  Views of equal width train together in one
-    ``_train_views`` call.  Reports come back in view order.
+    before scaling.  Views of equal width train together (``_fold_models``)
+    and are scored fold by fold.  Reports come back in view order.
     """
     x = np.asarray(x, dtype=float)
     y_idx = taxonomy.encode(labels)
@@ -235,14 +270,19 @@ def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
     y_classes = len(taxonomy.classes)
     counts = np.zeros((len(views), y_classes, y_classes))
     fold_acc = np.empty((len(views), fold_plan.k))
-    for fold in scaled_folds(x, y_idx, fold_plan, seed):
-        for members in groups.values():
-            models = _train_views([_column_view(fold.x_train, *views[i]) for i in members],
-                                  fold.y_train, taxonomy.classes, model_spec, fold.model_seed)
-            for i, model in zip(members, models):
-                pred = np.atleast_1d(model.predict(_column_view(fold.x_test, *views[i])))
-                fold_acc[i, fold.index] = fold_accuracy(pred, fold.y_test)
-                np.add.at(counts[i], (fold.y_test, pred), 1)
+    folds = list(scaled_folds(x, y_idx, fold_plan, seed))
+    # the group with the most view columns first: the memory it frees serves the rest
+    for _, members in sorted(groups.items(), key=lambda group: -group[0] * len(group[1])):
+        # a comprehension, so that no model outlives it while the next group trains
+        predictions = [
+            (i, fold, np.atleast_1d(model.predict(_column_view(fold.x_test, *views[i]))))
+            for fold, models in zip(folds, _fold_models(folds, views, members, taxonomy.classes,
+                                                        model_spec))
+            for i, model in zip(members, models)
+        ]
+        for i, fold, pred in predictions:
+            fold_acc[i, fold.index] = fold_accuracy(pred, fold.y_test)
+            np.add.at(counts[i], (fold.y_test, pred), 1)
     sums = counts.sum(axis=2, keepdims=True)
     confusion = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
     return [EvaluationReport(taxonomy.name, model_spec.describe(), acc, *fold_summary(acc), matrix)
@@ -320,9 +360,9 @@ def subset_evaluation(
 ) -> list[tuple[SubsetSpec, EvaluationReport]]:
     """Cross-validate every link subset on one fold plan, in spec order.
 
-    The loop is fold-major: each fold is scaled once, and subsets of equal
-    width (2 + 10 per link) fit together, so an SVM class pair is one stacked
-    Pegasos run per width.  The built-in subsets form six width groups: nine
+    Each fold is scaled once, and subsets of equal width (2 + 10 per link) fit
+    together: with SVMs, every fold, class pair and subset of a width is one
+    lockstep Pegasos run.  The built-in subsets form six width groups: nine
     one-link subsets, four two-link, four four-link, and H, P and A alone.
     """
     if not specs:

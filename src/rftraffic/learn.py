@@ -5,9 +5,10 @@ stochastic subgradient descent with the step schedule ``eta_t = 1 / (lambda t)``
 where ``lambda = 1 / (C * |D|)``.  A constant-one feature augments the inputs
 so the bias is regularized like every other weight and the objective keeps its
 plain form over the augmented space.  The trainer works on label-signed rows
-``y * [x, 1]`` and runs on a stack of same-shape problems that share labels and
-seed (``train_svm_stack``): every slice takes the same shuffles and batches and
-comes out bit for bit as its fit alone, and one fit is the one-slice case.
+``y * [x, 1]`` and runs a ragged list of problems in lockstep
+(``train_svm_stack``): each problem is some rows of a stack of views with its
+own labels and seed, every fit comes out bit for bit as its view fitted alone,
+and one fit is the one-problem, one-view case.
 Multi-class problems are composed one-vs-one: one SVM per class pair plus a
 mapping from (pair, sign) to class, combined by majority vote.
 
@@ -28,6 +29,7 @@ import functools
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,102 +57,238 @@ def augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-@dataclass
+@dataclass(slots=True)
 class LinearSvm:
     """Pairwise linear decision rule; ``beta`` includes the trailing bias weight."""
 
     beta: np.ndarray
     c: float
     class_pair: tuple[int, int]  # (class index for sign -1, class index for sign +1)
-    objective_per_epoch: list[float] = field(default_factory=list)
+    objective_per_epoch: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def decision(self, x_aug: np.ndarray) -> np.ndarray:
         return np.asarray(x_aug, dtype=float) @ self.beta
 
 
-def svm_objective(beta: np.ndarray, x_aug: np.ndarray, y: np.ndarray, c: float):
-    """Regularized hinge objective evaluated on the full data set.
+#: a margin within this many rounding bounds ``d * eps * |row| * |beta|`` of 1.0
+#: is recomputed in the shape a fit alone computes it (see ``train_svm_stack``)
+MARGIN_GUARD = 4.0
 
-    ``beta`` is one weight vector (a float comes back) or an ``(E, d)`` stack of
-    them (one value per row comes back, all from one matrix product).  With an
-    ``(S, n, d)`` stack of data sets, ``beta`` is ``(S, E, d)`` and an ``(S, E)``
-    array comes back.
+
+class SvmProblem(NamedTuple):
+    """One binary problem of ``train_svm_stack``: some rows of a stack of S views.
+
+    ``views`` is an ``(S, N, d)`` array or any iterable of S ``(N, d)`` arrays,
+    read once; ``rows`` picks the problem's rows out of the N and ``labels``
+    gives each of them +/-1.  Every view is one fit on those rows, and all of
+    them take the shuffles of ``seed``.  Problems may share a stack (the same
+    object).
     """
-    betas = np.atleast_2d(beta)
-    margins = y[:, None] * np.matmul(x_aug, np.swapaxes(betas, -1, -2))
-    hinge = np.maximum(0.0, 1.0 - margins)
-    values = 0.5 * np.einsum("...ij,...ij->...i", betas, betas) + c * hinge.sum(axis=-2)
-    return float(values[0]) if np.ndim(beta) == 1 else values
+
+    views: np.ndarray | Iterable[np.ndarray]
+    rows: np.ndarray
+    labels: np.ndarray
+    seed: object = 0
+    class_pair: tuple[int, int] = (0, 1)
+
+
+def _checked_views(views) -> list[np.ndarray]:
+    blocks = [np.asarray(v, dtype=float) for v in views]
+    if not blocks or any(b.ndim != 2 or b.shape != blocks[0].shape for b in blocks):
+        raise ValueError("x must be an (S, n, d) stack: S views of one (n, d) shape")
+    return blocks
+
+
+def _pool(problems: list[SvmProblem]):
+    """Every view of every distinct stack, augmented, one after the other in one
+    array, and for each stack (by ``id``) its first row there, S and N.
+
+    The views themselves are dropped once copied, so a caller that builds them
+    as they are read holds no second copy.
+    """
+    stacks = {}
+    for p in problems:
+        if id(p.views) not in stacks:
+            stacks[id(p.views)] = _checked_views(p.views)
+    widths = {blocks[0].shape[1] for blocks in stacks.values()}
+    if len(widths) != 1:
+        raise ValueError("every problem's views must have the same width")
+    blocks = [b for stack in stacks.values() for b in stack]
+    pool = np.ones((sum(len(b) for b in blocks), widths.pop() + 1))
+    np.concatenate(blocks, out=pool[:, :-1])
+    layout, first = {}, 0
+    for key, stack in stacks.items():
+        layout[key] = (first, len(stack), len(stack[0]))
+        first += len(stack) * len(stack[0])
+    return pool, layout
+
+
+def _checked_problem(problem: SvmProblem, n_rows: int) -> SvmProblem:
+    rows = np.asarray(problem.rows, dtype=np.intp)
+    labels = np.asarray(problem.labels, dtype=float)
+    if rows.ndim != 1 or rows.shape != labels.shape:
+        raise ValueError("need one label per row")
+    if not np.all((labels == 1.0) | (labels == -1.0)):
+        raise ValueError("labels must be exactly +1 or -1")
+    if not (np.any(labels > 0) and np.any(labels < 0)):
+        raise ValueError("training data must contain both classes")
+    if rows.min() < 0 or rows.max() >= n_rows:
+        raise ValueError("rows must index the rows of the views")
+    return problem._replace(rows=rows, labels=labels)
+
+
+def _chunks(widths: np.ndarray, per_row: int, budget: int):
+    """Split slices ``0..len(widths)`` into runs whose ``width * per_row`` blocks,
+    each as wide as its first (widest) slice, hold at most ``budget`` numbers."""
+    lo = 0
+    while lo < len(widths):
+        width = int(widths[lo])
+        hi = min(len(widths), lo + max(1, budget // (width * per_row)))
+        yield lo, hi, width
+        lo = hi
 
 
 def train_svm_stack(
-    x: np.ndarray,
-    y: np.ndarray,
+    problems: list[SvmProblem],
     c: float = 1.0,
     epochs: int = 50,
     batch_size: int = 32,
-    seed=0,
-    class_pair: tuple[int, int] = (0, 1),
-) -> list[LinearSvm]:
-    """Fit one binary SVM per slice of an ``(S, n, d)`` stack on shared +/-1 labels.
+) -> list[list[LinearSvm]]:
+    """Fit every slice of every problem in one lockstep run; one list of fits per problem.
 
-    Mini-batches of a seeded shuffle feed the subgradient steps; every slice
-    sees the same shuffles and batches.  At every epoch end the average of all
-    iterates so far is kept; the objective is recorded at each of these
-    averages, and the last one is the slice's weight vector.
+    A problem's slices take its seeded shuffles and mini-batches.  At every
+    epoch end the average of all iterates so far is kept; the objective is
+    recorded at each of these averages, and the last one is the weight
+    vector.  Every fit comes out bit for bit as its slice fitted alone.
 
-    The steps run on label-signed rows ``y * [x, 1]``: a row's margin is its
+    The steps work on label-signed rows ``y * [x, 1]``: a row's margin is its
     dot product with ``beta`` and a violator's subgradient term is the row
-    itself.  With labels of exactly +/-1 this is the same arithmetic, bit for
-    bit, as multiplying by the label after the product, because negation is
-    exact and round-to-nearest is symmetric.  The rows are held as ``(n, S, d)``,
-    so a batch is one contiguous block summed down its first axis.  Each slice
-    comes out bit for bit as a fit of that slice alone: the margins and squared
-    norms are one ``matmul`` per slice, the violator sum skips the rows that do
-    not violate (starting from 0.0 moves at most the sign of a zero, which
-    never reaches ``beta``), and the projection factor is exactly 1.0 inside
-    the radius.
+    itself (negation is exact and round-to-nearest symmetric, so this is the
+    arithmetic of applying the label after the product).  Problems run
+    largest first, so in every step the slices still stepping are a prefix
+    and their batch sizes fall along it.  A step gathers the active slices'
+    batches, each padded to the widest batch of its chunk with rows of
+    weight zero, computes their margins with one ``matmul`` per chunk, and
+    updates, projects and sums all slices in one elementwise pass with
+    per-slice ``lam``, ``eta``, ``m`` and radius.  Why the bits hold:
+
+    - padding changes how a BLAS kernel blocks the rows and so how it rounds
+      a margin, but any two roundings of a length-d dot product lie within
+      ``d * eps * |row| * |beta|`` of each other; only ``margin < 1`` uses a
+      margin, so one within ``MARGIN_GUARD`` such bounds of 1.0 is recomputed
+      as ``batch @ beta`` of its slice alone;
+    - the violator sum adds the batch rows in order (the rows have at least
+      two columns, the bias among them, so numpy never sums them pairwise), a
+      non-violator or a padding row as zeros, which moves at most the sign of
+      a zero sum and never ``beta`` (no weight is ever -0.0);
+    - the squared norms are a same-shape stacked ``matmul``, one dot product
+      per slice, and the projection factor is exactly 1.0 inside the radius.
+
+    The objective of an epoch's average is summed up as the next epoch's
+    batches pass (each row once); only the last one takes a pass of its own.
+    So no epoch's weights are kept, and the batch buffer holds half as many
+    numbers as the augmented views.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 3 or x.shape[1] != len(y):
-        raise ValueError("x must be an (S, n, d) stack with one label per row")
-    if not np.all((y == 1.0) | (y == -1.0)):
-        raise ValueError("labels must be exactly +1 or -1")
-    if not (np.any(y > 0) and np.any(y < 0)):
-        raise ValueError("training data must contain both classes")
-    n = len(y)
-    x_aug = augment(x)
-    signed = np.ascontiguousarray(x_aug.transpose(1, 0, 2)) * y[:, None, None]  # (n, S, d)
-    lam = 1.0 / (c * n)
+    if not problems:
+        return []
+    pool, layout = _pool(problems)
+    problems = [_checked_problem(p, layout[id(p.views)][2]) for p in problems]
+    d = pool.shape[1]
+    epochs = max(epochs, 0)
+    ordered = sorted(problems, key=lambda p: -len(p.rows))
+    n = np.array([len(p.rows) for p in ordered])
+    k = -(-n // batch_size)  # steps per epoch, falling along the problems
+    gamma = MARGIN_GUARD * d * np.finfo(float).eps * np.sqrt(
+        np.einsum("ij,ij->i", pool, pool).max())
+    # slice s of problem q finds row r of its view at pool row shift[slice] + r
+    owner = np.concatenate([np.full(layout[id(p.views)][1], q) for q, p in enumerate(ordered)])
+    shift = np.concatenate([first + size * np.arange(views)
+                            for first, views, size in (layout[id(p.views)] for p in ordered)])
+    shift = shift[:, None]
+    slices = len(owner)
+    lam = 1.0 / (c * n[owner, None])
     radius = 1.0 / np.sqrt(lam)
-    rng = np.random.default_rng(seed)
-    beta = np.zeros((len(x), x_aug.shape[2]))  # updated in place through both views
-    row, column = beta[:, None, :], beta[:, :, None]
-    running_sum = np.zeros_like(beta)
-    averages = np.empty((len(x), max(epochs, 0), x_aug.shape[2]))
-    steps = 0
-    t = 0  # samples processed; keeps the schedule on the per-sample scale
+    steps_per_epoch = k[owner, None].astype(float)
+    # batch j: each slice's size, the slices still stepping, and their chunks
+    m = np.minimum(batch_size, n[owner, None] - batch_size * np.arange(k[0]))
+    budget = max(pool.size // 2, batch_size * d)
+    plan = []
+    for j in range(k[0]):
+        active = int(np.count_nonzero(m[:, j] > 0))
+        plan.append((active, m[:, j: j + 1].astype(float), list(_chunks(m[:active, j], d, budget))))
+
+    # an epoch's batches: table[q, j * batch_size + b] is row b of problem q's
+    # batch j; padding repeats the problem's first row, with sign 0
+    span = int(k[0]) * batch_size
+    all_rows = np.concatenate([p.rows for p in ordered])
+    all_labels = np.concatenate([p.labels for p in ordered])
+    dest = np.concatenate([q * span + np.arange(size) for q, size in enumerate(n)])
+    row_table = np.repeat([[p.rows[0]] for p in ordered], span, axis=1)
+    sign_table = np.zeros((len(ordered), span))
+    rngs = [np.random.default_rng(p.seed) for p in ordered]
+
+    buffer = np.empty(budget)
+    weights = np.zeros((slices, 2, d))  # each slice's iterate and its latest epoch average
+    beta, average = weights[:, 0], weights[:, 1]
+    norm = np.zeros((slices, 1))
+    violators = np.empty((slices, d))
+    running_sum = np.zeros((slices, d))
+    t = np.zeros((slices, 1))
+    hinge = np.zeros(slices)  # the latest average's hinge loss on the rows seen since
+    objectives = np.empty((slices, epochs))
+
+    def signed_margins(j, lo, hi, width):
+        """Batch j of slices lo..hi (unsigned rows), its signs and its signed margins
+        under the iterates; the averages' hinge loss on it is added to ``hinge``."""
+        cols, own = slice(j * batch_size, j * batch_size + width), owner[lo:hi]
+        batch = buffer[: (hi - lo) * width * d].reshape(hi - lo, width, d)
+        np.take(pool, row_table[own, cols] + shift[lo:hi], axis=0, out=batch, mode="clip")
+        sign = sign_table[own, cols]
+        margins = np.matmul(batch, weights[lo:hi].transpose(0, 2, 1))
+        margins *= sign[:, :, None]
+        hinge[lo:hi] += np.maximum(np.abs(sign) - margins[:, :, 1], 0.0).sum(axis=1)
+        return batch, sign, margins[:, :, 0]
+
     for epoch in range(epochs):
-        shuffled = signed[rng.permutation(n)]
-        for lo in range(0, n, batch_size):
-            batch = shuffled[lo: lo + batch_size]  # (m, S, d)
-            m = len(batch)
-            t += m
-            eta = 1.0 / (lam * t)
-            margins = np.matmul(batch.transpose(1, 0, 2), column)  # (S, m, 1)
-            violators = np.add.reduce(batch, axis=0, where=(margins < 1.0).transpose(1, 0, 2))
-            beta -= eta * (lam * beta - violators / m)
-            row *= radius / np.maximum(np.sqrt(np.matmul(row, column)), radius)
-            running_sum += beta
-            steps += 1
-        np.divide(running_sum, steps, out=averages[:, epoch])
-    objectives = svm_objective(averages, x_aug, y, c)
-    return [
-        LinearSvm(beta=averages[s, -1].copy() if epochs > 0 else np.zeros(x_aug.shape[2]),
-                  c=c, class_pair=class_pair, objective_per_epoch=objectives[s].tolist())
-        for s in range(len(x))
-    ]
+        # shuffling arange(n) in place draws what permutation(n) draws
+        row_table.flat[dest] = np.arange(len(all_rows))
+        for rng, own, size in zip(rngs, row_table, n):
+            rng.shuffle(own[:size])
+        picks = row_table.flat[dest]
+        row_table.flat[dest] = all_rows[picks]
+        sign_table.flat[dest] = all_labels[picks]
+        for j, (active, size, chunks) in enumerate(plan):
+            for lo, hi, width in chunks:
+                # the epoch visits every row once: the last average is scored on the way
+                batch, sign, margin = signed_margins(j, lo, hi, width)
+                near = np.abs(margin - 1.0) <= gamma * norm[lo:hi]
+                for s in np.flatnonzero(near.any(axis=1)) if near.any() else ():
+                    alone = int(size[lo + s, 0])
+                    margin[s, :alone] = (batch[s, :alone] * sign[s, :alone, None]) @ beta[lo + s]
+                batch *= ((margin < 1.0) * sign)[:, :, None]
+                np.add.reduce(batch, axis=1, out=violators[lo:hi])
+            live = beta[:active]
+            t[:active] += size[:active]
+            eta = 1.0 / (lam[:active] * t[:active])
+            live -= eta * (lam[:active] * live - violators[:active] / size[:active])
+            norm[:active] = np.sqrt(np.matmul(live[:, None, :], live[:, :, None])[:, 0])
+            live *= radius[:active] / np.maximum(norm[:active], radius[:active])
+            running_sum[:active] += live
+        if epoch:
+            objectives[:, epoch - 1] = 0.5 * np.einsum("sd,sd->s", average, average) + c * hinge
+        hinge[:] = 0.0
+        np.divide(running_sum, (epoch + 1) * steps_per_epoch, out=average)
+    if epochs:  # one more pass over the last epoch's batches scores the last average
+        for j, (active, size, chunks) in enumerate(plan):
+            for lo, hi, width in chunks:
+                signed_margins(j, lo, hi, width)
+        objectives[:, -1] = 0.5 * np.einsum("sd,sd->s", average, average) + c * hinge
+    fits = [[] for _ in ordered]  # every fit's weights and objectives are rows of two arrays
+    for s, q in enumerate(owner):
+        fits[q].append(LinearSvm(beta=average[s], c=c, class_pair=ordered[q].class_pair,
+                                 objective_per_epoch=objectives[s]))
+    by_problem = {id(p): fit for p, fit in zip(ordered, fits)}
+    return [by_problem[id(p)] for p in problems]
 
 
 def train_svm_binary(
@@ -162,9 +300,12 @@ def train_svm_binary(
     seed=0,
     class_pair: tuple[int, int] = (0, 1),
 ) -> LinearSvm:
-    """Fit one binary SVM on +/-1 labels: ``train_svm_stack`` of a one-slice stack."""
-    return train_svm_stack(np.asarray(x, dtype=float)[None], y, c=c, epochs=epochs,
-                           batch_size=batch_size, seed=seed, class_pair=class_pair)[0]
+    """Fit one binary SVM on +/-1 labels: ``train_svm_stack`` of one one-slice problem."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        raise ValueError("x must be an (n, d) matrix, not a stack")
+    problem = SvmProblem(x[None], np.arange(len(x)), y, seed, class_pair)
+    return train_svm_stack([problem], c=c, epochs=epochs, batch_size=batch_size)[0][0]
 
 
 @dataclass
@@ -199,13 +340,38 @@ class SvmEnsemble:
         return pred[0] if single else pred
 
 
-def _pair_problems(y_idx: np.ndarray, n_classes: int, seed):
-    """Each class pair present in ``y_idx``: the pair, its rows, +/-1 labels and seed."""
+def _pair_problems(views: np.ndarray, y_idx: np.ndarray, n_classes: int, seed):
+    """An ``SvmProblem`` on ``views`` for each class pair present in ``y_idx``."""
     present = set(np.unique(y_idx).tolist())
     pairs = [p for p in combinations(range(n_classes), 2) if p[0] in present and p[1] in present]
     for (a, b), child in zip(pairs, spawn_seeds(seed, len(pairs))):
-        rows = (y_idx == a) | (y_idx == b)
-        yield (a, b), rows, np.where(y_idx[rows] == b, 1.0, -1.0), child
+        rows = np.flatnonzero((y_idx == a) | (y_idx == b))
+        yield SvmProblem(views, rows, np.where(y_idx[rows] == b, 1.0, -1.0), child, (a, b))
+
+
+def train_svm_ensembles(
+    stacks: list[tuple[np.ndarray | list[np.ndarray], np.ndarray, object]],
+    classes: tuple[str, ...],
+    c: float = 1.0,
+    epochs: int = 50,
+    batch_size: int = 32,
+) -> list[list[SvmEnsemble]]:
+    """``train_svm_ensemble`` of every view of several stacks of views, bit for bit.
+
+    ``stacks`` holds ``(views, y_idx, seed)`` triples, ``views`` as in
+    ``SvmProblem``; every class pair of every stack is one problem of a single
+    ``train_svm_stack`` run.  One list of S ensembles comes back per stack.
+    """
+    problems = [[*_pair_problems(views, np.asarray(y_idx, dtype=int), len(classes), seed)]
+                for views, y_idx, seed in stacks]
+    fits = iter(train_svm_stack([p for own in problems for p in own], c=c, epochs=epochs,
+                                batch_size=batch_size))
+    ensembles = []
+    for (views, _, _), own in zip(stacks, problems):
+        per_pair = [next(fits) for _ in own]
+        ensembles.append([SvmEnsemble(svms=[fit[s] for fit in per_pair], classes=tuple(classes))
+                          for s in range(len(views))])
+    return ensembles
 
 
 def train_svm_ensemble(
@@ -218,38 +384,9 @@ def train_svm_ensemble(
     seed=0,
 ) -> SvmEnsemble:
     """Train all pairwise SVMs; pairs missing a class in the data are skipped."""
-    x = np.asarray(x, dtype=float)
-    svms = [
-        train_svm_binary(x[rows], labels, c=c, epochs=epochs, batch_size=batch_size,
-                         seed=child, class_pair=pair)
-        for pair, rows, labels, child in _pair_problems(np.asarray(y_idx, dtype=int),
-                                                        len(classes), seed)
-    ]
-    return SvmEnsemble(svms=svms, classes=tuple(classes))
-
-
-def train_svm_ensembles(
-    x: np.ndarray,
-    y_idx: np.ndarray,
-    classes: tuple[str, ...],
-    c: float = 1.0,
-    epochs: int = 50,
-    batch_size: int = 32,
-    seed=0,
-) -> list[SvmEnsemble]:
-    """``train_svm_ensemble`` of every slice of an ``(S, n, d)`` stack, bit for bit.
-
-    Each class pair is one ``train_svm_stack`` run over all slices.
-    """
-    x = np.asarray(x, dtype=float)
-    per_pair = [
-        train_svm_stack(x[:, rows], labels, c=c, epochs=epochs, batch_size=batch_size,
-                        seed=child, class_pair=pair)
-        for pair, rows, labels, child in _pair_problems(np.asarray(y_idx, dtype=int),
-                                                        len(classes), seed)
-    ]
-    return [SvmEnsemble(svms=[fits[s] for fits in per_pair], classes=tuple(classes))
-            for s in range(len(x))]
+    stack = np.asarray(x, dtype=float)[None]
+    return train_svm_ensembles([(stack, y_idx, seed)], classes, c=c, epochs=epochs,
+                               batch_size=batch_size)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from rftraffic.evaluate import (
     write_results_csv,
     write_summary_csv,
 )
-from rftraffic.topology import BINARY, SIZE_BASED, STRAIGHT_LINKS, Taxonomy
+from rftraffic.features import fit_scaling
+from rftraffic.topology import BINARY, BODY_STYLE, SIZE_BASED, STRAIGHT_LINKS, Taxonomy
 
 
 @pytest.mark.parametrize("fields", [
@@ -269,3 +270,71 @@ def test_csv_writers(tmp_path):
     lines = confusion.read_text().splitlines()
     assert lines[0] == "class,car-like,truck-like"
     assert lines[1].startswith("car-like,")
+
+
+def _reference_cross_validate_views(x, labels, taxonomy, spec, views, k, seed, fold_plan=None):
+    """The per-fold loop before the lockstep run, the oracle for
+    ``_cross_validate_views``: each fold is scaled, then one model per view is
+    trained on its own and scored before the next fold."""
+    x = np.asarray(x, dtype=float)
+    y_idx = taxonomy.encode(labels)
+    if fold_plan is None:
+        fold_plan = build_fold_plan(y_idx, k, seed)
+    model_seeds = np.random.SeedSequence([int(seed), 0x5EED]).spawn(fold_plan.k)
+    n_classes = len(taxonomy.classes)
+    counts = np.zeros((len(views), n_classes, n_classes))
+    fold_acc = np.empty((len(views), fold_plan.k))
+    for fold in range(fold_plan.k):
+        train, test = fold_plan.train_rows(fold), fold_plan.test_rows(fold)
+        scaling = fit_scaling(x[train])
+        for i, (columns, zero_globals) in enumerate(views):
+            x_train = scaling.apply(x[train])[:, columns]
+            x_test = scaling.apply(x[test])[:, columns]
+            if zero_globals:
+                x_train[:, 0:2] = 0.0
+                x_test[:, 0:2] = 0.0
+            model = ev.train_model(x_train, y_idx[train], taxonomy.classes, spec, model_seeds[fold])
+            pred = np.atleast_1d(model.predict(x_test))
+            fold_acc[i, fold] = float((pred == y_idx[test]).mean()) if len(test) else 1.0
+            np.add.at(counts[i], (y_idx[test], pred), 1)
+    sums = counts.sum(axis=2, keepdims=True)
+    return fold_acc, np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
+
+
+def _assert_reports_match_reference(reports, reference):
+    fold_acc, confusion = reference
+    assert len(reports) == len(fold_acc)
+    for report, acc, matrix in zip(reports, fold_acc, confusion):
+        assert report.fold_accuracies.tobytes() == acc.tobytes()
+        assert report.confusion.tobytes() == matrix.tobytes()
+        assert (report.acc_mean, report.acc_std) == fold_summary(acc)
+
+
+@pytest.mark.parametrize("spec", [ModelSpec(kind="svm", c=10.0, epochs=5),
+                                  ModelSpec(kind="rf", n_trees=3, max_depth=4)])
+def test_cross_validation_equals_the_per_fold_loop(body_small, spec):
+    x, labels = body_small
+    every_column = np.ones(x.shape[1], dtype=bool)
+    report = cross_validate(x, labels, BODY_STYLE, spec, k=4, seed=31)
+    reference = _reference_cross_validate_views(x, labels, BODY_STYLE, spec,
+                                                [(every_column, False)], 4, 31)
+    _assert_reports_match_reference([report], reference)
+
+
+def test_subset_study_equals_the_per_fold_loop(body_small):
+    """Singleton width groups (A, E, H) and stacked ones (B C D, M N), and a
+    fold whose training split lacks a class, so that it has fewer pairs."""
+    x, labels = body_small
+    y_idx = BODY_STYLE.encode(labels)
+    rare = int(np.argmin(np.bincount(y_idx)))
+    assignments = build_fold_plan(y_idx, 3, seed=12).assignments.copy()
+    assignments[y_idx == rare] = 0  # fold 0 tests every row of the rare class
+    plan = FoldPlan(k=3, assignments=assignments)
+    assert rare not in y_idx[plan.train_rows(0)] and rare in y_idx[plan.train_rows(1)]
+    spec = ModelSpec(kind="svm", c=10.0, epochs=4)
+    chosen = [subset_by_id(i) for i in ("B", "M", "A", "C", "E", "N", "H", "D")]
+    pairs = subset_evaluation(x, labels, BODY_STYLE, spec, chosen, seed=12, fold_plan=plan)
+    assert [subset for subset, _ in pairs] == chosen
+    reference = _reference_cross_validate_views(
+        x, labels, BODY_STYLE, spec, [subset_columns(s) for s in chosen], 3, 12, plan)
+    _assert_reports_match_reference([report for _, report in pairs], reference)

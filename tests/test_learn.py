@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rftraffic import learn
 from rftraffic.features import ScalingTransform, fit_scaling, link_block_slice
 from rftraffic.learn import (
     _best_split,
@@ -15,10 +16,10 @@ from rftraffic.learn import (
     ModelBundle,
     RandomForest,
     SvmEnsemble,
+    SvmProblem,
     augment,
     load_model,
     save_model,
-    svm_objective,
     train_random_forest,
     train_svm_binary,
     train_svm_ensemble,
@@ -102,6 +103,15 @@ def test_labels_other_than_plus_minus_one_rejected():
     for labels in ([-1.0, 2.0, 2.0], [-1.0, 1.0, 0.5], [-1.0, 1.0, np.nan]):
         with pytest.raises(ValueError, match="labels"):
             train_svm_binary(x, np.array(labels))
+
+
+def svm_objective(beta, x_aug, y, c):
+    """Regularized hinge objective on the full data set: a float for one weight
+    vector, one value per row for an ``(E, d)`` stack of them."""
+    betas = np.atleast_2d(beta)
+    hinge = np.maximum(0.0, 1.0 - y[:, None] * (x_aug @ betas.T))
+    values = 0.5 * np.einsum("ij,ij->i", betas, betas) + c * hinge.sum(axis=0)
+    return float(values[0]) if np.ndim(beta) == 1 else values
 
 
 def _reference_train_svm_binary(x, y, c=1.0, epochs=50, batch_size=32, seed=0):
@@ -240,14 +250,23 @@ def svm_stacks(draw):
     )
 
 
-def _assert_slices_match_single_fits(x, y, **kwargs):
-    fits = train_svm_stack(x, y, class_pair=(2, 5), **kwargs)
-    assert len(fits) == len(x)
-    for xs, fit in zip(x, fits):
-        beta, objectives = _single_fit_train_svm_binary(xs, y, **kwargs)
-        assert fit.beta.tobytes() == beta.tobytes()
-        assert fit.objective_per_epoch == pytest.approx(objectives, rel=1e-12)
-        assert fit.class_pair == (2, 5)
+def _assert_fits_match_single_fits(problems, **kwargs):
+    """Every slice of every problem equals ``_single_fit_train_svm_binary`` of it alone."""
+    fits = train_svm_stack(problems, **kwargs)
+    assert len(fits) == len(problems)
+    for problem, slices in zip(problems, fits):
+        assert len(slices) == len(problem.views)
+        for views, fit in zip(problem.views, slices):
+            beta, objectives = _single_fit_train_svm_binary(
+                views[problem.rows], problem.labels, seed=problem.seed, **kwargs)
+            assert fit.beta.tobytes() == beta.tobytes()
+            assert fit.objective_per_epoch == pytest.approx(objectives, rel=1e-12)
+            assert fit.class_pair == problem.class_pair
+
+
+def _assert_slices_match_single_fits(x, y, seed, **kwargs):
+    problem = SvmProblem(x, np.arange(len(y)), y, seed, (2, 5))
+    _assert_fits_match_single_fits([problem], **kwargs)
 
 
 @settings(max_examples=120, deadline=None)
@@ -270,11 +289,80 @@ def test_stack_slices_at_the_corner_shapes(shape, batch_size):
     _assert_slices_match_single_fits(x, y, c=1.0, epochs=15, batch_size=batch_size, seed=7)
 
 
+@st.composite
+def ragged_problems(draw):
+    """1-12 problems of one width, each with its own rows, labels, seed and
+    slice count; some share a view stack, as the class pairs of a fold do."""
+    d = draw(st.integers(1, 30))
+    problems = []
+    for q in range(draw(st.integers(1, 12))):
+        if problems and draw(st.booleans()):  # another row subset of an earlier stack
+            views = problems[-1].views
+        else:
+            views, _ = _fold_like_stack(
+                s=draw(st.integers(1, 9)), n=draw(st.integers(2, 80)), d=d,
+                exact_fraction=draw(st.sampled_from([0.0, 0.2, 0.6])),
+                zero_columns=draw(st.lists(st.integers(0, d - 1), max_size=3)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+        big = views.shape[1]
+        n = draw(st.integers(2, big))
+        rows = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                       .choice(big, size=n, replace=False))
+        labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        labels[:2] = (1.0, -1.0)
+        problems.append(SvmProblem(views, rows, labels, draw(st.integers(0, 2**32 - 1)),
+                                   (q % 3, q % 3 + 1)))
+    return problems
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    problems=ragged_problems(),
+    batch_size=st.sampled_from([1, 7, 32]),
+    epochs=st.integers(1, 12),
+    c=st.sampled_from([0.01, 1.0, 10.0]),
+)
+def test_every_problem_of_a_ragged_run_equals_its_single_fits(problems, batch_size, epochs, c):
+    _assert_fits_match_single_fits(problems, c=c, epochs=epochs, batch_size=batch_size)
+
+
+def test_forced_exact_margins_give_the_same_bits(monkeypatch):
+    """With the rounding guard wide open, every margin is recomputed alone."""
+    problems = []
+    for q, (s, n) in enumerate([(3, 80), (1, 5), (2, 33), (3, 31)]):
+        views, labels = _fold_like_stack(s, n, 13, exact_fraction=0.3, zero_columns=(0,),
+                                         seed=40 + q)
+        problems.append(SvmProblem(views, np.arange(n), labels, q, (0, 1)))
+    normal = train_svm_stack(problems, c=10.0, epochs=6, batch_size=32)
+    monkeypatch.setattr(learn, "MARGIN_GUARD", np.inf)
+    forced = train_svm_stack(problems, c=10.0, epochs=6, batch_size=32)
+    for got, want in zip(forced, normal):
+        assert [f.beta.tobytes() for f in got] == [f.beta.tobytes() for f in want]
+        assert ([f.objective_per_epoch.tobytes() for f in got]
+                == [f.objective_per_epoch.tobytes() for f in want])
+    _assert_fits_match_single_fits(problems, c=10.0, epochs=6, batch_size=32)
+
+
+def test_zero_epochs_give_zero_weights_and_no_objectives():
+    views, labels = _fold_like_stack(2, 9, 4, exact_fraction=0.0, zero_columns=(), seed=3)
+    fits = train_svm_stack([SvmProblem(views, np.arange(9), labels, 1, (0, 1))], epochs=0)
+    for fit in fits[0]:
+        assert fit.beta.tobytes() == np.zeros(5).tobytes()
+        assert len(fit.objective_per_epoch) == 0
+    alone = train_svm_binary(views[0], labels, epochs=0)
+    assert alone.beta.tobytes() == np.zeros(5).tobytes()
+    assert len(alone.objective_per_epoch) == 0
+
+
 def test_stack_rejects_non_stacks():
+    labels = np.array([1.0, -1.0, 1.0, -1.0])
     with pytest.raises(ValueError, match="stack"):
-        train_svm_stack(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
+        train_svm_stack([SvmProblem(np.zeros((4, 2)), np.arange(4), labels)])
     with pytest.raises(ValueError, match="stack"):
-        train_svm_binary(np.zeros((1, 4, 2)), np.array([1.0, -1.0, 1.0, -1.0]))
+        train_svm_binary(np.zeros((1, 4, 2)), labels)
+    with pytest.raises(ValueError, match="width"):
+        train_svm_stack([SvmProblem(np.zeros((1, 4, 2)), np.arange(4), labels),
+                         SvmProblem(np.zeros((1, 4, 3)), np.arange(4), labels)])
 
 
 def test_stacked_ensembles_equal_one_ensemble_per_slice(body_small):
@@ -282,12 +370,19 @@ def test_stacked_ensembles_equal_one_ensemble_per_slice(body_small):
     y = BODY_STYLE.encode(labels)
     scaled = fit_scaling(x).apply(x)
     views = np.stack([scaled[:, link_block_slice(link)] for link in (1, 5, 9)])
-    stacked = train_svm_ensembles(views, y, BODY_STYLE.classes, epochs=4, seed=17)
-    for view, ensemble in zip(views, stacked):
-        alone = train_svm_ensemble(view, y, BODY_STYLE.classes, epochs=4, seed=17)
-        assert [s.class_pair for s in ensemble.svms] == [s.class_pair for s in alone.svms]
-        for got, want in zip(ensemble.svms, alone.svms):
-            assert got.beta.tobytes() == want.beta.tobytes()
+    half = np.flatnonzero(y != 3)[::2]  # a second stack that lacks class 3
+    stacked = train_svm_ensembles([(views, y, 17), (views[:2, half], y[half], 18)],
+                                  BODY_STYLE.classes, epochs=4)
+    assert [len(ensembles) for ensembles in stacked] == [3, 2]
+    for ensembles, (stack, y_idx, seed) in zip(stacked, [(views, y, 17),
+                                                        (views[:2, half], y[half], 18)]):
+        for view, ensemble in zip(stack, ensembles):
+            alone = train_svm_ensemble(view, y_idx, BODY_STYLE.classes, epochs=4, seed=seed)
+            assert [s.class_pair for s in ensemble.svms] == [s.class_pair for s in alone.svms]
+            for got, want in zip(ensemble.svms, alone.svms):
+                assert got.beta.tobytes() == want.beta.tobytes()
+    present = len(np.unique(y[half]))
+    assert len(stacked[1][0].svms) == present * (present - 1) // 2 < 21  # fewer pairs
 
 
 def test_svm_trainer_matches_reference_on_every_corpus_pair(body_small):
@@ -790,3 +885,15 @@ def test_load_model_rejects_mismatched_scaling_and_classes(tmp_path, model_docs,
         load_model(str(path))
     path.write_text(json.dumps(model_docs[kind]))
     assert load_model(str(path)).kind == {"forest": "random_forest", "svm": "svm_ensemble"}[kind]
+
+
+def test_rows_outside_a_problem_never_reach_its_fits():
+    """Padding slots of a short batch must not read a row the problem lacks."""
+    views, labels = _fold_like_stack(1, 200, 6, exact_fraction=0.2, zero_columns=(), seed=8)
+    views[:, 0] = np.inf  # row 0 belongs to no problem
+    labels[1:3] = (1.0, -1.0)
+    labels[50:52] = (1.0, -1.0)
+    # sizes 60, 45, 20 and 12 share chunks, so the shorter batches are padded
+    problems = [SvmProblem(views, np.arange(lo, lo + n), labels[lo: lo + n], seed, (0, 1))
+                for lo, n, seed in ((1, 60, 5), (1, 45, 6), (1, 20, 7), (50, 12, 8))]
+    _assert_fits_match_single_fits(problems, c=1.0, epochs=3, batch_size=32)
