@@ -9,8 +9,8 @@ source, and ``reproduce`` regenerates all desk-scale result tables in one go.
 Every run is fully determined by its flags plus input files.  All randomness
 derives from the single ``--seed`` flag: each stage hashes its name together
 with the master seed (sha256 of ``"<stage>:<seed>"``), so stages are decoupled
-but reproducible.  Exit codes: 0 success, 2 usage, 3 malformed input file,
-4 invalid configuration, 5 no model fits the requested platform.
+but reproducible.  Exit codes: 0 success, 2 usage, 3 unreadable or malformed
+input file, 4 invalid configuration, 5 no model fits the requested platform.
 
 ``reproduce`` runs its thirteen analyses (six cross-validations, three
 full-corpus SVM fits, three subset studies and the forest grid) in a fork pool
@@ -522,10 +522,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except TraceFormatError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (TraceFormatError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NoFitError as exc:

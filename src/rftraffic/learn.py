@@ -2,9 +2,10 @@
 
 The SVM minimizes ``0.5 * ||b||^2 + C * sum(max(0, 1 - y * <b, x>))`` by
 stochastic subgradient descent with the step schedule ``eta_t = 1 / (lambda t)``
-where ``lambda = 1 / (C * |D|)``.  A constant-one feature augments the inputs
-so the bias is regularized like every other weight and the objective keeps its
-plain form over the augmented space.  The trainer works on label-signed rows
+where ``lambda = 1 / (C * |D|)``; the fitted weights are the average of all
+iterates.  A constant-one feature augments the inputs so the bias is
+regularized like every other weight and the objective keeps its plain form
+over the augmented space.  The trainer works on label-signed rows
 ``y * [x, 1]`` and runs a ragged list of problems in lockstep
 (``train_svm_stack``): each problem is some rows of a stack of views with its
 own labels and seed, every fit comes out bit for bit as its view fitted alone,
@@ -64,10 +65,6 @@ class LinearSvm:
     beta: np.ndarray
     c: float
     class_pair: tuple[int, int]  # (class index for sign -1, class index for sign +1)
-    objective_per_epoch: np.ndarray = field(default_factory=lambda: np.empty(0))
-
-    def decision(self, x_aug: np.ndarray) -> np.ndarray:
-        return np.asarray(x_aug, dtype=float) @ self.beta
 
 
 #: a margin within this many rounding bounds ``d * eps * |row| * |beta|`` of 1.0
@@ -156,10 +153,9 @@ def train_svm_stack(
 ) -> list[list[LinearSvm]]:
     """Fit every slice of every problem in one lockstep run; one list of fits per problem.
 
-    A problem's slices take its seeded shuffles and mini-batches.  At every
-    epoch end the average of all iterates so far is kept; the objective is
-    recorded at each of these averages, and the last one is the weight
-    vector.  Every fit comes out bit for bit as its slice fitted alone.
+    A problem's slices take its seeded shuffles and mini-batches, and each
+    fit's weight vector is the average of all its iterates (zero after no
+    epochs).  Every fit comes out bit for bit as its slice fitted alone.
 
     The steps work on label-signed rows ``y * [x, 1]``: a row's margin is its
     dot product with ``beta`` and a violator's subgradient term is the row
@@ -175,40 +171,37 @@ def train_svm_stack(
     - padding changes how a BLAS kernel blocks the rows and so how it rounds
       a margin, but any two roundings of a length-d dot product lie within
       ``d * eps * |row| * |beta|`` of each other; only ``margin < 1`` uses a
-      margin, so one within ``MARGIN_GUARD`` such bounds of 1.0 is recomputed
-      as ``batch @ beta`` of its slice alone;
+      margin, so one within ``MARGIN_GUARD`` such bounds of 1.0 (``|row|``
+      the largest over the rows the problems train on) is recomputed as
+      ``batch @ beta`` of its slice alone;
     - the violator sum adds the batch rows in order (the rows have at least
       two columns, the bias among them, so numpy never sums them pairwise), a
       non-violator or a padding row as zeros, which moves at most the sign of
       a zero sum and never ``beta`` (no weight is ever -0.0);
     - the squared norms are a same-shape stacked ``matmul``, one dot product
       per slice, and the projection factor is exactly 1.0 inside the radius.
-
-    The objective of an epoch's average is summed up as the next epoch's
-    batches pass (each row once); only the last one takes a pass of its own.
-    So no epoch's weights are kept, and the batch buffer holds half as many
-    numbers as the augmented views.
     """
     if not problems:
         return []
     pool, layout = _pool(problems)
     problems = [_checked_problem(p, layout[id(p.views)][2]) for p in problems]
     d = pool.shape[1]
-    epochs = max(epochs, 0)
     ordered = sorted(problems, key=lambda p: -len(p.rows))
     n = np.array([len(p.rows) for p in ordered])
     k = -(-n // batch_size)  # steps per epoch, falling along the problems
-    gamma = MARGIN_GUARD * d * np.finfo(float).eps * np.sqrt(
-        np.einsum("ij,ij->i", pool, pool).max())
     # slice s of problem q finds row r of its view at pool row shift[slice] + r
     owner = np.concatenate([np.full(layout[id(p.views)][1], q) for q, p in enumerate(ordered)])
     shift = np.concatenate([first + size * np.arange(views)
                             for first, views, size in (layout[id(p.views)] for p in ordered)])
     shift = shift[:, None]
+    trained = np.zeros(len(pool), dtype=bool)  # the rows a batch can hold, padding included
+    for q, p in enumerate(ordered):
+        trained[shift[owner == q] + p.rows] = True
+    gamma = MARGIN_GUARD * d * np.finfo(float).eps * np.sqrt(
+        np.einsum("ij,ij->i", pool, pool)[trained].max())
     slices = len(owner)
     lam = 1.0 / (c * n[owner, None])
     radius = 1.0 / np.sqrt(lam)
-    steps_per_epoch = k[owner, None].astype(float)
     # batch j: each slice's size, the slices still stepping, and their chunks
     m = np.minimum(batch_size, n[owner, None] - batch_size * np.arange(k[0]))
     budget = max(pool.size // 2, batch_size * d)
@@ -228,28 +221,12 @@ def train_svm_stack(
     rngs = [np.random.default_rng(p.seed) for p in ordered]
 
     buffer = np.empty(budget)
-    weights = np.zeros((slices, 2, d))  # each slice's iterate and its latest epoch average
-    beta, average = weights[:, 0], weights[:, 1]
+    beta = np.zeros((slices, d))
     norm = np.zeros((slices, 1))
     violators = np.empty((slices, d))
     running_sum = np.zeros((slices, d))
     t = np.zeros((slices, 1))
-    hinge = np.zeros(slices)  # the latest average's hinge loss on the rows seen since
-    objectives = np.empty((slices, epochs))
-
-    def signed_margins(j, lo, hi, width):
-        """Batch j of slices lo..hi (unsigned rows), its signs and its signed margins
-        under the iterates; the averages' hinge loss on it is added to ``hinge``."""
-        cols, own = slice(j * batch_size, j * batch_size + width), owner[lo:hi]
-        batch = buffer[: (hi - lo) * width * d].reshape(hi - lo, width, d)
-        np.take(pool, row_table[own, cols] + shift[lo:hi], axis=0, out=batch, mode="clip")
-        sign = sign_table[own, cols]
-        margins = np.matmul(batch, weights[lo:hi].transpose(0, 2, 1))
-        margins *= sign[:, :, None]
-        hinge[lo:hi] += np.maximum(np.abs(sign) - margins[:, :, 1], 0.0).sum(axis=1)
-        return batch, sign, margins[:, :, 0]
-
-    for epoch in range(epochs):
+    for _ in range(epochs):
         # shuffling arange(n) in place draws what permutation(n) draws
         row_table.flat[dest] = np.arange(len(all_rows))
         for rng, own, size in zip(rngs, row_table, n):
@@ -259,8 +236,12 @@ def train_svm_stack(
         sign_table.flat[dest] = all_labels[picks]
         for j, (active, size, chunks) in enumerate(plan):
             for lo, hi, width in chunks:
-                # the epoch visits every row once: the last average is scored on the way
-                batch, sign, margin = signed_margins(j, lo, hi, width)
+                cols, own = slice(j * batch_size, j * batch_size + width), owner[lo:hi]
+                batch = buffer[: (hi - lo) * width * d].reshape(hi - lo, width, d)
+                np.take(pool, row_table[own, cols] + shift[lo:hi], axis=0, out=batch, mode="clip")
+                sign = sign_table[own, cols]
+                margin = np.matmul(batch, beta[lo:hi, :, None])[:, :, 0]
+                margin *= sign
                 near = np.abs(margin - 1.0) <= gamma * norm[lo:hi]
                 for s in np.flatnonzero(near.any(axis=1)) if near.any() else ():
                     alone = int(size[lo + s, 0])
@@ -274,21 +255,13 @@ def train_svm_stack(
             norm[:active] = np.sqrt(np.matmul(live[:, None, :], live[:, :, None])[:, 0])
             live *= radius[:active] / np.maximum(norm[:active], radius[:active])
             running_sum[:active] += live
-        if epoch:
-            objectives[:, epoch - 1] = 0.5 * np.einsum("sd,sd->s", average, average) + c * hinge
-        hinge[:] = 0.0
-        np.divide(running_sum, (epoch + 1) * steps_per_epoch, out=average)
-    if epochs:  # one more pass over the last epoch's batches scores the last average
-        for j, (active, size, chunks) in enumerate(plan):
-            for lo, hi, width in chunks:
-                signed_margins(j, lo, hi, width)
-        objectives[:, -1] = 0.5 * np.einsum("sd,sd->s", average, average) + c * hinge
-    fits = [[] for _ in ordered]  # every fit's weights and objectives are rows of two arrays
+    if epochs > 0:
+        running_sum /= epochs * k[owner, None].astype(float)
+    fits = {id(p): [] for p in ordered}  # every fit's weights are a row of one array
     for s, q in enumerate(owner):
-        fits[q].append(LinearSvm(beta=average[s], c=c, class_pair=ordered[q].class_pair,
-                                 objective_per_epoch=objectives[s]))
-    by_problem = {id(p): fit for p, fit in zip(ordered, fits)}
-    return [by_problem[id(p)] for p in problems]
+        fits[id(ordered[q])].append(LinearSvm(beta=running_sum[s], c=c,
+                                              class_pair=ordered[q].class_pair))
+    return [fits[id(p)] for p in problems]
 
 
 def train_svm_binary(
@@ -318,11 +291,6 @@ class SvmEnsemble:
     @property
     def n_classes(self) -> int:
         return len(self.classes)
-
-    def gamma(self, k: int, sign: int) -> int:
-        """Class index voted by SVM ``k`` for a decision sign of +/-1."""
-        neg, pos = self.svms[k].class_pair
-        return pos if sign > 0 else neg
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Majority vote over all pairwise decisions; ties break low."""
@@ -767,48 +735,72 @@ def _check_model(model: SvmEnsemble | RandomForest, n_features: int, n_classes: 
             raise ValueError(f"tree {t}: node classes must lie in 0..{n_classes - 1}")
 
 
+def _entry(doc, key: str, kind):
+    """``doc[key]`` of a model file, which must be a ``kind`` (a type or a tuple of them)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file: {key!r} must sit in an object, not a {type(doc).__name__}")
+    value = doc.get(key)
+    if isinstance(value, bool) or not isinstance(value, kind):
+        names = " or ".join(k.__name__ for k in (kind if isinstance(kind, tuple) else (kind,)))
+        raise ValueError(f"model file: {key!r} must be {names}, not {type(value).__name__}")
+    return value
+
+
+def _array(doc, key: str, dtype) -> np.ndarray:
+    try:
+        return np.array(_entry(doc, key, list), dtype=dtype)
+    except (TypeError, OverflowError) as exc:  # a null, an object or a huge integer
+        raise ValueError(f"model file: {key!r}: {exc}") from None
+
+
 def load_model(path: str) -> ModelBundle:
     """Read a model file; one that ``save_model`` could not have written is a ValueError."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported model format version {doc.get('format_version')!r}")
-    taxonomy = Taxonomy(doc["taxonomy"]["name"], tuple(doc["taxonomy"]["classes"]))
-    scaling = ScalingTransform(lo=np.array(doc["scaling"]["lo"], dtype=float),
-                               hi=np.array(doc["scaling"]["hi"], dtype=float))
+    if _entry(doc, "format_version", int) != FORMAT_VERSION:
+        raise ValueError(f"unsupported model format version {doc['format_version']!r}")
+    taxonomy_doc = _entry(doc, "taxonomy", dict)
+    classes = tuple(_entry(taxonomy_doc, "classes", list))
+    if not all(isinstance(name, str) for name in classes):
+        raise ValueError("model file: class names must be strings")
+    taxonomy = Taxonomy(_entry(taxonomy_doc, "name", str), classes)
+    scaling_doc = _entry(doc, "scaling", dict)
+    scaling = ScalingTransform(lo=_array(scaling_doc, "lo", float),
+                               hi=_array(scaling_doc, "hi", float))
     if scaling.lo.ndim != 1 or scaling.lo.shape != scaling.hi.shape:
         raise ValueError("scaling lo and hi must be two lists of one length")
-    spec = doc["model"]
-    if tuple(spec["classes"]) != taxonomy.classes:
+    spec = _entry(doc, "model", dict)
+    if tuple(_entry(spec, "classes", list)) != taxonomy.classes:
         raise ValueError("model classes differ from the taxonomy classes")
-    if doc["model_kind"] == "svm_ensemble":
+    kind = _entry(doc, "model_kind", str)
+    if kind == "svm_ensemble":
         svms = [
             LinearSvm(
-                beta=np.array(p["weights"], dtype=float),
-                c=p["c"],
-                class_pair=(p["neg"], p["pos"]),
+                beta=_array(p, "weights", float),
+                c=_entry(p, "c", (int, float)),
+                class_pair=(p.get("neg"), p.get("pos")),
             )
-            for p in spec["pairs"]
+            for p in _entry(spec, "pairs", list)
         ]
         model: SvmEnsemble | RandomForest = SvmEnsemble(svms=svms, classes=taxonomy.classes)
-    elif doc["model_kind"] == "random_forest":
+    elif kind == "random_forest":
         trees = [
             CartTree(
-                feature=np.array(t["feature"], dtype=int),
-                threshold=np.array(t["threshold"], dtype=float),
-                left=np.array(t["left"], dtype=int),
-                right=np.array(t["right"], dtype=int),
-                klass=np.array(t["class"], dtype=int),
+                feature=_array(t, "feature", int),
+                threshold=_array(t, "threshold", float),
+                left=_array(t, "left", int),
+                right=_array(t, "right", int),
+                klass=_array(t, "class", int),
             )
-            for t in spec["trees"]
+            for t in _entry(spec, "trees", list)
         ]
         model = RandomForest(
             trees=trees,
             classes=taxonomy.classes,
-            max_depth=spec["max_depth"],
-            feature_subset=spec["feature_subset"],
+            max_depth=_entry(spec, "max_depth", int),
+            feature_subset=_entry(spec, "feature_subset", int),
         )
     else:
-        raise ValueError(f"unknown model kind {doc['model_kind']!r}")
+        raise ValueError(f"unknown model kind {kind!r}")
     _check_model(model, len(scaling.lo), len(taxonomy.classes))
     return ModelBundle(taxonomy=taxonomy, scaling=scaling, model=model)

@@ -17,6 +17,7 @@ its field's type (``1_0``, ``1.0`` for an integer) is a malformed row.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 from collections.abc import Iterable, Iterator, Sequence
@@ -26,6 +27,15 @@ import numpy as np
 
 class TraceFormatError(ValueError):
     """Raised when a trace, label or table file violates the expected schema."""
+
+
+@contextlib.contextmanager
+def _utf8(path: str):
+    """Read inside the block; text that is not UTF-8 is a TraceFormatError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _check_header(path: str, first_row, header: Sequence[str]) -> None:
@@ -44,7 +54,7 @@ def write_table(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> N
 def read_table(path: str, header: Sequence[str]) -> Iterator[list[str]]:
     """Yield the data rows of a table after checking its header and row widths."""
     width = len(header)
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with open(path, "r", newline="", encoding="utf-8") as fh, _utf8(path):
         reader = csv.reader(fh)
         _check_header(path, next(reader, None), header)
         for row in reader:
@@ -68,7 +78,7 @@ def write_numeric_table(path: str, header: Sequence[str], row_format: str,
 
 def read_numeric_table(path: str, header: Sequence[str], dtype: np.dtype) -> np.ndarray:
     """The data rows of a table as one structured array with one field per column."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, _utf8(path):
         text = fh.read()
     first, _, body = text.partition("\n")
     _check_header(path, next(csv.reader([first]), None), header)

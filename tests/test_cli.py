@@ -98,6 +98,35 @@ def test_detect_dropped_epoch_exit_code(tmp_path):
     assert rc == EXIT_INPUT
 
 
+@pytest.mark.parametrize("command", ["detect", "export"])
+def test_input_that_is_a_directory_exits_input_in_one_line(tmp_path, capsys, command):
+    flags = {"detect": ["--in", str(tmp_path)],
+             "export": ["--model", str(tmp_path), "--out", str(tmp_path / "infer.c")]}
+    assert main([command, *flags[command]]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["trace", "features"])
+def test_input_that_is_not_utf8_exits_input_in_one_line(tmp_path, capsys, binary_small, kind):
+    path = tmp_path / f"{kind}.csv"
+    if kind == "trace":
+        simulate.write_trace_csv(str(path), simulate.TraceBundle(
+            np.full((9, 30), -60.0), np.full(9, -60.0), 8.0))
+        argv = ["detect", "--in", str(path), "--out-events", str(tmp_path / "e.csv"),
+                "--out-observations", str(tmp_path / "o.csv")]
+    else:
+        x, labels = binary_small
+        write_features_csv(str(path), x[:4], labels[:4])
+        argv = ["train", "--features", str(path), "--out", str(tmp_path / "m.json")]
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] = 0xFF
+    path.write_bytes(bytes(data))
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {path}: not UTF-8") and err.count("\n") == 1
+
+
 def test_train_malformed_feature_cell_exit_code(tmp_path, binary_small):
     x, labels = binary_small
     path = tmp_path / "features.csv"
