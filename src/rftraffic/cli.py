@@ -18,6 +18,11 @@ with one worker per usable CPU, and inline when there is only one.  The bytes
 it writes cannot depend on which: every analysis draws only from its own stage
 seed, the parent collects the results in a fixed order, and every print and
 file write happens in the parent in that order.
+
+``reproduce`` and ``simulate`` hold one trace bundle at a time: they consume
+``simulate.stream_dataset``, featurizing or writing each trace as it is made,
+so their memory does not grow with ``--count`` by the size of the traces, and
+the pool forks holding only the feature matrices.
 """
 
 from __future__ import annotations
@@ -80,19 +85,20 @@ def _run_simulate(args: argparse.Namespace) -> int:
     # a binary corpus splits evenly, the odd trace going to the first template
     shares = None if args.classes == "body_style" else {t.label: 0.5 for t in templates}
     counts = simulate.proportional_counts(args.count, shares)
-    dataset = simulate.generate_dataset(
+    dataset = simulate.stream_dataset(
         templates, counts, derive_seed(args.seed, "simulate"), topology, params
     )
     os.makedirs(args.out, exist_ok=True)
     label_rows = []
-    width = max(4, len(str(len(dataset) - 1)))
+    total = sum(counts.values())
+    width = max(4, len(str(total - 1)))
     for i, (bundle, label) in enumerate(dataset):
         name = f"trace_{i:0{width}d}.csv"
         simulate.write_trace_csv(os.path.join(args.out, name), bundle)
         truth = bundle.truth
         label_rows.append((name, label, truth.speed_mps, truth.length_m, truth.direction))
     simulate.write_labels_csv(os.path.join(args.out, "labels.csv"), label_rows)
-    print(f"wrote {len(dataset)} traces and labels.csv to {args.out}")
+    print(f"wrote {total} traces and labels.csv to {args.out}")
     return EXIT_OK
 
 
@@ -316,11 +322,11 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     taxonomies = [get_taxonomy(name) for name in ("binary", "size_based", "body_style")]
     body = taxonomies[2]
 
-    dataset = simulate.generate_dataset(
-        simulate.BODY_STYLE_TEMPLATES, counts,
-        derive_seed(args.seed, "reproduce-corpus"), topology, params,
+    x, labels = features.dataset_features(
+        simulate.stream_dataset(simulate.BODY_STYLE_TEMPLATES, counts,
+                                derive_seed(args.seed, "reproduce-corpus"), topology, params),
+        topology, params,
     )
-    x, labels = features.dataset_features(dataset, topology, params)
     features.write_features_csv(os.path.join(out, "features.csv"), x, labels)
     scaling = features.fit_scaling(x)
     x_scaled = scaling.apply(x)

@@ -75,16 +75,6 @@ def accuracy(predictions, labels) -> float:
     return hits / len(labels)
 
 
-def confusion_matrix(predictions, labels, taxonomy: Taxonomy) -> np.ndarray:
-    """Row-normalized confusion counts; entry (r, c) = P(predicted c | true r)."""
-    y = len(taxonomy.classes)
-    counts = np.zeros((y, y))
-    for pred, true in zip(predictions, labels):
-        counts[taxonomy.index(true), taxonomy.index(pred)] += 1
-    sums = counts.sum(axis=1, keepdims=True)
-    return np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """Training recipe shared by the harness, the subset study and the CLI."""

@@ -9,6 +9,7 @@ contribute an all-zero block so the dimensionality never varies.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,11 +118,14 @@ def featurize_bundle(
 
 
 def dataset_features(
-    dataset: list[tuple[TraceBundle, str]],
+    dataset: Iterable[tuple[TraceBundle, str]],
     topology: Topology | None = None,
     params: SystemParams | None = None,
 ) -> tuple[np.ndarray, list[str]]:
-    """Feature matrix and labels for a labeled corpus (one vehicle per trace)."""
+    """Feature matrix and labels for a labeled corpus (one vehicle per trace).
+
+    The corpus is read once, in order, so it may be a stream.
+    """
     topology = topology or Topology()
     params = params or SystemParams()
     rows = []

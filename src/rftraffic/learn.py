@@ -657,11 +657,6 @@ class ModelBundle:
     def kind(self) -> str:
         return "svm_ensemble" if isinstance(self.model, SvmEnsemble) else "random_forest"
 
-    def predict_labels(self, x_raw: np.ndarray) -> list[str]:
-        scaled = self.scaling.apply(x_raw)
-        idx = np.atleast_1d(self.model.predict(scaled))
-        return [self.taxonomy.classes[i] for i in idx]
-
 
 def save_model(path: str, bundle: ModelBundle) -> None:
     doc = {
@@ -747,9 +742,15 @@ def _entry(doc, key: str, kind):
 
 
 def _array(doc, key: str, dtype) -> np.ndarray:
+    """``doc[key]`` as an array of JSON integers (``dtype`` int) or numbers (float)."""
+    values = _entry(doc, key, list)
+    # np.array would truncate 22.7 to the index 22 and read true as 1
+    kinds, name = ((int,), "integers") if dtype is int else ((int, float), "numbers")
+    if not all(type(v) in kinds for v in values):
+        raise ValueError(f"model file: {key!r} must hold only {name}")
     try:
-        return np.array(_entry(doc, key, list), dtype=dtype)
-    except (TypeError, OverflowError) as exc:  # a null, an object or a huge integer
+        return np.array(values, dtype=dtype)
+    except OverflowError as exc:  # an integer beyond the dtype's range
         raise ValueError(f"model file: {key!r}: {exc}") from None
 
 

@@ -14,11 +14,18 @@ placement such that the threshold crossings of the filtered noise-free profile
 land exactly on the advertised ground truth.  The solver reimplements the
 filter/threshold arithmetic locally on purpose: the detector module stays an
 independently testable consumer of these traces.
+
+A labeled corpus is a stream (``stream_dataset``): its shuffle is drawn first,
+from a child seed of its own, and each trace is made from its own child seed
+when it is asked for, so a consumer holds one bundle at a time.  The draws
+share no state, so the stream yields exactly the list that making every trace
+first and shuffling after gives; ``generate_dataset`` is that list.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -373,17 +380,21 @@ def generate_trace(
     )
 
 
-def generate_dataset(
+def stream_dataset(
     templates: list[ClassTemplate] | tuple[ClassTemplate, ...],
     counts: dict[str, int] | list[int],
     seed,
     topology: Topology | None = None,
     params: SystemParams | None = None,
-) -> list[tuple[TraceBundle, str]]:
-    """Generate a labeled corpus, deterministic per seed.
+) -> Iterator[tuple[TraceBundle, str]]:
+    """Yield a labeled corpus one trace at a time, deterministic per seed.
 
     ``counts`` maps class label to trace count (or lists counts in template
-    order).  The returned order is a seeded shuffle of the per-class blocks.
+    order).  Trace j of the per-class blocks, laid out in template order, is
+    made by its block's template from child seed ``j + 1`` of ``seed`` when it
+    is asked for; the order is a permutation drawn from child seed 0, which
+    depends only on the total count.  The arguments are checked at the call,
+    before any trace is made.
     """
     if not templates:
         raise ValueError("need at least one class template")
@@ -398,16 +409,26 @@ def generate_dataset(
 
     total = sum(count_list)
     children = np.random.SeedSequence(seed).spawn(total + 1)
-    order_rng = np.random.default_rng(children[0])
-    dataset: list[tuple[TraceBundle, str]] = []
-    i = 1
-    for template, count in zip(templates, count_list):
-        for _ in range(count):
-            bundle = generate_trace(template, topology, params, children[i])
-            dataset.append((bundle, template.label))
-            i += 1
-    perm = order_rng.permutation(total)
-    return [dataset[j] for j in perm]
+    order = np.random.default_rng(children[0]).permutation(total).tolist()
+    blocks = [t for t, count in zip(templates, count_list) for _ in range(count)]
+    return ((generate_trace(blocks[j], topology, params, children[j + 1]), blocks[j].label)
+            for j in order)
+
+
+def generate_dataset(
+    templates: list[ClassTemplate] | tuple[ClassTemplate, ...],
+    counts: dict[str, int] | list[int],
+    seed,
+    topology: Topology | None = None,
+    params: SystemParams | None = None,
+) -> list[tuple[TraceBundle, str]]:
+    """The labeled corpus of ``stream_dataset`` as a list.
+
+    It equals the traces made block by block and then shuffled: the shuffle
+    comes from child seed 0 alone and each trace from its own child seed, so
+    the order in which the traces are made changes none of them.
+    """
+    return list(stream_dataset(templates, counts, seed, topology, params))
 
 
 def proportional_counts(total: int, proportions: dict[str, float] | None = None) -> dict[str, int]:

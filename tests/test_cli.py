@@ -1,4 +1,5 @@
 import filecmp
+import gc
 import hashlib
 import json
 import multiprocessing
@@ -328,6 +329,24 @@ def test_export_rejects_malformed_forest_files(tmp_path, binary_small, node, key
     assert not out.exists()
 
 
+def test_export_rejects_a_fractional_node_feature(tmp_path, capsys, binary_small):
+    """A root split on feature 22.7 must not load as a split on feature 22."""
+    x, labels = binary_small
+    scaling = fit_scaling(x)
+    forest = train_random_forest(scaling.apply(x), BINARY.encode(labels), BINARY.classes,
+                                 n_trees=2, max_depth=4, seed=0)
+    path = tmp_path / "rf.json"
+    save_model(str(path), ModelBundle(BINARY, scaling, forest))
+    doc = json.loads(path.read_text())
+    doc["model"]["trees"][0]["feature"][0] = 22.7
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "infer.c"
+    assert main(["export", "--model", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_custom_params_file(tmp_path):
     cfg = tmp_path / "sys.cfg"
     cfg.write_text("theta_start = 0.90\n")
@@ -449,6 +468,25 @@ def test_reproduce_task_failure_writes_what_the_inline_path_writes(tmp_path, mon
     assert main(["reproduce", "--count", "30", "--k", "40", "--out", str(out)]) == EXIT_CONFIG
     assert sorted(os.listdir(out)) == ["features.csv"]
     assert multiprocessing.active_children() == []
+
+
+class _PoolReached(Exception):
+    pass
+
+
+def test_reproduce_holds_no_trace_bundle_when_its_analyses_start(tmp_path, monkeypatch):
+    """Each trace is featurized as it is made, so the pool forks holding no bundle."""
+    live = []
+
+    def stop_at_the_pool(tasks, first):
+        live.append(sum(isinstance(o, simulate.TraceBundle) for o in gc.get_objects()))
+        raise _PoolReached
+
+    monkeypatch.setattr(cli, "_results_in_order", stop_at_the_pool)
+    before = sum(isinstance(o, simulate.TraceBundle) for o in gc.get_objects())
+    with pytest.raises(_PoolReached):
+        main(["reproduce", "--count", "30", "--seed", "5", "--out", str(tmp_path / "out")])
+    assert live == [before]
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -11,7 +11,6 @@ from rftraffic.evaluate import (
     SubsetSpec,
     accuracy,
     build_fold_plan,
-    confusion_matrix,
     cross_validate,
     fold_summary,
     subset_by_id,
@@ -22,7 +21,7 @@ from rftraffic.evaluate import (
     write_summary_csv,
 )
 from rftraffic.features import fit_scaling
-from rftraffic.topology import BINARY, BODY_STYLE, SIZE_BASED, STRAIGHT_LINKS, Taxonomy
+from rftraffic.topology import BINARY, BODY_STYLE, SIZE_BASED, STRAIGHT_LINKS
 
 
 @pytest.mark.parametrize("fields", [
@@ -109,16 +108,6 @@ def test_fold_plan_k_bounds():
         build_fold_plan(y, 1, 0)
     with pytest.raises(ValueError):
         build_fold_plan(y, 11, 0)
-
-
-def test_confusion_matrix_trivials():
-    tax = Taxonomy("t", ("a", "b", "c"))
-    eye = confusion_matrix(["a", "b", "c"], ["a", "b", "c"], tax)
-    assert np.array_equal(eye, np.eye(3))
-    all_a = confusion_matrix(["a", "a", "a"], ["a", "b", "c"], tax)
-    assert np.array_equal(all_a[:, 0], np.ones(3))
-    rows = confusion_matrix(["a", "b", "a", "c"], ["a", "a", "b", "c"], tax).sum(axis=1)
-    assert np.allclose(rows, 1.0)
 
 
 def test_separable_set_scores_one(binary_small):

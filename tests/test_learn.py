@@ -688,7 +688,9 @@ def test_model_json_roundtrip_svm(tmp_path, binary_small):
     for orig, re in zip(ens.svms, back.model.svms):
         assert np.array_equal(orig.beta, re.beta)  # bit-exact weights
         assert orig.class_pair == re.class_pair
-    assert back.predict_labels(x[:5]) == [BINARY.classes[i] for i in ens.predict(scaling.apply(x[:5]))]
+    rows = x[:5]
+    assert np.array_equal(back.model.predict(back.scaling.apply(rows)),
+                          ens.predict(scaling.apply(rows)))
 
 
 def test_model_json_roundtrip_forest(tmp_path, binary_small):
@@ -736,8 +738,9 @@ def test_reloaded_models_predict_identically(saved_and_loaded, picks, noise, far
     rows = x[[p % len(x) for p in picks]] + noise * (10.0 if far else 0.01)
     for bundle, back in pairs:
         assert back.kind == bundle.kind
-        assert back.predict_labels(rows) == bundle.predict_labels(rows)
-        assert back.predict_labels(rows[0]) == bundle.predict_labels(rows[0])
+        for batch in (rows, rows[0]):
+            assert np.array_equal(back.model.predict(back.scaling.apply(batch)),
+                                  bundle.model.predict(bundle.scaling.apply(batch)))
 
 
 def test_model_json_refuses_non_finite_values(tmp_path):
@@ -901,6 +904,38 @@ def test_load_model_rejects_wrong_types(tmp_path, model_docs, kind, corrupt):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(corrupt(json.loads(json.dumps(model_docs[kind])))))
     with pytest.raises(ValueError, match="model file"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("key", ["feature", "left", "right", "class"])
+@pytest.mark.parametrize("retype", [lambda v: v + 0.7, float, lambda v: True, lambda v: False],
+                         ids=["fraction", "integral_float", "true", "false"])
+def test_load_model_takes_only_integers_in_node_arrays(tmp_path, model_docs, key, retype):
+    doc = json.loads(json.dumps(model_docs["forest"]))
+    nodes = doc["model"]["trees"][0][key]
+    nodes[0] = retype(nodes[0])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"'{key}' must hold only integers"):
+        load_model(str(path))
+
+
+@pytest.mark.parametrize("kind,where,key", [
+    ("forest", ("model", "trees", 0), "threshold"),
+    ("svm", ("model", "pairs", 0), "weights"),
+    ("svm", ("scaling",), "lo"),
+])
+@pytest.mark.parametrize("value", [True, None, "0.5", [0.5]])
+def test_load_model_takes_only_numbers_in_float_arrays(tmp_path, model_docs, kind, where, key,
+                                                       value):
+    doc = json.loads(json.dumps(model_docs[kind]))
+    node = doc
+    for step in where:
+        node = node[step]
+    node[key][0] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"'{key}' must hold only numbers"):
         load_model(str(path))
 
 

@@ -11,6 +11,7 @@ from rftraffic import simulate
 from rftraffic.detect import process_bundle
 from rftraffic.simulate import (
     BINARY_TEMPLATES,
+    BODY_STYLE_TEMPLATES,
     CAR_LIKE,
     TRUCK_LIKE,
     ClassTemplate,
@@ -23,11 +24,12 @@ from rftraffic.simulate import (
     proportional_counts,
     read_labels_csv,
     read_trace_csv,
+    stream_dataset,
     write_labels_csv,
     write_trace_csv,
 )
 from rftraffic.tables import read_table
-from rftraffic.topology import LINK_IDS, SystemParams
+from rftraffic.topology import LINK_IDS, SystemParams, Topology
 
 
 def noise_free(label="t", v_kmh=36.0, l_m=5.0, n_lobes=1):
@@ -114,6 +116,61 @@ def test_dataset_rejects_bad_input():
         generate_dataset([], [1], seed=1)
     with pytest.raises(ValueError):
         generate_dataset(BINARY_TEMPLATES, [0, 5], seed=1)
+
+
+def _made_first_then_shuffled(templates, counts, seed):
+    """The corpus made block by block, then shuffled: the stream's oracle."""
+    topology, params = Topology(), SystemParams()
+    children = np.random.SeedSequence(seed).spawn(sum(counts) + 1)
+    made = []
+    for template, count in zip(templates, counts):
+        for _ in range(count):
+            made.append((generate_trace(template, topology, params, children[len(made) + 1]),
+                         template.label))
+    perm = np.random.default_rng(children[0]).permutation(len(made))
+    return [made[j] for j in perm]
+
+
+def _corpus_bytes(corpus):
+    return [(label, bundle.truth, bundle.rssi_dbm.tobytes(), bundle.idle_level_dbm.tobytes())
+            for bundle, label in corpus]
+
+
+@pytest.mark.parametrize("templates,counts", [
+    (BINARY_TEMPLATES, [1, 4]),
+    (BINARY_TEMPLATES, [3, 1]),
+    (BODY_STYLE_TEMPLATES, [2, 1, 1, 1, 1, 1, 1]),
+    (BODY_STYLE_TEMPLATES, [1, 1, 3, 1, 2, 1, 1]),
+], ids=["binary-1-4", "binary-3-1", "body-2-1", "body-mixed"])
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+def test_stream_yields_the_shuffled_corpus_bit_for_bit(templates, counts, seed):
+    expected = _corpus_bytes(_made_first_then_shuffled(templates, counts, seed))
+    assert _corpus_bytes(stream_dataset(templates, counts, seed)) == expected
+    assert _corpus_bytes(generate_dataset(templates, counts, seed)) == expected
+
+
+def test_stream_makes_each_trace_when_it_is_asked_for(monkeypatch):
+    made = []
+    real = simulate.generate_trace
+    monkeypatch.setattr(simulate, "generate_trace", lambda *a: made.append(a) or real(*a))
+    stream = stream_dataset(BINARY_TEMPLATES, {"car-like": 2, "truck-like": 3}, seed=5)
+    assert made == []
+    next(stream)
+    assert len(made) == 1
+    assert sum(1 for _ in stream) == 4 and len(made) == 5
+
+
+@pytest.mark.parametrize("templates,counts,error", [
+    ([], [1], ValueError),
+    (BINARY_TEMPLATES, [0, 5], ValueError),
+    (BINARY_TEMPLATES, [2, -1], ValueError),
+    (BINARY_TEMPLATES, [3], ValueError),
+    (BINARY_TEMPLATES, [1, 2, 3], ValueError),
+    (BINARY_TEMPLATES, {"car-like": 2}, KeyError),
+])
+def test_stream_rejects_bad_arguments_at_the_call(templates, counts, error):
+    with pytest.raises(error):
+        stream_dataset(templates, counts, seed=1)
 
 
 def test_proportional_counts_totals_and_bus_rarity():
