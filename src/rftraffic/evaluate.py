@@ -82,17 +82,15 @@ class ModelSpec:
     kind: str  # "svm" | "rf"
     c: float = 1.0
     epochs: int = 50
-    batch_size: int = 32
     n_trees: int = 100
     max_depth: int = 10
-    feature_subset: int | None = None
 
     def __post_init__(self):
         if self.kind not in ("svm", "rf"):
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"C must be finite and positive, got {self.c}")
-        for name in ("epochs", "batch_size", "n_trees"):
+        for name in ("epochs", "n_trees"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.max_depth < 0:
@@ -110,12 +108,11 @@ def train_model(x_scaled: np.ndarray, y_idx: np.ndarray, classes: tuple[str, ...
     if spec.kind == "svm":
         return train_svm_ensemble(
             x_scaled, y_idx, classes,
-            c=spec.c, epochs=spec.epochs, batch_size=spec.batch_size, seed=seed,
+            c=spec.c, epochs=spec.epochs, seed=seed,
         )
     return train_random_forest(
         x_scaled, y_idx, classes,
-        n_trees=spec.n_trees, max_depth=spec.max_depth,
-        feature_subset=spec.feature_subset, seed=seed,
+        n_trees=spec.n_trees, max_depth=spec.max_depth, seed=seed,
     )
 
 
@@ -232,8 +229,7 @@ def _fold_models(folds: list[ScaledFold], views, members: list[int], classes: tu
     if spec.kind == "svm":
         stacks = [(_ColumnViews(fold, [views[i] for i in members]), fold.y_train,
                    fold.model_seed) for fold in folds]
-        return train_svm_ensembles(stacks, classes, c=spec.c, epochs=spec.epochs,
-                                   batch_size=spec.batch_size)
+        return train_svm_ensembles(stacks, classes, c=spec.c, epochs=spec.epochs)
     return ([train_model(_column_view(fold.x_train, *views[i]), fold.y_train, classes, spec,
                          fold.model_seed) for i in members] for fold in folds)
 

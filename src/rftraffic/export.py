@@ -6,11 +6,12 @@ string constant.  Model parameters are unrolled into static const tables; no
 includes, no allocation, no library calls, so the unit compiles for bare-metal
 targets.
 
-Program-memory footprints are estimated with a declared cost model (bytes per
-serialized weight, bytes per tree node, fixed overhead) and checked against
-the built-in microcontroller profiles.  The sweet-spot search scores a forest
-parameter grid once (``grid_search``) and picks, per profile, the most accurate
-configuration whose estimate fits it (``best_fitting``).
+Program-memory footprints are estimated with one declared cost model, the
+module constants ``BYTES_PER_WEIGHT``, ``BYTES_PER_NODE`` and
+``OVERHEAD_BYTES``, and checked against the built-in microcontroller profiles.
+The sweet-spot search scores a forest parameter grid once (``grid_search``)
+and picks, per profile, the most accurate configuration whose estimate fits
+it (``best_fitting``).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import __version__
 from .evaluate import FoldPlan, build_fold_plan, fold_accuracy, fold_summary, scaled_folds
-from .features import fit_scaling
+from .features import N_FEATURES, fit_scaling
 from .learn import RandomForest, SvmEnsemble, train_random_forest, vote_counts
 from .topology import Taxonomy
 
@@ -48,43 +49,27 @@ def platform_by_name(name: str) -> PlatformProfile:
     raise KeyError(f"unknown platform {name!r} (expected msp, atmega or esp)")
 
 
-@dataclass(frozen=True)
-class CostModel:
-    """Declared byte costs of the emitted tables; configurable, documented."""
-
-    bytes_per_weight: int = 4
-    bytes_per_node: int = 8
-    overhead_bytes: int = 512
+#: declared byte costs of the emitted tables
+BYTES_PER_WEIGHT = 4
+BYTES_PER_NODE = 8
+OVERHEAD_BYTES = 512
 
 
 @dataclass(frozen=True)
 class MemoryEstimate:
     code_bytes: int
     fits: dict[str, bool]
-    n_weights: int
-    n_nodes: int
 
 
-def _model_counts(model: SvmEnsemble | RandomForest) -> tuple[int, int]:
-    if isinstance(model, SvmEnsemble):
-        return sum(len(svm.beta) for svm in model.svms), 0
-    return 0, model.n_nodes
-
-
-def estimate_memory(
-    model: SvmEnsemble | RandomForest,
-    platforms: tuple[PlatformProfile, ...] = PLATFORMS,
-    cost: CostModel = CostModel(),
-) -> MemoryEstimate:
+def estimate_memory(model: SvmEnsemble | RandomForest) -> MemoryEstimate:
     """Deterministic cost-model estimate plus a fit verdict per platform."""
-    n_weights, n_nodes = _model_counts(model)
-    code_bytes = (
-        cost.overhead_bytes
-        + cost.bytes_per_weight * n_weights
-        + cost.bytes_per_node * n_nodes
-    )
-    fits = {p.name: code_bytes <= p.program_memory_bytes for p in platforms}
-    return MemoryEstimate(code_bytes=code_bytes, fits=fits, n_weights=n_weights, n_nodes=n_nodes)
+    if isinstance(model, SvmEnsemble):
+        tables = BYTES_PER_WEIGHT * sum(len(svm.beta) for svm in model.svms)
+    else:
+        tables = BYTES_PER_NODE * model.n_nodes
+    code_bytes = OVERHEAD_BYTES + tables
+    fits = {p.name: code_bytes <= p.program_memory_bytes for p in PLATFORMS}
+    return MemoryEstimate(code_bytes=code_bytes, fits=fits)
 
 
 def count_operations(model: SvmEnsemble | RandomForest) -> int:
@@ -182,7 +167,7 @@ def _emit_svm(model: SvmEnsemble) -> str:
     return "\n".join(lines)
 
 
-def _emit_forest(model: RandomForest, dim: int) -> str:
+def _emit_forest(model: RandomForest) -> str:
     y = model.n_classes
     packed = model.packed
     lines = _emit_header("random_forest")
@@ -195,7 +180,7 @@ def _emit_forest(model: RandomForest, dim: int) -> str:
     lines.extend(
         [
             "",
-            f"int predict(const double features[{dim}])",
+            f"int predict(const double features[{N_FEATURES}])",
             "{",
             f"    int votes[{y}];",
             "    int t;",
@@ -222,7 +207,7 @@ def _emit_forest(model: RandomForest, dim: int) -> str:
     return "\n".join(lines)
 
 
-def emit_inference_source(model: SvmEnsemble | RandomForest, n_features: int = 92) -> str:
+def emit_inference_source(model: SvmEnsemble | RandomForest) -> str:
     """One self-contained C89 source file mapping a feature array to a class index."""
     if isinstance(model, SvmEnsemble):
         if not model.svms:
@@ -230,7 +215,7 @@ def emit_inference_source(model: SvmEnsemble | RandomForest, n_features: int = 9
         return _emit_svm(model)
     if not model.trees:
         raise ValueError("cannot emit source for an empty forest")
-    return _emit_forest(model, n_features)
+    return _emit_forest(model)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +249,6 @@ def grid_search(
     depths: tuple[int, ...],
     k: int = 10,
     seed: int = 0,
-    cost: CostModel = CostModel(),
 ) -> list[dict]:
     """Evaluate every forest parameterization once, platform-independently.
 
@@ -315,7 +299,7 @@ def grid_search(
                     "max_depth": depth,
                     "acc_mean": acc_mean,
                     "acc_std": acc_std,
-                    "code_bytes": estimate_memory(deployed, cost=cost).code_bytes,
+                    "code_bytes": estimate_memory(deployed).code_bytes,
                     "op_count": count_operations(deployed),
                 }
             )

@@ -22,9 +22,9 @@ from .topology import LINK_IDS, SystemParams, Topology
 N_FEATURES = 92
 GLOBAL_GROUP = "G"
 
-#: fixed histogram support in normalized level units; six equal-width bins
-HIST_EDGES = np.linspace(0.5, 1.1, 7)
+#: fixed histogram support in normalized level units, in equal-width bins
 N_HIST_BINS = 6
+HIST_EDGES = np.linspace(0.5, 1.1, N_HIST_BINS + 1)
 
 _BLOCK_FIELDS = ("tau", "min", "mean", "std", "hist1", "hist2", "hist3", "hist4", "hist5", "hist6")
 

@@ -322,7 +322,6 @@ def train_svm_ensembles(
     classes: tuple[str, ...],
     c: float = 1.0,
     epochs: int = 50,
-    batch_size: int = 32,
 ) -> list[list[SvmEnsemble]]:
     """``train_svm_ensemble`` of every view of several stacks of views, bit for bit.
 
@@ -332,8 +331,7 @@ def train_svm_ensembles(
     """
     problems = [[*_pair_problems(views, np.asarray(y_idx, dtype=int), len(classes), seed)]
                 for views, y_idx, seed in stacks]
-    fits = iter(train_svm_stack([p for own in problems for p in own], c=c, epochs=epochs,
-                                batch_size=batch_size))
+    fits = iter(train_svm_stack([p for own in problems for p in own], c=c, epochs=epochs))
     ensembles = []
     for (views, _, _), own in zip(stacks, problems):
         per_pair = [next(fits) for _ in own]
@@ -348,13 +346,11 @@ def train_svm_ensemble(
     classes: tuple[str, ...],
     c: float = 1.0,
     epochs: int = 50,
-    batch_size: int = 32,
     seed=0,
 ) -> SvmEnsemble:
     """Train all pairwise SVMs; pairs missing a class in the data are skipped."""
     stack = np.asarray(x, dtype=float)[None]
-    return train_svm_ensembles([(stack, y_idx, seed)], classes, c=c, epochs=epochs,
-                               batch_size=batch_size)[0][0]
+    return train_svm_ensembles([(stack, y_idx, seed)], classes, c=c, epochs=epochs)[0][0]
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +702,8 @@ def _check_model(model: SvmEnsemble | RandomForest, n_features: int, n_classes: 
             if svm.beta.shape != (n_features + 1,) or not np.isfinite(svm.beta).all():
                 raise ValueError(f"svm pair {k}: need {n_features + 1} finite weights "
                                  f"({n_features} features and the bias)")
-            if not (all(isinstance(i, int) and 0 <= i < n_classes for i in svm.class_pair)
+            # an exact type test: JSON true and false are ints to isinstance
+            if not (all(type(i) is int and 0 <= i < n_classes for i in svm.class_pair)
                     and svm.class_pair[0] != svm.class_pair[1]):
                 raise ValueError(f"svm pair {k}: class pair {svm.class_pair} is not two "
                                  f"of the {n_classes} classes")
@@ -770,6 +767,9 @@ def load_model(path: str) -> ModelBundle:
                                hi=_array(scaling_doc, "hi", float))
     if scaling.lo.ndim != 1 or scaling.lo.shape != scaling.hi.shape:
         raise ValueError("scaling lo and hi must be two lists of one length")
+    if not (np.isfinite(scaling.lo).all() and np.isfinite(scaling.hi).all()
+            and np.all(scaling.lo <= scaling.hi)):
+        raise ValueError("scaling lo and hi must be finite, with lo <= hi in every column")
     spec = _entry(doc, "model", dict)
     if tuple(_entry(spec, "classes", list)) != taxonomy.classes:
         raise ValueError("model classes differ from the taxonomy classes")

@@ -47,6 +47,7 @@ LINK_REVERSAL = {1: 9, 2: 8, 3: 7, 4: 6, 5: 5, 6: 4, 7: 3, 8: 2, 9: 1}
 DEFAULT_IDLE_DBM = -60.0
 IDLE_NOISE_DB = 0.5
 GAP_RECOVERY_LEVEL = 0.96
+#: depth of a diagonal link's dip as a fraction of a straight link's
 DIAGONAL_DEPTH_SCALE = 0.8
 
 #: shortest vehicle the length draw may produce; anything at least this long
@@ -99,7 +100,11 @@ class TraceBundle:
 
 @dataclass(frozen=True)
 class ClassTemplate:
-    """Statistical recipe for one vehicle class."""
+    """Statistical recipe for one vehicle class.
+
+    The per-link shape is not part of the recipe: every diagonal link dips
+    ``DIAGONAL_DEPTH_SCALE`` as deep as the straight ones, for every class.
+    """
 
     label: str
     speed_kmh_mean: float
@@ -111,7 +116,6 @@ class ClassTemplate:
     mean_level_mean: float
     mean_level_std: float
     noise_std: float = 0.01
-    link_depth_scale: tuple[float, ...] = (1.0, 0.8, 0.8, 0.8, 1.0, 0.8, 0.8, 0.8, 1.0)
     n_lobes: int = 1
 
     def __post_init__(self):
@@ -119,8 +123,6 @@ class ClassTemplate:
             raise ValueError("need 0 < min depth < mean level < 1")
         if self.speed_kmh_mean <= 0 or self.length_m_mean <= 0:
             raise ValueError("speed and length means must be positive")
-        if len(self.link_depth_scale) != 9:
-            raise ValueError("one depth scale per link required")
         if self.n_lobes not in (1, 2):
             raise ValueError("only 1- and 2-lobe profiles are supported")
 
@@ -364,9 +366,8 @@ def generate_trace(
         start = start0 + topology.link_midpoint_m(link) / v_mps
         u = (grid - start) / span
         level = profile(u)
-        scale = template.link_depth_scale[link - 1]
-        if scale != 1.0:
-            level = 1.0 - scale * (1.0 - level)
+        if link not in STRAIGHT_LINKS:
+            level = 1.0 - DIAGONAL_DEPTH_SCALE * (1.0 - level)
         sigma = np.where((u >= 0.0) & (u <= 1.0), template.noise_std, idle_noise)
         level = level + rng.standard_normal(n) * sigma
         streams[link - 1] = idle_dbm * level

@@ -4,11 +4,14 @@ The sensing installation consists of three transmitter posts facing three
 receiver posts across a single lane.  Every transmitter/receiver pairing is a
 radio link, giving nine links in total.  Links connecting directly opposed
 posts (1, 5, 9) are "straight"; the remaining six cross the lane diagonally.
+
+The geometry is fixed, its links and their numbering are module constants,
+and the post spacing is its one setting (``Topology``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,32 +31,23 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Topology:
-    """Longitudinal layout of the six sensor posts and the nine links."""
+    """The fixed post geometry, scaled by the one spacing a site may set.
+
+    Transmitter post i and receiver post i both stand ``i`` spacings along the
+    lane, and ``LINK_NODE_MAP`` names each link's (transmitter, receiver) pair.
+    """
 
     longitudinal_spacing_m: float = 5.0
-    tx_positions: tuple[float, float, float] = field(default=None)  # type: ignore[assignment]
-    rx_positions: tuple[float, float, float] = field(default=None)  # type: ignore[assignment]
-    link_map: dict[int, tuple[int, int]] = field(default_factory=lambda: dict(LINK_NODE_MAP))
-    straight_links: tuple[int, ...] = STRAIGHT_LINKS
 
     def __post_init__(self):
         if self.longitudinal_spacing_m <= 0:
             raise ConfigError("longitudinal spacing must be positive")
-        s = self.longitudinal_spacing_m
-        if self.tx_positions is None:
-            object.__setattr__(self, "tx_positions", (0.0, s, 2.0 * s))
-        if self.rx_positions is None:
-            object.__setattr__(self, "rx_positions", (0.0, s, 2.0 * s))
-        if sorted(self.link_map) != list(LINK_IDS):
-            raise ConfigError("link map must cover link ids 1..9")
-        pairs = set(self.link_map.values())
-        if len(pairs) != 9:
-            raise ConfigError("link map must be a bijection onto the 9 node pairs")
 
     def link_midpoint_m(self, link: int) -> float:
         """Longitudinal coordinate of the point where a link crosses the lane."""
-        tx, rx = self.link_map[link]
-        return 0.5 * (self.tx_positions[tx] + self.rx_positions[rx])
+        tx, rx = LINK_NODE_MAP[link]
+        s = self.longitudinal_spacing_m
+        return 0.5 * (tx * s + rx * s)
 
 
 def link_distance(topology: Topology, i: int, j: int) -> float:
@@ -63,13 +57,12 @@ def link_distance(topology: Topology, i: int, j: int) -> float:
     distances.  Symmetric, and zero for i == j.
     """
     for link in (i, j):
-        if link not in topology.straight_links:
+        if link not in STRAIGHT_LINKS:
             raise ValueError(
                 f"link {link} is diagonal; distance is only defined between straight links"
             )
-    tx_i = topology.link_map[i][0]
-    tx_j = topology.link_map[j][0]
-    return abs(topology.tx_positions[tx_i] - topology.tx_positions[tx_j])
+    s = topology.longitudinal_spacing_m
+    return abs(LINK_NODE_MAP[i][0] * s - LINK_NODE_MAP[j][0] * s)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from rftraffic.cli import (
     main,
 )
 from rftraffic.features import write_features_csv
-from rftraffic.learn import ModelBundle, save_model, train_random_forest
+from rftraffic.learn import ModelBundle, save_model, train_random_forest, train_svm_ensemble
 from rftraffic.features import fit_scaling
 from rftraffic.topology import BINARY, SystemParams, Topology
 
@@ -347,6 +347,38 @@ def test_export_rejects_a_fractional_node_feature(tmp_path, capsys, binary_small
     assert not out.exists()
 
 
+def _saved_svm_doc(tmp_path, binary_small):
+    x, labels = binary_small
+    scaling = fit_scaling(x)
+    ensemble = train_svm_ensemble(scaling.apply(x), BINARY.encode(labels), BINARY.classes,
+                                  epochs=2, seed=0)
+    path = tmp_path / "svm.json"
+    save_model(str(path), ModelBundle(BINARY, scaling, ensemble))
+    return path, json.loads(path.read_text())
+
+
+def test_export_rejects_boolean_class_indices(tmp_path, capsys, binary_small):
+    """A pair whose class indices are false and true is no pair save_model writes."""
+    path, doc = _saved_svm_doc(tmp_path, binary_small)
+    doc["model"]["pairs"][0].update(neg=False, pos=True)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "infer.c"
+    assert main(["export", "--model", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_importance_rejects_a_nan_scaling_bound(tmp_path, capsys, binary_small):
+    """A NaN lower bound would silently map its column to 0.0."""
+    path, doc = _saved_svm_doc(tmp_path, binary_small)
+    doc["scaling"]["lo"][0] = float("nan")
+    path.write_text(json.dumps(doc))  # written as the JSON extension NaN
+    out = tmp_path / "imp.csv"
+    assert main(["importance", "--model", str(path), "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_custom_params_file(tmp_path):
     cfg = tmp_path / "sys.cfg"
     cfg.write_text("theta_start = 0.90\n")
@@ -487,6 +519,27 @@ def test_reproduce_holds_no_trace_bundle_when_its_analyses_start(tmp_path, monke
     with pytest.raises(_PoolReached):
         main(["reproduce", "--count", "30", "--seed", "5", "--out", str(tmp_path / "out")])
     assert live == [before]
+
+
+def test_reproduce_submits_every_task_exactly_once(tmp_path, monkeypatch):
+    """The hand-kept longest-first order must name each of reproduce's tasks once.
+
+    A duplicate index would submit a task twice; a missing one would run last.
+    """
+    real = cli._results_in_order
+    calls = []
+
+    def recording(tasks, first):
+        calls.append((len(tasks), first))
+        return real(tasks, first)
+
+    monkeypatch.setattr(cli, "_results_in_order", recording)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)
+    assert main(["reproduce", "--count", "30", "--k", "2", "--epochs", "2", "--n-trees", "2",
+                 "--max-depth", "2", "--tree-grid", "2", "--depth-grid", "2",
+                 "--out", str(tmp_path / "out")]) == EXIT_OK
+    (n_tasks, first), = calls
+    assert sorted(first) == list(range(n_tasks))
 
 
 def test_importing_the_cli_loads_no_process_pool():

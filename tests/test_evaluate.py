@@ -26,7 +26,7 @@ from rftraffic.topology import BINARY, BODY_STYLE, SIZE_BASED, STRAIGHT_LINKS
 
 @pytest.mark.parametrize("fields", [
     {"c": 0.0}, {"c": -1.0}, {"c": float("nan")}, {"c": float("inf")},
-    {"epochs": 0}, {"epochs": -3}, {"batch_size": 0}, {"n_trees": 0}, {"max_depth": -1},
+    {"epochs": 0}, {"epochs": -3}, {"n_trees": 0}, {"max_depth": -1},
 ])
 def test_model_spec_rejects_degenerate_hyper_parameters(fields):
     with pytest.raises(ValueError):
@@ -36,7 +36,7 @@ def test_model_spec_rejects_degenerate_hyper_parameters(fields):
 
 
 def test_model_spec_accepts_smallest_valid_values():
-    ModelSpec(kind="rf", c=1e-300, epochs=1, batch_size=1, n_trees=1, max_depth=0)
+    ModelSpec(kind="rf", c=1e-300, epochs=1, n_trees=1, max_depth=0)
 
 
 def test_accuracy_examples():

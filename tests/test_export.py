@@ -6,8 +6,8 @@ import pytest
 from conftest import compile_and_predict
 from rftraffic.evaluate import ModelSpec, build_fold_plan, cross_validate
 from rftraffic.export import (
+    OVERHEAD_BYTES,
     PLATFORMS,
-    CostModel,
     best_fitting,
     count_operations,
     emit_inference_source,
@@ -52,9 +52,9 @@ def test_platform_profiles():
 
 def test_empty_model_costs_overhead_only():
     empty = SvmEnsemble(svms=[], classes=("a", "b"))
-    assert estimate_memory(empty).code_bytes == CostModel().overhead_bytes
+    assert estimate_memory(empty).code_bytes == OVERHEAD_BYTES
     empty_forest = RandomForest(trees=[], classes=("a", "b"), max_depth=1, feature_subset=1)
-    assert estimate_memory(empty_forest).code_bytes == CostModel().overhead_bytes
+    assert estimate_memory(empty_forest).code_bytes == OVERHEAD_BYTES
 
 
 def test_memory_monotone_in_trees_and_depth(binary_small):

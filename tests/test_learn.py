@@ -840,6 +840,8 @@ def test_load_model_rejects_malformed_forests(tmp_path, model_docs, corrupt):
     ("pos", -1, "class pair"),
     ("pos", 0, "class pair"),
     ("neg", 0.0, "class pair"),
+    ("neg", False, "class pair"),  # JSON false and true are no class indices
+    ("pos", True, "class pair"),
 ])
 def test_load_model_rejects_malformed_svms(tmp_path, model_docs, field, value, match):
     doc = json.loads(json.dumps(model_docs["svm"]))
@@ -937,6 +939,31 @@ def test_load_model_takes_only_numbers_in_float_arrays(tmp_path, model_docs, kin
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=f"'{key}' must hold only numbers"):
         load_model(str(path))
+
+
+@pytest.mark.parametrize("kind", ["forest", "svm"])
+@pytest.mark.parametrize("key,value", [("lo", float("nan")), ("hi", float("nan")),
+                                       ("lo", float("-inf")), ("hi", float("inf")),
+                                       ("lo", 1e300)])
+def test_load_model_rejects_bad_scaling_bounds(tmp_path, model_docs, kind, key, value):
+    """Bounds save_model could not have written: not finite, or lo above hi."""
+    doc = json.loads(json.dumps(model_docs[kind]))
+    doc["scaling"][key][3] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="scaling lo and hi must be finite"):
+        load_model(str(path))
+
+
+def test_load_model_keeps_constant_scaling_columns(tmp_path, model_docs):
+    """fit_scaling writes lo == hi for a constant column; such a file loads."""
+    doc = json.loads(json.dumps(model_docs["svm"]))
+    doc["scaling"]["hi"][3] = doc["scaling"]["lo"][3]
+    path = tmp_path / "flat.json"
+    path.write_text(json.dumps(doc))
+    bundle = load_model(str(path))
+    assert bundle.scaling.lo[3] == bundle.scaling.hi[3]
+    assert np.all(bundle.scaling.apply(np.ones((2, 92)))[:, 3] == 0.0)
 
 
 def test_rows_outside_a_problem_never_reach_its_fits():

@@ -7,6 +7,7 @@ from rftraffic.topology import (
     BODY_STYLE_CLASSES,
     SIZE_BASED,
     ConfigError,
+    LINK_NODE_MAP,
     STRAIGHT_LINKS,
     SystemParams,
     Topology,
@@ -66,12 +67,29 @@ def test_link_distance_rejects_diagonals():
 
 
 def test_link_map_is_bijection():
-    topo = Topology()
-    assert sorted(topo.link_map) == list(range(1, 10))
-    assert len(set(topo.link_map.values())) == 9
-    assert topo.link_map[1] == (0, 0)
-    assert topo.link_map[5] == (1, 1)
-    assert topo.link_map[9] == (2, 2)
+    assert sorted(LINK_NODE_MAP) == list(range(1, 10))
+    assert len(set(LINK_NODE_MAP.values())) == 9
+    assert LINK_NODE_MAP[1] == (0, 0)
+    assert LINK_NODE_MAP[5] == (1, 1)
+    assert LINK_NODE_MAP[9] == (2, 2)
+
+
+@pytest.mark.parametrize("s", [5.0, 7.5, 0.1, 1 / 3, 2.0 ** -40, 1e300])
+def test_geometry_is_the_posts_at_whole_spacings(s):
+    """Post i of either row stands at (0.0, s, 2.0 * s)[i], to the bit."""
+    posts = (0.0, s, 2.0 * s)
+    topo = Topology(longitudinal_spacing_m=s)
+    for link, (tx, rx) in LINK_NODE_MAP.items():
+        assert topo.link_midpoint_m(link) == 0.5 * (posts[tx] + posts[rx])
+    for i in STRAIGHT_LINKS:
+        for j in STRAIGHT_LINKS:
+            expected = abs(posts[LINK_NODE_MAP[i][0]] - posts[LINK_NODE_MAP[j][0]])
+            assert link_distance(topo, i, j) == expected
+
+
+def test_topology_is_hashable_and_equal_by_spacing():
+    assert hash(Topology()) == hash(Topology(longitudinal_spacing_m=5.0))
+    assert Topology(longitudinal_spacing_m=7.5) != Topology()
 
 
 def test_straight_links_midpoints_on_spacing_grid():
