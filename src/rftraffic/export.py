@@ -259,9 +259,10 @@ def grid_search(
     Trees grow to purity before they are pruned, and tree i's seed depends on
     i alone, so a forest's first n trees pruned to depth d are the forest the
     same seed trains at (n, d).  Each fold therefore trains one forest at the
-    largest tree count and depth; per depth every tree is pruned and predicts
-    once, and the votes summed over the sorted tree counts score every cell.
-    The deployed forests are cut the same way from one forest.
+    largest tree count and depth.  Every node holds its majority class, so
+    each depth cap is read by stopping that forest's walk after as many steps,
+    and the votes summed over the sorted tree counts score every cell.  The
+    deployed forests are cut from one forest with ``RandomForest.truncated``.
     """
     check_grid(tree_counts, depths)
     x = np.asarray(x, dtype=float)
@@ -277,7 +278,7 @@ def grid_search(
             n_trees=counts[-1], max_depth=caps[-1], seed=fold.model_seed,
         )
         for j, depth in enumerate(caps):
-            voted = forest.truncated(counts[-1], depth).packed.tree_classes(fold.x_test)
+            voted = forest.packed.tree_classes(fold.x_test, depth)
             for i, n_trees in enumerate(counts):
                 votes = vote_counts(voted[:, :n_trees], n_classes)
                 fold_acc[i, j, fold.index] = fold_accuracy(votes.argmax(axis=1), fold.y_test)

@@ -95,13 +95,13 @@ def extract_features(
         if event is None or segment is None or len(segment) == 0:
             missing.append(link)
             continue
-        base = 2 + 10 * (link - 1)
-        values[base] = event.duration_ms / 1000.0
-        values[base + 1] = float(segment.min())
-        values[base + 2] = float(segment.mean())
-        values[base + 3] = float(segment.std())  # population convention
+        block = values[link_block_slice(link)]
+        block[0] = event.duration_ms / 1000.0
+        block[1] = float(segment.min())
+        block[2] = float(segment.mean())
+        block[3] = float(segment.std())  # population convention
         hist, _ = np.histogram(np.clip(segment, HIST_EDGES[0], HIST_EDGES[-1]), bins=HIST_EDGES)
-        values[base + 4: base + 10] = hist / len(segment)
+        block[4:] = hist / len(segment)
     return FeatureVector(values, tuple(missing), globals_missing)
 
 

@@ -44,35 +44,13 @@ def importance_binary(
     group_of_feature: list[str] | None = None,
     class_names: tuple[str, str] | None = None,
 ) -> ImportanceMatrix:
-    """Group importance of a single pairwise SVM.
+    """Group importance of a single pairwise SVM: ``importance_multiclass`` of one pair.
 
     Column order is (negative-sign class, positive-sign class).  Groups whose
     weights are all zero are reported as the uniform row and flagged.
     """
-    groups = group_of_feature if group_of_feature is not None else feature_groups()
-    weights = svm.beta[:-1]  # bias carries no group
-    if len(weights) != len(groups):
-        raise ValueError("group tags must cover exactly the non-bias weights")
-    classes = class_names if class_names is not None else ("-1", "+1")
-    slices = _group_slices(groups)
-    values = np.zeros((len(slices), 2))
-    degenerate = []
-    for row, (name, idx) in enumerate(slices):
-        w = weights[idx]
-        absw = np.abs(w)
-        z = absw.sum()
-        if z == 0.0:
-            values[row] = 0.5
-            degenerate.append(name)
-            continue
-        values[row, 0] = absw[w < 0].sum() / z
-        values[row, 1] = absw[w > 0].sum() / z
-    return ImportanceMatrix(
-        groups=tuple(name for name, _ in slices),
-        classes=classes,
-        values=values,
-        degenerate=tuple(degenerate),
-    )
+    pair = SvmEnsemble([LinearSvm(svm.beta, svm.c, (0, 1))], class_names or ("-1", "+1"))
+    return importance_multiclass(pair, group_of_feature)
 
 
 def importance_multiclass(
@@ -85,6 +63,8 @@ def importance_multiclass(
     the pair-to-class mapping; normalization is per group over all pairs.
     """
     groups = group_of_feature if group_of_feature is not None else feature_groups()
+    if any(len(svm.beta) - 1 != len(groups) for svm in ensemble.svms):  # bias carries no group
+        raise ValueError("group tags must cover exactly the non-bias weights")
     n_classes = ensemble.n_classes
     slices = _group_slices(groups)
     values = np.zeros((len(slices), n_classes))

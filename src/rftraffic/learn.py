@@ -17,11 +17,13 @@ The random forest grows bootstrapped CART trees with Gini-impurity splits over
 a fresh random feature subset per node; prediction is the majority vote over
 trees.  Ties break toward the lowest class index everywhere.
 
-Every tree is grown to purity from a seed derived from its index alone and only
-then pruned to the depth cap.  The first n trees of a forest, each pruned again
-to a smaller depth d, are therefore node for node the forest that the same seed
-trains with n trees at depth d (``RandomForest.truncated``); the forest grid of
-``export.grid_search`` derives all of its cells from one forest this way.
+Every tree is grown to purity, in preorder, from a seed derived from its index
+alone and only then pruned to the depth cap by a depth mask.  The first n trees
+of a forest, each pruned again to a smaller depth d, are therefore node for
+node the forest that the same seed trains with n trees at depth d
+(``RandomForest.truncated``).  Every node holds its majority class, so that
+forest votes what the full one votes after d steps of its walk; the forest grid
+of ``export.grid_search`` scores all of its cells from one forest this way.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .features import ScalingTransform
+from .features import N_FEATURES, ScalingTransform
 from .topology import Taxonomy
 
 
@@ -281,6 +283,13 @@ def train_svm_binary(
     return train_svm_stack([problem], c=c, epochs=epochs, batch_size=batch_size)[0][0]
 
 
+def vote_counts(classes: np.ndarray, n_classes: int) -> np.ndarray:
+    """Votes per class in each row of an ``(n, voters)`` array of class indices."""
+    n = len(classes)
+    cells = (np.arange(n)[:, None] * n_classes + classes).ravel()
+    return np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
+
+
 @dataclass
 class SvmEnsemble:
     """One-vs-one composition of pairwise SVMs over an ordered class list."""
@@ -297,14 +306,11 @@ class SvmEnsemble:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x_aug = augment(x if not single else x[None, :])
-        votes = np.zeros((x_aug.shape[0], self.n_classes), dtype=int)
-        rows = np.arange(x_aug.shape[0])
+        voted = np.empty((len(x_aug), len(self.svms)), dtype=int)
         for k, svm in enumerate(self.svms):
-            scores = x_aug @ svm.beta
-            signs = np.where(scores >= 0.0, 1, -1)
             neg, pos = svm.class_pair
-            votes[rows, np.where(signs > 0, pos, neg)] += 1
-        pred = votes.argmax(axis=1)
+            voted[:, k] = np.where(x_aug @ svm.beta >= 0.0, pos, neg)
+        pred = vote_counts(voted, self.n_classes).argmax(axis=1)
         return pred[0] if single else pred
 
 
@@ -362,7 +368,9 @@ class CartTree:
     """Array-encoded binary decision tree (feature < 0 marks a leaf).
 
     Children follow their parent in the arrays, so every root-to-leaf walk
-    visits rising node indices and ends.
+    visits rising node indices and ends.  Grown and pruned trees are in
+    preorder (a node, then its left subtree, then its right), so pruning is a
+    depth mask over the arrays.
     """
 
     feature: np.ndarray
@@ -375,6 +383,18 @@ class CartTree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
+
+
+def _node_depths(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
+                 roots: np.ndarray) -> np.ndarray:
+    """Each node's depth below its root, walking one level of every tree at a time."""
+    depth = np.zeros(len(feature), dtype=int)
+    level, d = roots, 0
+    while level.size:  # children follow their parents, so the levels run out
+        depth[level] = d
+        inner = level[feature[level] >= 0]
+        level, d = np.concatenate([left[inner], right[inner]]), d + 1
+    return depth
 
 
 @dataclass(frozen=True)
@@ -408,25 +428,21 @@ class PackedForest:
         feature, left, right = table("feature", int), table("left", int), table("right", int)
         left = left + np.where(left >= 0, offsets, 0)
         right = right + np.where(right >= 0, offsets, 0)
-        node_depth = np.zeros(len(feature), dtype=int)
-        level, depth = roots, 0
-        while level.size:  # children follow their parents, so the levels run out
-            node_depth[level] = depth
-            inner = level[feature[level] >= 0]
-            level, depth = np.concatenate([left[inner], right[inner]]), depth + 1
+        node_depth = _node_depths(feature, left, right, roots)
         return cls(roots=roots, feature=feature, threshold=table("threshold", float),
                    left=left, right=right, klass=table("klass", int), node_depth=node_depth,
                    depth=int(node_depth.max(initial=0)))
 
-    def tree_classes(self, x: np.ndarray) -> np.ndarray:
-        """The class each tree votes for each row of ``x``, shape ``(n, trees)``.
+    def tree_classes(self, x: np.ndarray, steps: int) -> np.ndarray:
+        """The class each tree votes for each row of ``x`` after ``steps`` steps, ``(n, trees)``.
 
-        All trees step together, one level per step, for as many steps as the
-        deepest node is deep; a walk that has reached its leaf stays there.
+        All trees step together, one level per step; a walk that has reached
+        its leaf stays there.  Every node holds its majority class, so ``steps``
+        d votes as the trees pruned at depth d and ``depth`` as the full trees.
         """
         rows = np.arange(len(x))[:, None]
         node = np.repeat(self.roots[None, :], len(x), axis=0)
-        for _ in range(self.depth):
+        for _ in range(min(steps, self.depth)):
             feat = self.feature[node]
             go_left = x[rows, feat] <= self.threshold[node]
             node = np.where(feat < 0, node,
@@ -477,23 +493,16 @@ def _best_split(x, y, idx, n_classes, feature_ids):
 
 
 def _grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
-    """Grow to purity; every node records its majority class for later pruning."""
-    feature, threshold, left, right, klass = [], [], [], [], []
-
-    def new_node():
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        klass.append(-1)
-        return len(feature) - 1
-
+    """Grow to purity in preorder; every node records its majority class for later
+    pruning, and the nodes' depths come back with the tree."""
+    feature, threshold, left, right, klass, depth = [], [], [], [], [], []
     d = x.shape[1]
-    stack = [(bootstrap, new_node())]
-    while stack:
-        idx, slot = stack.pop()
+    stack = [(bootstrap, -1, left, 0)]  # (rows, parent, the parent's child list, depth)
+    while stack:  # a node takes its slot when it is popped, left child first
+        idx, parent, side, level = stack.pop()
+        if parent >= 0:
+            side[parent] = len(feature)
         counts = np.bincount(y[idx], minlength=n_classes)
-        klass[slot] = int(counts.argmax())
         parent_gini = 1.0 - float(((counts / len(idx)) ** 2).sum())
         split = None
         if parent_gini > 0.0:
@@ -501,19 +510,18 @@ def _grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
             split = _best_split(x, y, idx, n_classes, feats)
             if split is not None and split[0] >= parent_gini - 1e-12:
                 split = None
-        if split is None:
-            continue
-        _, f, thr = split
-        go_left = x[idx, f] <= thr
-        feature[slot] = f
-        threshold[slot] = thr
-        left_slot = new_node()
-        right_slot = new_node()
-        left[slot] = left_slot
-        right[slot] = right_slot
-        stack.append((idx[~go_left], right_slot))
-        stack.append((idx[go_left], left_slot))
-    return CartTree(
+        f, thr = split[1:] if split is not None else (-1, 0.0)
+        feature.append(f)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        klass.append(int(counts.argmax()))
+        depth.append(level)
+        if f >= 0:
+            go_left = x[idx, f] <= thr
+            stack.append((idx[~go_left], len(feature) - 1, right, level + 1))
+            stack.append((idx[go_left], len(feature) - 1, left, level + 1))
+    tree = CartTree(
         feature=np.array(feature, dtype=int),
         threshold=np.array(threshold, dtype=float),
         left=np.array(left, dtype=int),
@@ -521,45 +529,27 @@ def _grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
         klass=np.array(klass, dtype=int),
         bootstrap_indices=bootstrap,
     )
+    return tree, np.array(depth, dtype=int)
 
 
-def _prune_tree(tree: CartTree, max_depth: int) -> CartTree:
-    """Truncate at ``max_depth``; cut nodes become majority-class leaves.
+def _prune_tree(tree: CartTree, depth: np.ndarray, max_depth: int) -> CartTree:
+    """Truncate a preorder tree at ``max_depth``; cut nodes become majority-class leaves.
 
-    Pruning a fully grown tree makes node counts monotone in the depth cap:
-    the tree pruned at depth d is a subtree of the one pruned at depth d + 1.
+    The nodes at most ``max_depth`` deep (by ``depth``) keep their order, the
+    pruned tree's preorder, renumbered by a cumsum; those at the cap lose their
+    children.  So the tree pruned at depth d is a subtree of the one at d + 1.
     """
-    feature, threshold, left, right, klass = [], [], [], [], []
-    stack = [(0, 0, -1, False)]  # (source node, depth, parent slot, is right child)
-    while stack:
-        src, depth, parent, is_right = stack.pop()
-        slot = len(feature)
-        is_leaf = tree.feature[src] < 0 or depth >= max_depth
-        feature.append(-1 if is_leaf else int(tree.feature[src]))
-        threshold.append(0.0 if is_leaf else float(tree.threshold[src]))
-        left.append(-1)
-        right.append(-1)
-        klass.append(int(tree.klass[src]))
-        if parent >= 0:
-            (right if is_right else left)[parent] = slot
-        if not is_leaf:
-            stack.append((int(tree.right[src]), depth + 1, slot, True))
-            stack.append((int(tree.left[src]), depth + 1, slot, False))
+    keep = depth <= max_depth
+    index = np.cumsum(keep) - 1
+    inner = keep & (tree.feature >= 0) & (depth < max_depth)
     return CartTree(
-        feature=np.array(feature, dtype=int),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=int),
-        right=np.array(right, dtype=int),
-        klass=np.array(klass, dtype=int),
+        feature=np.where(inner, tree.feature, -1)[keep],
+        threshold=np.where(inner, tree.threshold, 0.0)[keep],
+        left=np.where(inner, index[tree.left], -1)[keep],
+        right=np.where(inner, index[tree.right], -1)[keep],
+        klass=tree.klass[keep],
         bootstrap_indices=tree.bootstrap_indices,
     )
-
-
-def vote_counts(classes: np.ndarray, n_classes: int) -> np.ndarray:
-    """Votes per class in each row of an ``(n, voters)`` array of class indices."""
-    n = len(classes)
-    cells = (np.arange(n)[:, None] * n_classes + classes).ravel()
-    return np.bincount(cells, minlength=n * n_classes).reshape(n, n_classes)
 
 
 @dataclass
@@ -587,7 +577,8 @@ class RandomForest:
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        pred = vote_counts(self.packed.tree_classes(x), self.n_classes).argmax(axis=1)
+        packed = self.packed
+        pred = vote_counts(packed.tree_classes(x, packed.depth), self.n_classes).argmax(axis=1)
         return pred[0] if single else pred
 
     def truncated(self, n_trees: int, max_depth: int) -> RandomForest:
@@ -596,13 +587,15 @@ class RandomForest:
         Equal node for node to the forest the same seed trains with
         ``n_trees`` trees at ``max_depth``.
         """
-        if not 0 <= n_trees <= len(self.trees) or max_depth > self.max_depth:
+        if not (0 <= n_trees <= len(self.trees) and 0 <= max_depth <= self.max_depth):
             raise ValueError(
                 f"cannot cut {n_trees} trees at depth {max_depth} from "
                 f"{len(self.trees)} trees at depth {self.max_depth}"
             )
+        depths = self.packed.node_depth
         return RandomForest(
-            trees=[_prune_tree(tree, max_depth) for tree in self.trees[:n_trees]],
+            trees=[_prune_tree(tree, depths[root: root + tree.n_nodes], max_depth)
+                   for tree, root in zip(self.trees[:n_trees], self.packed.roots)],
             classes=self.classes, max_depth=max_depth, feature_subset=self.feature_subset,
         )
 
@@ -619,8 +612,8 @@ def train_random_forest(
     """Bootstrapped CART trees, deterministic per seed, node for node."""
     x = np.asarray(x, dtype=float)
     y_idx = np.asarray(y_idx, dtype=int)
-    if len(x) == 0:
-        raise ValueError("training data must be nonempty")
+    if len(x) == 0 or max_depth < 0:
+        raise ValueError("training data must be nonempty and the depth cap at least 0")
     if feature_subset is None:
         feature_subset = int(np.ceil(np.sqrt(x.shape[1])))
     n = len(x)
@@ -629,8 +622,8 @@ def train_random_forest(
     for k in range(n_trees):
         rng = np.random.default_rng(children[k])
         bootstrap = rng.integers(0, n, size=n)
-        full = _grow_tree(x, y_idx, len(classes), feature_subset, rng, bootstrap)
-        trees.append(_prune_tree(full, max_depth))
+        full, depth = _grow_tree(x, y_idx, len(classes), feature_subset, rng, bootstrap)
+        trees.append(_prune_tree(full, depth, max_depth))
     return RandomForest(trees=trees, classes=tuple(classes), max_depth=max_depth,
                         feature_subset=feature_subset)
 
@@ -695,13 +688,13 @@ def save_model(path: str, bundle: ModelBundle) -> None:
         json.dump(doc, fh, allow_nan=False)
 
 
-def _check_model(model: SvmEnsemble | RandomForest, n_features: int, n_classes: int) -> None:
+def _check_model(model: SvmEnsemble | RandomForest, n_classes: int) -> None:
     """Reject a loaded model that would read outside its inputs or never end a walk."""
     if isinstance(model, SvmEnsemble):
         for k, svm in enumerate(model.svms):
-            if svm.beta.shape != (n_features + 1,) or not np.isfinite(svm.beta).all():
-                raise ValueError(f"svm pair {k}: need {n_features + 1} finite weights "
-                                 f"({n_features} features and the bias)")
+            if svm.beta.shape != (N_FEATURES + 1,) or not np.isfinite(svm.beta).all():
+                raise ValueError(f"svm pair {k}: need {N_FEATURES + 1} finite weights "
+                                 f"({N_FEATURES} features and the bias)")
             # an exact type test: JSON true and false are ints to isinstance
             if not (all(type(i) is int and 0 <= i < n_classes for i in svm.class_pair)
                     and svm.class_pair[0] != svm.class_pair[1]):
@@ -714,9 +707,9 @@ def _check_model(model: SvmEnsemble | RandomForest, n_features: int, n_classes: 
         if n == 0 or any(a.shape != (n,) for a in arrays):
             raise ValueError(f"tree {t}: node arrays must be nonempty and of equal length")
         inner = tree.feature >= 0
-        if not (np.all(tree.feature[~inner] == -1) and np.all(tree.feature < n_features)):
+        if not (np.all(tree.feature[~inner] == -1) and np.all(tree.feature < N_FEATURES)):
             raise ValueError(f"tree {t}: node features must be -1 at leaves and below "
-                             f"{n_features} elsewhere")
+                             f"{N_FEATURES} elsewhere")
         nodes = np.flatnonzero(inner)
         for child in (tree.left[inner], tree.right[inner]):
             if not np.all((child > nodes) & (child < n)):
@@ -767,6 +760,8 @@ def load_model(path: str) -> ModelBundle:
                                hi=_array(scaling_doc, "hi", float))
     if scaling.lo.ndim != 1 or scaling.lo.shape != scaling.hi.shape:
         raise ValueError("scaling lo and hi must be two lists of one length")
+    if len(scaling.lo) != N_FEATURES:
+        raise ValueError(f"scaling must cover the {N_FEATURES} features, not {len(scaling.lo)}")
     if not (np.isfinite(scaling.lo).all() and np.isfinite(scaling.hi).all()
             and np.all(scaling.lo <= scaling.hi)):
         raise ValueError("scaling lo and hi must be finite, with lo <= hi in every column")
@@ -803,5 +798,5 @@ def load_model(path: str) -> ModelBundle:
         )
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    _check_model(model, len(scaling.lo), len(taxonomy.classes))
+    _check_model(model, len(taxonomy.classes))
     return ModelBundle(taxonomy=taxonomy, scaling=scaling, model=model)

@@ -379,6 +379,29 @@ def test_importance_rejects_a_nan_scaling_bound(tmp_path, capsys, binary_small):
     assert not out.exists()
 
 
+def _resize_svm_doc(doc, width):
+    """The model file as if scaled and trained on ``width`` features: 92 cut or padded."""
+    for key in ("lo", "hi"):
+        doc["scaling"][key] = (doc["scaling"][key] * 2)[:width]
+    for pair in doc["model"]["pairs"]:
+        weights = pair["weights"]
+        pair["weights"] = (weights[:-1] * 2)[:width] + weights[-1:]
+    return doc
+
+
+@pytest.mark.parametrize("command,width", [("importance", 10), ("importance", 100),
+                                           ("export", 10), ("export", 100)])
+def test_a_model_of_another_width_exits_config(tmp_path, capsys, binary_small, command, width):
+    """A model file is for the 92 features or it is refused, before any output is written."""
+    path, doc = _saved_svm_doc(tmp_path, binary_small)
+    path.write_text(json.dumps(_resize_svm_doc(doc, width)))
+    out = tmp_path / "out"
+    assert main([command, "--model", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "92 features" in err
+    assert not out.exists()
+
+
 def test_custom_params_file(tmp_path):
     cfg = tmp_path / "sys.cfg"
     cfg.write_text("theta_start = 0.90\n")

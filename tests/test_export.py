@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import compile_and_predict
-from rftraffic.evaluate import ModelSpec, build_fold_plan, cross_validate
+from rftraffic.evaluate import ModelSpec, build_fold_plan, cross_validate, scaled_folds
 from rftraffic.export import (
     OVERHEAD_BYTES,
     PLATFORMS,
@@ -209,6 +209,20 @@ def test_grid_cells_equal_per_cell_training(binary_small):
                                        max_depth=cell["max_depth"], seed=deploy_seed)
         assert cell["code_bytes"] == estimate_memory(deployed).code_bytes
         assert cell["op_count"] == count_operations(deployed)
+
+
+def test_stopped_walk_votes_as_the_pruned_forest(body_small):
+    """Per fold and cap, the walk grid_search stops equals the truncated forest's full walk."""
+    x, labels = body_small
+    y = BODY_STYLE.encode(labels)
+    plan = build_fold_plan(y, 3, 5)
+    for fold in scaled_folds(x, y, plan, 5):
+        forest = train_random_forest(fold.x_train, fold.y_train, BODY_STYLE.classes,
+                                     n_trees=8, max_depth=9, seed=fold.model_seed)
+        for cap in range(forest.max_depth + 1):
+            cut = forest.truncated(8, cap).packed
+            assert np.array_equal(forest.packed.tree_classes(fold.x_test, cap),
+                                  cut.tree_classes(fold.x_test, cut.depth))
 
 
 def test_grid_rejects_negative_tree_count(binary_small):

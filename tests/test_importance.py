@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rftraffic.features import feature_groups, fit_scaling
 from rftraffic.importance import (
     ImportanceMatrix,
+    _group_slices,
     importance_binary,
     importance_multiclass,
     write_importance_csv,
@@ -51,6 +54,57 @@ def test_degenerate_group_uniform_and_flagged():
 def test_group_tag_length_mismatch():
     with pytest.raises(ValueError):
         importance_binary(svm_with_weights([1.0, 2.0]), group_of_feature=["g"])
+
+
+def _reference_importance_binary(svm, group_of_feature, class_names=None):
+    """The pairwise importance written out for one SVM; the oracle for ``importance_binary``."""
+    weights = svm.beta[:-1]
+    classes = class_names if class_names is not None else ("-1", "+1")
+    slices = _group_slices(group_of_feature)
+    values = np.zeros((len(slices), 2))
+    degenerate = []
+    for row, (name, idx) in enumerate(slices):
+        w = weights[idx]
+        absw = np.abs(w)
+        z = absw.sum()
+        if z == 0.0:
+            values[row] = 0.5
+            degenerate.append(name)
+            continue
+        values[row, 0] = absw[w < 0].sum() / z
+        values[row, 1] = absw[w > 0].sum() / z
+    return ImportanceMatrix(groups=tuple(name for name, _ in slices), classes=tuple(classes),
+                            values=values, degenerate=tuple(degenerate))
+
+
+@st.composite
+def tagged_svms(draw):
+    """One SVM with group tags; exact zeros, -0.0 and all-zero groups are common."""
+    d = draw(st.integers(1, 12))
+    weight = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                       st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True))
+    beta = np.array(draw(st.lists(weight, min_size=d + 1, max_size=d + 1)))
+    tags = draw(st.lists(st.sampled_from(["a", "b", "c", "d"]), min_size=d, max_size=d))
+    pair = draw(st.sampled_from([(0, 1), (1, 0), (3, 5)]))  # the binary form reads no pair
+    names = draw(st.sampled_from([None, ("car", "truck")]))
+    return LinearSvm(beta, 1.0, pair), tags, names
+
+
+@settings(max_examples=300, deadline=None)
+@given(tagged_svms())
+def test_binary_importance_matches_its_written_out_form(problem):
+    svm, tags, names = problem
+    got = importance_binary(svm, group_of_feature=tags, class_names=names)
+    expected = _reference_importance_binary(svm, tags, names)
+    assert (got.groups, got.classes, got.degenerate) == (
+        expected.groups, expected.classes, expected.degenerate)
+    assert got.values.tobytes() == expected.values.tobytes()  # bit for bit
+
+
+def test_multiclass_checks_the_group_tag_length():
+    ens = make_ensemble([([1.0, 2.0, 0.5], (0, 1)), ([1.0, 0.5], (1, 2))])
+    with pytest.raises(ValueError, match="non-bias weights"):
+        importance_multiclass(ens, group_of_feature=["g", "g"])
 
 
 def make_ensemble(betas_and_pairs, n_classes=4):

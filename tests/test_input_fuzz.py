@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from rftraffic.cli import EXIT_CONFIG, EXIT_INPUT, EXIT_NOFIT, EXIT_OK, main
-from rftraffic.features import fit_scaling, write_features_csv
+from rftraffic.features import N_FEATURES, fit_scaling, write_features_csv
 from rftraffic.learn import ModelBundle, save_model, train_random_forest, train_svm_ensemble
 from rftraffic.topology import BINARY
 
@@ -118,6 +118,18 @@ def _mutate_json(raw: bytes, op: str, data) -> bytes:
     return json.dumps(doc).encode()
 
 
+def _resize(raw: bytes, data) -> bytes:
+    """Scaling bounds and every pair's weights for a drawn width other than 92, bias kept."""
+    doc = json.loads(raw)
+    width = data.draw(st.integers(0, 2 * N_FEATURES).filter(lambda w: w != N_FEATURES))
+    for key in ("lo", "hi"):
+        doc["scaling"][key] = (doc["scaling"][key] * 2)[:width]
+    for pair in doc["model"].get("pairs", []):
+        weights = pair["weights"]
+        pair["weights"] = (weights[:-1] * 2)[:width] + weights[-1:]
+    return json.dumps(doc).encode()
+
+
 def _mutate_lines(raw: bytes, op: str, data) -> bytes:
     lines = raw.split(b"\n")
     i = data.draw(st.integers(0, len(lines) - 1))
@@ -141,7 +153,7 @@ def _mutate(path: str, kind: str, data) -> None:
     ops = ["truncate", "flip", "drop_row", "duplicate_row", "drop_cell", "duplicate_cell",
            "directory"]
     if kind in ("svm", "forest"):
-        ops += ["retype", "drop", "duplicate"]
+        ops += ["retype", "drop", "duplicate", "width"]
     op = data.draw(st.sampled_from(ops))
     if op == "directory":
         os.remove(path)
@@ -156,6 +168,8 @@ def _mutate(path: str, kind: str, data) -> None:
         raw = raw[:i] + bytes([raw[i] ^ data.draw(st.integers(1, 255))]) + raw[i + 1:]
     elif op in ("retype", "drop", "duplicate"):
         raw = _mutate_json(raw, op, data)
+    elif op == "width":
+        raw = _resize(raw, data)
     else:
         raw = _mutate_lines(raw, op, data)
     with open(path, "wb") as fh:

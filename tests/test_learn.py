@@ -12,6 +12,9 @@ from rftraffic import learn
 from rftraffic.features import ScalingTransform, fit_scaling, link_block_slice
 from rftraffic.learn import (
     _best_split,
+    _grow_tree,
+    _node_depths,
+    _prune_tree,
     LinearSvm,
     ModelBundle,
     RandomForest,
@@ -429,6 +432,48 @@ def test_prediction_invariant_under_positive_rescaling(body_small):
     assert np.array_equal(ens.predict(scaled), boosted.predict(scaled))
 
 
+def _reference_svm_predict(ensemble, x):
+    """The vote loop that tallies one pair at a time; the oracle for ``SvmEnsemble.predict``."""
+    x = np.asarray(x, dtype=float)
+    single = x.ndim == 1
+    x_aug = augment(x if not single else x[None, :])
+    votes = np.zeros((x_aug.shape[0], ensemble.n_classes), dtype=int)
+    rows = np.arange(x_aug.shape[0])
+    for svm in ensemble.svms:
+        scores = x_aug @ svm.beta
+        signs = np.where(scores >= 0.0, 1, -1)
+        neg, pos = svm.class_pair
+        votes[rows, np.where(signs > 0, pos, neg)] += 1
+    pred = votes.argmax(axis=1)
+    return pred[0] if single else pred
+
+
+@st.composite
+def ensembles_and_rows(draw):
+    """Small ensembles, empty ones included, whose few weight values make exact zero
+    scores and tied votes common; -0.0 weights too."""
+    n_classes = draw(st.integers(2, 5))
+    d = draw(st.integers(1, 4))
+    values = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+    pairs = draw(st.lists(st.permutations(range(n_classes)).map(lambda p: (p[0], p[1])),
+                          max_size=8))
+    svms = [LinearSvm(np.array(draw(st.lists(values, min_size=d + 1, max_size=d + 1))), 1.0,
+                      pair) for pair in pairs]
+    x = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d), max_size=12)))
+    return SvmEnsemble(svms, tuple(f"c{i}" for i in range(n_classes))), x.reshape(-1, d)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ensembles_and_rows())
+def test_vote_counts_predict_matches_per_pair_tally(problem):
+    ensemble, x = problem
+    pred, expected = ensemble.predict(x), _reference_svm_predict(ensemble, x)
+    assert pred.dtype == expected.dtype and np.array_equal(pred, expected)
+    for row in x[:3]:
+        single = ensemble.predict(row)
+        assert np.ndim(single) == 0 and single == _reference_svm_predict(ensemble, row)
+
+
 def test_vote_tie_breaks_to_lowest_class_index():
     # two artificial one-weight SVMs voting for classes 1 and 0 respectively
     ens = SvmEnsemble(
@@ -468,14 +513,16 @@ def test_stump_splits_separable_line():
     assert (forest.predict(x[boot]) == y[boot]).mean() == 1.0
 
 
+def _assert_same_tree(ta, tb):
+    for key in ("feature", "threshold", "left", "right", "klass"):
+        a, b = getattr(ta, key), getattr(tb, key)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), key
+
+
 def _assert_same_trees(a, b):
     assert len(a.trees) == len(b.trees)
     for ta, tb in zip(a.trees, b.trees):
-        assert np.array_equal(ta.feature, tb.feature)
-        assert np.array_equal(ta.threshold, tb.threshold)
-        assert np.array_equal(ta.left, tb.left)
-        assert np.array_equal(ta.right, tb.right)
-        assert np.array_equal(ta.klass, tb.klass)
+        _assert_same_tree(ta, tb)
 
 
 def test_forest_determinism_node_for_node(binary_small):
@@ -553,6 +600,79 @@ def test_split_search_on_corpus_matches_per_feature_loop(body_small):
         assert _best_split(x, y, idx, len(BODY_STYLE.classes), feats) == expected
 
 
+def _reference_prune_tree(tree, max_depth):
+    """Truncation as a node-by-node rebuild in preorder; the oracle for ``_prune_tree``."""
+    feature, threshold, left, right, klass = [], [], [], [], []
+    stack = [(0, 0, -1, False)]  # (source node, depth, parent slot, is right child)
+    while stack:
+        src, depth, parent, is_right = stack.pop()
+        slot = len(feature)
+        is_leaf = tree.feature[src] < 0 or depth >= max_depth
+        feature.append(-1 if is_leaf else int(tree.feature[src]))
+        threshold.append(0.0 if is_leaf else float(tree.threshold[src]))
+        left.append(-1)
+        right.append(-1)
+        klass.append(int(tree.klass[src]))
+        if parent >= 0:
+            (right if is_right else left)[parent] = slot
+        if not is_leaf:
+            stack.append((int(tree.right[src]), depth + 1, slot, True))
+            stack.append((int(tree.left[src]), depth + 1, slot, False))
+    return learn.CartTree(
+        feature=np.array(feature, dtype=int),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=int),
+        right=np.array(right, dtype=int),
+        klass=np.array(klass, dtype=int),
+    )
+
+
+def _tree_depths(tree):
+    return _node_depths(tree.feature, tree.left, tree.right, np.zeros(1, dtype=int))
+
+
+def _assert_prunes_match_rebuild(tree, depth):
+    """At every cap, and again below it, the depth mask gives the rebuild's tree."""
+    assert np.array_equal(depth, _tree_depths(tree))
+    _assert_same_tree(tree, _reference_prune_tree(tree, depth.max() + 1))  # in preorder
+    for cap in range(depth.max() + 2):
+        pruned = _prune_tree(tree, depth, cap)
+        _assert_same_tree(pruned, _reference_prune_tree(tree, cap))
+        assert pruned.bootstrap_indices is tree.bootstrap_indices
+        for lower in range(cap + 1):  # a pruned tree prunes again, as truncated does
+            _assert_same_tree(_prune_tree(pruned, _tree_depths(pruned), lower),
+                              _reference_prune_tree(pruned, lower))
+
+
+@st.composite
+def grown_trees(draw):
+    n = draw(st.integers(1, 60))
+    d = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 5))
+    x = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _grow_tree(x, y, n_classes, draw(st.integers(1, d)), rng, rng.integers(0, n, size=n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(grown_trees())
+def test_depth_mask_prune_matches_node_by_node_rebuild(grown):
+    _assert_prunes_match_rebuild(*grown)
+
+
+def test_depth_mask_prune_on_corpus_trees(body_small):
+    x, labels = body_small
+    y = BODY_STYLE.encode(labels)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        tree, depth = _grow_tree(x, y, len(BODY_STYLE.classes), 10, rng,
+                                 rng.integers(0, len(x), size=len(x)))
+        assert depth.max() >= 5
+        _assert_prunes_match_rebuild(tree, depth)
+
+
 def test_truncated_forest_equals_trained_forest(body_small):
     x, labels = body_small
     y = BODY_STYLE.encode(labels)
@@ -568,6 +688,10 @@ def test_truncated_forest_equals_trained_forest(body_small):
         largest.truncated(13, 14)
     with pytest.raises(ValueError):
         largest.truncated(5, 15)
+    with pytest.raises(ValueError):  # a depth mask below 0 would keep no node
+        largest.truncated(5, -1)
+    with pytest.raises(ValueError):
+        train_random_forest(x, y, BODY_STYLE.classes, n_trees=2, max_depth=-1, seed=seed)
 
 
 def test_bootstrap_unique_fraction(binary_small):
