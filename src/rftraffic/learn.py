@@ -24,6 +24,9 @@ node the forest that the same seed trains with n trees at depth d
 (``RandomForest.truncated``).  Every node holds its majority class, so that
 forest votes what the full one votes after d steps of its walk; the forest grid
 of ``export.grid_search`` scores all of its cells from one forest this way.
+
+The trees of a forest grow together in ``cart``, each node for node as it
+would grow alone; that module loads when a forest is first trained.
 """
 
 from __future__ import annotations
@@ -450,88 +453,6 @@ class PackedForest:
         return self.klass[node]
 
 
-def _gini_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """Gini impurity of class counts along the last axis, given their totals."""
-    frac = counts / totals[..., None]
-    return 1.0 - (frac * frac).sum(axis=-1)
-
-
-def _best_split(x, y, idx, n_classes, feature_ids):
-    """Lowest weighted child Gini over candidate midpoints of the features.
-
-    All candidate columns are scored in one pass over the ``(n, F)`` block.
-    Ties go to the first split position of a feature, then to the first
-    feature in ``feature_ids``; a feature without two distinct values offers
-    no split.
-    """
-    n = len(idx)
-    if n < 2:
-        return None
-    columns = np.arange(len(feature_ids))
-    block = x[idx[:, None], feature_ids]
-    order = np.argsort(block, axis=0, kind="stable")
-    cs = block[order, columns]
-    change = cs[1:] > cs[:-1]  # (n - 1, F): a split may follow row p
-    if not change.any():
-        return None
-    onehot = y[idx][order][:, :, None] == np.arange(n_classes)
-    prefix = np.cumsum(onehot, axis=0, dtype=float)
-    left_counts = prefix[:-1]
-    right_counts = prefix[-1] - left_counts
-    n_left = np.arange(1.0, n)[:, None]
-    n_right = n - n_left
-    cost = (
-        n_left * _gini_counts(left_counts, n_left)
-        + n_right * _gini_counts(right_counts, n_right)
-    ) / n
-    cost[~change] = np.inf
-    pos = cost.argmin(axis=0)
-    per_feature = cost[pos, columns]
-    j = int(per_feature.argmin())
-    p = pos[j]
-    return (float(per_feature[j]), int(feature_ids[j]), float(0.5 * (cs[p, j] + cs[p + 1, j])))
-
-
-def _grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
-    """Grow to purity in preorder; every node records its majority class for later
-    pruning, and the nodes' depths come back with the tree."""
-    feature, threshold, left, right, klass, depth = [], [], [], [], [], []
-    d = x.shape[1]
-    stack = [(bootstrap, -1, left, 0)]  # (rows, parent, the parent's child list, depth)
-    while stack:  # a node takes its slot when it is popped, left child first
-        idx, parent, side, level = stack.pop()
-        if parent >= 0:
-            side[parent] = len(feature)
-        counts = np.bincount(y[idx], minlength=n_classes)
-        parent_gini = 1.0 - float(((counts / len(idx)) ** 2).sum())
-        split = None
-        if parent_gini > 0.0:
-            feats = rng.choice(d, size=min(n_feats, d), replace=False)
-            split = _best_split(x, y, idx, n_classes, feats)
-            if split is not None and split[0] >= parent_gini - 1e-12:
-                split = None
-        f, thr = split[1:] if split is not None else (-1, 0.0)
-        feature.append(f)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        klass.append(int(counts.argmax()))
-        depth.append(level)
-        if f >= 0:
-            go_left = x[idx, f] <= thr
-            stack.append((idx[~go_left], len(feature) - 1, right, level + 1))
-            stack.append((idx[go_left], len(feature) - 1, left, level + 1))
-    tree = CartTree(
-        feature=np.array(feature, dtype=int),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=int),
-        right=np.array(right, dtype=int),
-        klass=np.array(klass, dtype=int),
-        bootstrap_indices=bootstrap,
-    )
-    return tree, np.array(depth, dtype=int)
-
-
 def _prune_tree(tree: CartTree, depth: np.ndarray, max_depth: int) -> CartTree:
     """Truncate a preorder tree at ``max_depth``; cut nodes become majority-class leaves.
 
@@ -609,21 +530,30 @@ def train_random_forest(
     feature_subset: int | None = None,
     seed=0,
 ) -> RandomForest:
-    """Bootstrapped CART trees, deterministic per seed, node for node."""
+    """Bootstrapped CART trees, deterministic per seed, node for node.
+
+    Tree k draws its bootstrap and then its nodes' features from the k-th
+    child of ``seed``.  ``x`` must be finite and ``y_idx`` hold class indices.
+    """
     x = np.asarray(x, dtype=float)
     y_idx = np.asarray(y_idx, dtype=int)
     if len(x) == 0 or max_depth < 0:
         raise ValueError("training data must be nonempty and the depth cap at least 0")
     if feature_subset is None:
         feature_subset = int(np.ceil(np.sqrt(x.shape[1])))
-    n = len(x)
-    children = spawn_seeds(seed, n_trees)
-    trees = []
-    for k in range(n_trees):
-        rng = np.random.default_rng(children[k])
-        bootstrap = rng.integers(0, n, size=n)
-        full, depth = _grow_tree(x, y_idx, len(classes), feature_subset, rng, bootstrap)
-        trees.append(_prune_tree(full, depth, max_depth))
+    if feature_subset < 1:
+        raise ValueError(f"feature_subset must be at least 1, got {feature_subset}")
+    if not np.isfinite(x).all():
+        raise ValueError("training features must be finite")
+    if not np.all((y_idx >= 0) & (y_idx < len(classes))):
+        raise ValueError(f"class indices must lie in 0..{len(classes) - 1}")
+    rngs = [np.random.default_rng(child) for child in spawn_seeds(seed, n_trees)[:n_trees]]
+    bootstraps = [rng.integers(0, len(x), size=len(x)) for rng in rngs]
+    # imported here: only the commands that train a forest pay to load the grower
+    from .cart import _grow_trees
+
+    grown = _grow_trees(x, y_idx, len(classes), feature_subset, rngs, bootstraps)
+    trees = [_prune_tree(full, depth, max_depth) for full, depth in grown]
     return RandomForest(trees=trees, classes=tuple(classes), max_depth=max_depth,
                         feature_subset=feature_subset)
 

@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from rftraffic import learn
+from rftraffic import cart, learn
+from rftraffic.cart import _best_splits, _dense_ranks, _grow_trees
 from rftraffic.features import ScalingTransform, fit_scaling, link_block_slice
 from rftraffic.learn import (
-    _best_split,
-    _grow_tree,
     _node_depths,
     _prune_tree,
     LinearSvm,
@@ -539,7 +538,7 @@ def _reference_gini_counts(counts, totals):
 
 
 def _reference_best_split(x, y, idx, n_classes, feature_ids):
-    """The split search as one loop per feature; the oracle for ``_best_split``."""
+    """The split search as one loop per feature; the oracle for ``_best_splits``."""
     n = len(idx)
     ys = y[idx]
     best = None  # (cost, feature, threshold)
@@ -568,36 +567,162 @@ def _reference_best_split(x, y, idx, n_classes, feature_ids):
     return best
 
 
+def _reference_grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
+    """One tree grown alone, node by node in preorder, with ``_reference_best_split``;
+    the oracle for ``_grow_trees``.  The nodes' depths come back with the tree."""
+    feature, threshold, left, right, klass, depth = [], [], [], [], [], []
+    d = x.shape[1]
+    stack = [(bootstrap, -1, left, 0)]  # (rows, parent, the parent's child list, depth)
+    while stack:  # a node takes its slot when it is popped, left child first
+        idx, parent, side, level = stack.pop()
+        if parent >= 0:
+            side[parent] = len(feature)
+        counts = np.bincount(y[idx], minlength=n_classes)
+        parent_gini = 1.0 - float(((counts / len(idx)) ** 2).sum())
+        split = None
+        if parent_gini > 0.0:
+            feats = rng.choice(d, size=min(n_feats, d), replace=False)
+            split = _reference_best_split(x, y, idx, n_classes, feats)
+            if split is not None and split[0] >= parent_gini - 1e-12:
+                split = None
+        f, thr = split[1:] if split is not None else (-1, 0.0)
+        feature.append(f)
+        threshold.append(thr)
+        left.append(-1)
+        right.append(-1)
+        klass.append(int(counts.argmax()))
+        depth.append(level)
+        if f >= 0:
+            go_left = x[idx, f] <= thr
+            stack.append((idx[~go_left], len(feature) - 1, right, level + 1))
+            stack.append((idx[go_left], len(feature) - 1, left, level + 1))
+    tree = learn.CartTree(
+        feature=np.array(feature, dtype=int),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=int),
+        right=np.array(right, dtype=int),
+        klass=np.array(klass, dtype=int),
+        bootstrap_indices=bootstrap,
+    )
+    return tree, np.array(depth, dtype=int)
+
+
+def _assert_batch_matches_reference(x, y, n_classes, idxs, feature_ids):
+    """``_best_splits`` of a batch gives each node the oracle's split, bit for bit."""
+    cost, feature, threshold = _best_splits(x, _dense_ranks(x), y, n_classes, idxs,
+                                            np.asarray(feature_ids))
+    for b, idx in enumerate(idxs):
+        expected = _reference_best_split(x, y, idx, n_classes, feature_ids[b])
+        if expected is None:
+            assert (feature[b], cost[b]) == (-1, np.inf)
+        else:
+            want_cost, want_feature, want_threshold = expected
+            assert (float(cost[b]).hex(), int(feature[b]), float(threshold[b]).hex()) == \
+                (want_cost.hex(), want_feature, want_threshold.hex())
+
+
+# few values (signed zeros among them) make tied costs, tied keys and constant columns common
+_FEW_VALUES = st.sampled_from([-3.0, -1.5, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0])
+
+
 @st.composite
-def split_problems(draw):
-    n = draw(st.integers(1, 40))
-    d = draw(st.integers(1, 8))
-    n_classes = draw(st.integers(2, 7))
-    # few distinct integer values make tied costs and constant columns common
-    values = st.integers(-3, 3)
+def split_batches(draw):
+    n = draw(st.integers(1, 30))
+    d = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(1, 9))
+    values = st.one_of(_FEW_VALUES, st.floats(-100, 100, allow_nan=False))
     x = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d),
                                min_size=n, max_size=n)), dtype=float)
-    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
-    idx = np.array(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)))
-    feature_ids = np.array(draw(st.permutations(range(d)))[: draw(st.integers(1, d))])
-    return x, y, idx, n_classes, feature_ids
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, d - 1))] = draw(_FEW_VALUES)
+    single = draw(st.booleans())  # one class in every node
+    y = np.array(draw(st.lists(st.integers(0, 0 if single else n_classes - 1),
+                               min_size=n, max_size=n)))
+    n_feats = draw(st.integers(1, d))
+    size = st.one_of(st.integers(1, 2), st.integers(1, 2 * n))
+    idxs = [np.array(draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k)))
+            for k in draw(st.lists(size, min_size=1, max_size=8))]
+    feature_ids = np.array([draw(st.permutations(range(d)))[:n_feats] for _ in idxs])
+    return x, y, n_classes, idxs, feature_ids
 
 
 @settings(max_examples=300, deadline=None)
-@given(split_problems())
-def test_split_search_matches_per_feature_loop(problem):
-    assert _best_split(*problem) == _reference_best_split(*problem)
+@given(split_batches())
+def test_split_search_matches_per_feature_loop(batch):
+    _assert_batch_matches_reference(*batch)
 
 
 def test_split_search_on_corpus_matches_per_feature_loop(body_small):
     x, labels = body_small
     y = BODY_STYLE.encode(labels)
     rng = np.random.default_rng(4)
-    for _ in range(20):
-        idx = rng.integers(0, len(x), size=int(rng.integers(2, len(x))))
-        feats = rng.choice(x.shape[1], size=10, replace=False)
-        expected = _reference_best_split(x, y, idx, len(BODY_STYLE.classes), feats)
-        assert _best_split(x, y, idx, len(BODY_STYLE.classes), feats) == expected
+    idxs = [rng.integers(0, len(x), size=int(rng.integers(1, len(x)))) for _ in range(20)]
+    feats = np.array([rng.choice(x.shape[1], size=10, replace=False) for _ in idxs])
+    _assert_batch_matches_reference(x, y, len(BODY_STYLE.classes), idxs, feats)
+
+
+@st.composite
+def forest_problems(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 6))
+    n_classes = draw(st.integers(2, 5))
+    x = np.array(draw(st.lists(st.lists(_FEW_VALUES, min_size=d, max_size=d),
+                               min_size=n, max_size=n)), dtype=float)
+    y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
+    return (x, y, n_classes, draw(st.integers(1, d)), draw(st.integers(0, 6)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def _assert_lockstep_matches_trees_grown_alone(x, y, n_classes, n_feats, n_trees, seed):
+    """``_grow_trees`` gives each tree and depth the oracle grows alone, and leaves
+    every generator where the oracle leaves it."""
+    def generators():
+        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
+        return rngs, [rng.integers(0, len(x), size=len(x)) for rng in rngs]
+
+    rngs, bootstraps = generators()
+    grown = _grow_trees(x, y, n_classes, n_feats, rngs, bootstraps)
+    alone, alone_bootstraps = generators()
+    assert len(grown) == n_trees
+    for (tree, depth), rng, other, bootstrap in zip(grown, rngs, alone, alone_bootstraps):
+        expected, expected_depth = _reference_grow_tree(x, y, n_classes, n_feats, other, bootstrap)
+        _assert_same_tree(tree, expected)
+        assert np.array_equal(depth, expected_depth)
+        assert rng.bit_generator.state == other.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(forest_problems())
+def test_lockstep_growth_matches_trees_grown_alone(problem):
+    _assert_lockstep_matches_trees_grown_alone(*problem)
+
+
+def test_lockstep_growth_on_corpus_matches_trees_grown_alone(body_small):
+    x, labels = body_small
+    _assert_lockstep_matches_trees_grown_alone(x, BODY_STYLE.encode(labels),
+                                               len(BODY_STYLE.classes), 10, 3, 21)
+
+
+@pytest.mark.parametrize("budget", [1, 10**9])
+def test_forest_does_not_depend_on_the_batch_budget(body_small, monkeypatch, budget):
+    x, labels = body_small
+    y = BODY_STYLE.encode(labels)
+    expected = train_random_forest(x, y, BODY_STYLE.classes, n_trees=8, max_depth=20, seed=3)
+    monkeypatch.setattr(cart, "SPLIT_BATCH_ROWS", budget)
+    _assert_same_trees(train_random_forest(x, y, BODY_STYLE.classes, n_trees=8,
+                                           max_depth=20, seed=3), expected)
+
+
+@pytest.mark.parametrize("x_cell, y_cell, feature_subset", [
+    (0.0, 1, 0), (0.0, 1, -1), (np.nan, 1, None), (np.inf, 1, None), (0.0, 2, None),
+    (0.0, -1, None),
+])
+def test_forest_rejects_bad_inputs(x_cell, y_cell, feature_subset):
+    x = np.random.default_rng(0).normal(size=(12, 3))
+    y = np.arange(12) % 2
+    x[5, 1], y[3] = x_cell, y_cell
+    with pytest.raises(ValueError):
+        train_random_forest(x, y, BINARY.classes, n_trees=2, feature_subset=feature_subset)
 
 
 def _reference_prune_tree(tree, max_depth):
@@ -653,7 +778,8 @@ def grown_trees(draw):
                                min_size=n, max_size=n)), dtype=float)
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _grow_tree(x, y, n_classes, draw(st.integers(1, d)), rng, rng.integers(0, n, size=n))
+    return _grow_trees(x, y, n_classes, draw(st.integers(1, d)), [rng],
+                       [rng.integers(0, n, size=n)])[0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -667,8 +793,8 @@ def test_depth_mask_prune_on_corpus_trees(body_small):
     y = BODY_STYLE.encode(labels)
     for seed in range(4):
         rng = np.random.default_rng(seed)
-        tree, depth = _grow_tree(x, y, len(BODY_STYLE.classes), 10, rng,
-                                 rng.integers(0, len(x), size=len(x)))
+        tree, depth = _grow_trees(x, y, len(BODY_STYLE.classes), 10, [rng],
+                                  [rng.integers(0, len(x), size=len(x))])[0]
         assert depth.max() >= 5
         _assert_prunes_match_rebuild(tree, depth)
 
