@@ -8,9 +8,8 @@ more than one sample while class proportions stay balanced.  One FoldPlan can
 be shared across model kinds and across all link subsets for fair comparison.
 
 Each fold is scaled once on all 92 columns and every link subset is a column
-slice of it.  Subsets of equal width fit together: the SVMs of every fold,
-class pair and subset of a width group are one lockstep Pegasos run; the
-built-in twenty form six width groups.
+selection of it.  The SVMs of every fold, class pair and subset are one
+lockstep Pegasos run over the folds' training splits.
 """
 
 from __future__ import annotations
@@ -22,6 +21,7 @@ import numpy as np
 
 from .features import N_FEATURES, ScalingTransform, fit_scaling, link_block_slice
 from .learn import (
+    ZERO_COLUMN,
     RandomForest,
     SvmEnsemble,
     train_random_forest,
@@ -204,34 +204,33 @@ def _column_view(x: np.ndarray, columns: np.ndarray, zero_globals: bool) -> np.n
     return view
 
 
-class _ColumnViews:
-    """Column views of one fold's training split, built as they are read."""
-
-    def __init__(self, fold: ScaledFold, views: list[tuple[np.ndarray, bool]]):
-        self.fold, self.views = fold, views
-
-    def __len__(self) -> int:
-        return len(self.views)
-
-    def __iter__(self):
-        x_train = self.fold.x_train
-        return (_column_view(x_train, *view) for view in self.views)
+def _view_columns(columns: np.ndarray, zero_globals: bool) -> np.ndarray:
+    """The columns a view reads, as ``SvmProblem`` columns."""
+    read = np.flatnonzero(columns)
+    if zero_globals:
+        read[0:2] = ZERO_COLUMN
+    return read
 
 
-def _fold_models(folds: list[ScaledFold], views, members: list[int], classes: tuple[str, ...],
-                 spec: ModelSpec):
-    """For each fold, one model per member view.
+def _training_split(fold: ScaledFold):
+    """A stack of one matrix, the fold's scaled training split, built when read."""
+    yield fold.x_train
 
-    The SVMs of every fold, class pair and member view train in one lockstep
-    run, which copies each view as it reads it; forests train one fold at a
-    time, as the folds are iterated.
+
+def _fold_models(folds: list[ScaledFold], views, classes: tuple[str, ...], spec: ModelSpec):
+    """For each fold, one model per view.
+
+    The SVMs of every fold, class pair and view train in one lockstep run,
+    each view a column selection of its fold's training split; forests train
+    one fold at a time, as the folds are iterated.
     """
     if spec.kind == "svm":
-        stacks = [(_ColumnViews(fold, [views[i] for i in members]), fold.y_train,
-                   fold.model_seed) for fold in folds]
-        return train_svm_ensembles(stacks, classes, c=spec.c, epochs=spec.epochs)
-    return ([train_model(_column_view(fold.x_train, *views[i]), fold.y_train, classes, spec,
-                         fold.model_seed) for i in members] for fold in folds)
+        columns = [_view_columns(*view) for view in views]
+        stacks = [(_training_split(fold), fold.y_train, fold.model_seed) for fold in folds]
+        return train_svm_ensembles(stacks, classes, c=spec.c, epochs=spec.epochs,
+                                   columns=columns)
+    return ([train_model(_column_view(fold.x_train, *view), fold.y_train, classes, spec,
+                         fold.model_seed) for view in views] for fold in folds)
 
 
 def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
@@ -240,33 +239,22 @@ def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
 
     A view is ``(columns, zero_globals)``: a column mask and whether the
     speed/length pair is blanked.  Every fold is scaled once on all columns and
-    each view slices it; scaling works column by column and a zero column
+    each view selects from it; scaling works column by column and a zero column
     scales to exactly 0.0, so a view scores as if it had been cut and blanked
-    before scaling.  Views of equal width train together (``_fold_models``)
-    and are scored fold by fold.  Reports come back in view order.
+    before scaling.  All views train together (``_fold_models``) and are
+    scored fold by fold.  Reports come back in view order.
     """
     x = np.asarray(x, dtype=float)
     y_idx = taxonomy.encode(labels)
     if fold_plan is None:
         fold_plan = build_fold_plan(y_idx, k, seed)
-    groups: dict[int, list[int]] = {}
-    for i, (columns, _) in enumerate(views):
-        groups.setdefault(int(np.count_nonzero(columns)), []).append(i)
-
     y_classes = len(taxonomy.classes)
     counts = np.zeros((len(views), y_classes, y_classes))
     fold_acc = np.empty((len(views), fold_plan.k))
     folds = list(scaled_folds(x, y_idx, fold_plan, seed))
-    # the group with the most view columns first: the memory it frees serves the rest
-    for _, members in sorted(groups.items(), key=lambda group: -group[0] * len(group[1])):
-        # a comprehension, so that no model outlives it while the next group trains
-        predictions = [
-            (i, fold, np.atleast_1d(model.predict(_column_view(fold.x_test, *views[i]))))
-            for fold, models in zip(folds, _fold_models(folds, views, members, taxonomy.classes,
-                                                        model_spec))
-            for i, model in zip(members, models)
-        ]
-        for i, fold, pred in predictions:
+    for fold, models in zip(folds, _fold_models(folds, views, taxonomy.classes, model_spec)):
+        for i, model in enumerate(models):
+            pred = np.atleast_1d(model.predict(_column_view(fold.x_test, *views[i])))
             fold_acc[i, fold.index] = fold_accuracy(pred, fold.y_test)
             np.add.at(counts[i], (fold.y_test, pred), 1)
     sums = counts.sum(axis=2, keepdims=True)
@@ -346,10 +334,9 @@ def subset_evaluation(
 ) -> list[tuple[SubsetSpec, EvaluationReport]]:
     """Cross-validate every link subset on one fold plan, in spec order.
 
-    Each fold is scaled once, and subsets of equal width (2 + 10 per link) fit
-    together: with SVMs, every fold, class pair and subset of a width is one
-    lockstep Pegasos run.  The built-in subsets form six width groups: nine
-    one-link subsets, four two-link, four four-link, and H, P and A alone.
+    Each fold is scaled once and every subset (2 + 10 columns per link) is a
+    column selection of it: with SVMs, every fold, class pair and subset is
+    one lockstep Pegasos run.
     """
     if not specs:
         raise ValueError("need at least one subset spec")

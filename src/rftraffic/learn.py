@@ -7,9 +7,13 @@ iterates.  A constant-one feature augments the inputs so the bias is
 regularized like every other weight and the objective keeps its plain form
 over the augmented space.  The trainer works on label-signed rows
 ``y * [x, 1]`` and runs a ragged list of problems in lockstep
-(``train_svm_stack``): each problem is some rows of a stack of views with its
-own labels and seed, every fit comes out bit for bit as its view fitted alone,
-and one fit is the one-problem, one-view case.
+(``train_svm_stack``): each problem is some rows of a matrix with its own
+labels and seed, read through views that select columns of it (or a stack of
+matrices, each one view).  Every view's batch rows are gathered once per
+problem at full width, the margin guard is derived for that width, only the
+violators are summed, and each fit keeps its state at its view's own width,
+so every fit comes out bit for bit as its view fitted alone; one fit is the
+one-problem, one-view case.
 Multi-class problems are composed one-vs-one: one SVM per class pair plus a
 mapping from (pair, sign) to class, combined by majority vote.
 
@@ -72,19 +76,31 @@ class LinearSvm:
     class_pair: tuple[int, int]  # (class index for sign -1, class index for sign +1)
 
 
-#: a margin within this many rounding bounds ``d * eps * |row| * |beta|`` of 1.0
+#: a margin within this many rounding bounds ``D * eps * |row| * |beta|`` of 1.0
 #: is recomputed in the shape a fit alone computes it (see ``train_svm_stack``)
 MARGIN_GUARD = 4.0
 
+#: a view column that reads 0.0 in every row (``SvmProblem.columns``)
+ZERO_COLUMN = -1
+
+#: numbers a step's violator block must shed before its fits are split into
+#: blocks by violator count: below it the extra numpy calls cost more than
+#: the padding they save
+SPLIT_SAVING = 1 << 16
+
 
 class SvmProblem(NamedTuple):
-    """One binary problem of ``train_svm_stack``: some rows of a stack of S views.
+    """One binary problem of ``train_svm_stack``: some rows of a stack of S matrices.
 
-    ``views`` is an ``(S, N, d)`` array or any iterable of S ``(N, d)`` arrays,
-    read once; ``rows`` picks the problem's rows out of the N and ``labels``
-    gives each of them +/-1.  Every view is one fit on those rows, and all of
-    them take the shuffles of ``seed``.  Problems may share a stack (the same
-    object).
+    ``views`` is an ``(S, N, D)`` array or any iterable of S ``(N, D)``
+    arrays, read once.  Without ``columns`` each matrix is one view, all of
+    its columns.  With ``columns`` there is one matrix (``views`` may also be
+    that ``(N, D)`` array itself), and each entry of ``columns`` is a view of
+    it: the indices of the columns it reads, in its order, where
+    ``ZERO_COLUMN`` reads 0.0.  ``rows`` picks the problem's
+    rows out of the N and ``labels`` gives each of them +/-1.  Every view is
+    one fit on those rows, and all of them take the shuffles of ``seed``.
+    Problems may share a stack (the same object).
     """
 
     views: np.ndarray | Iterable[np.ndarray]
@@ -92,6 +108,7 @@ class SvmProblem(NamedTuple):
     labels: np.ndarray
     seed: object = 0
     class_pair: tuple[int, int] = (0, 1)
+    columns: list[np.ndarray] | None = None
 
 
 def _checked_views(views) -> list[np.ndarray]:
@@ -101,28 +118,60 @@ def _checked_views(views) -> list[np.ndarray]:
     return blocks
 
 
-def _pool(problems: list[SvmProblem]):
-    """Every view of every distinct stack, augmented, one after the other in one
-    array, and for each stack (by ``id``) its first row there, S and N.
+def _view_columns(columns, d: int) -> np.ndarray:
+    """A view's columns as pool columns: ``ZERO_COLUMN`` becomes the zero
+    column ``d + 1``, and the bias column ``d`` comes last."""
+    columns = np.asarray(columns)
+    if columns.ndim != 1 or not columns.size or columns.dtype.kind not in "iu":
+        raise ValueError("a view must be a nonempty list of column indices")
+    if columns.min() < ZERO_COLUMN or columns.max() >= d:
+        raise ValueError(f"view columns must lie in {ZERO_COLUMN}..{d - 1}")
+    read = columns[columns != ZERO_COLUMN]
+    if len(np.unique(read)) != len(read):
+        raise ValueError("a view may read each column once")
+    return np.append(np.where(columns == ZERO_COLUMN, d + 1, columns), d)
 
-    The views themselves are dropped once copied, so a caller that builds them
-    as they are read holds no second copy.
+
+def _pool(problems: list[SvmProblem]):
+    """Every matrix of every distinct stack as rows ``[x, 1, 0]`` (the bias and
+    a zero column), one after the other in one array that ends in a row of
+    zeros, and for each problem its row count and its groups: the first pool
+    row of one of its matrices and the pool columns of each view of it.
+
+    The matrices themselves are dropped once copied, so a caller that builds
+    them as they are read holds no second copy.
     """
-    stacks = {}
+    blocks, seen = [], {}
     for p in problems:
-        if id(p.views) not in stacks:
-            stacks[id(p.views)] = _checked_views(p.views)
-    widths = {blocks[0].shape[1] for blocks in stacks.values()}
+        if id(p.views) not in seen:
+            one = p.columns is not None and np.ndim(p.views) == 2
+            stack = _checked_views([p.views] if one else p.views)
+            if p.columns is not None and len(stack) != 1:
+                raise ValueError("a problem with columns must have one matrix")
+            seen[id(p.views)] = (len(blocks), len(stack))
+            blocks += stack
+    widths = {b.shape[1] for b in blocks}
     if len(widths) != 1:
         raise ValueError("every problem's views must have the same width")
-    blocks = [b for stack in stacks.values() for b in stack]
-    pool = np.ones((sum(len(b) for b in blocks), widths.pop() + 1))
-    np.concatenate(blocks, out=pool[:, :-1])
-    layout, first = {}, 0
-    for key, stack in stacks.items():
-        layout[key] = (first, len(stack), len(stack[0]))
-        first += len(stack) * len(stack[0])
-    return pool, layout
+    d = widths.pop()
+    if d < 1:
+        raise ValueError("views need at least one column")
+    firsts = np.cumsum([0] + [len(b) for b in blocks])
+    pool = np.zeros((firsts[-1] + 1, d + 2))
+    np.concatenate(blocks, out=pool[:-1, :d])
+    pool[:-1, d] = 1.0
+    views = {None: [np.arange(d + 1)]}  # by the id of a problem's columns
+    layouts = []
+    for p in problems:
+        first, count = seen[id(p.views)]
+        key = None if p.columns is None else id(p.columns)
+        if key not in views:
+            views[key] = [_view_columns(cols, d) for cols in p.columns]
+            if not views[key]:
+                raise ValueError("a problem needs at least one view")
+        layouts.append((len(blocks[first]), [(firsts[first + s], views[key])
+                                             for s in range(count)]))
+    return pool, layouts
 
 
 def _checked_problem(problem: SvmProblem, n_rows: int) -> SvmProblem:
@@ -139,15 +188,44 @@ def _checked_problem(problem: SvmProblem, n_rows: int) -> SvmProblem:
     return problem._replace(rows=rows, labels=labels)
 
 
-def _chunks(widths: np.ndarray, per_row: int, budget: int):
-    """Split slices ``0..len(widths)`` into runs whose ``width * per_row`` blocks,
-    each as wide as its first (widest) slice, hold at most ``budget`` numbers."""
-    lo = 0
-    while lo < len(widths):
-        width = int(widths[lo])
-        hi = min(len(widths), lo + max(1, budget // (width * per_row)))
-        yield lo, hi, width
-        lo = hi
+class _Fits:
+    """The fits of some views of one width that several groups read alike:
+    their state is ``(groups, views, width)``, the groups in order, so that
+    the groups still stepping are a prefix.
+
+    View ``views[u]`` of group ``groups[i]`` reads the pool columns
+    ``columns[u]`` of the group's rows.
+    """
+
+    def __init__(self, groups: list[int], views: list[int], columns: list[np.ndarray],
+                 owner: np.ndarray, lam: np.ndarray, m: np.ndarray):
+        self.groups = np.array(groups)
+        self.views = np.array(views)
+        self.columns = np.stack(columns)
+        self.owner = owner[self.groups]
+        self.lam = lam[self.owner]
+        self.radius = 1.0 / np.sqrt(self.lam)
+        self.active = np.count_nonzero(m[self.owner] > 0, axis=0)  # groups stepping, by step
+        self.beta = np.zeros((len(groups),) + self.columns.shape)
+        self.running_sum = np.zeros_like(self.beta)
+
+
+def _fits(groups, owner: np.ndarray, lam: np.ndarray, m: np.ndarray) -> list[_Fits]:
+    """The fits of every view of every group, those of one width and of one
+    list of views together; ``lam`` and ``m`` are by problem."""
+    members: dict[tuple, tuple[list, list]] = {}
+    split: dict[int, list] = {}  # a list of views, split by width, by its id
+    for g, (_, _, views) in enumerate(groups):
+        if id(views) not in split:
+            by_width: dict[int, list] = {}
+            for v, cols in enumerate(views):
+                by_width.setdefault(len(cols), []).append((v, cols))
+            split[id(views)] = list(by_width.values())
+        for same in split[id(views)]:
+            key = tuple((v, id(cols)) for v, cols in same)
+            members.setdefault(key, (same, []))[1].append(g)
+    return [_Fits(own, [v for v, _ in same], [cols for _, cols in same], owner, lam, m)
+            for same, own in members.values()]
 
 
 def train_svm_stack(
@@ -156,117 +234,221 @@ def train_svm_stack(
     epochs: int = 50,
     batch_size: int = 32,
 ) -> list[list[LinearSvm]]:
-    """Fit every slice of every problem in one lockstep run; one list of fits per problem.
+    """Fit every view of every problem in one lockstep run; one list of fits per problem.
 
-    A problem's slices take its seeded shuffles and mini-batches, and each
+    A problem's views take its seeded shuffles and mini-batches, and each
     fit's weight vector is the average of all its iterates (zero after no
-    epochs).  Every fit comes out bit for bit as its slice fitted alone.
+    epochs).  Every fit comes out bit for bit as its view fitted alone.
 
     The steps work on label-signed rows ``y * [x, 1]``: a row's margin is its
     dot product with ``beta`` and a violator's subgradient term is the row
     itself (negation is exact and round-to-nearest symmetric, so this is the
     arithmetic of applying the label after the product).  Problems run
-    largest first, so in every step the slices still stepping are a prefix
-    and their batch sizes fall along it.  A step gathers the active slices'
-    batches, each padded to the widest batch of its chunk with rows of
-    weight zero, computes their margins with one ``matmul`` per chunk, and
-    updates, projects and sums all slices in one elementwise pass with
-    per-slice ``lam``, ``eta``, ``m`` and radius.  Why the bits hold:
+    largest first, so in every step the problems still stepping are a prefix
+    and their batch sizes fall along it.  A group is one matrix of a problem,
+    and its views select columns of that matrix's rows in one pool of
+    full-width rows ``[x, 1, 0]``.  A step gathers each group's batch rows
+    once, at full width, padded to the widest batch of its chunk with rows of
+    sign zero, and takes the margins of all the group's views in one product:
+    the rows times the views' weights, each scattered into a zero column of
+    full width.  Each fit keeps its state at its view's own width: the fits
+    of the views of one width that groups read alike share one ``(groups,
+    views, width)`` array.  A fit sums its violators packed in batch order at
+    the front of a block whose other rows read the pool's zero row, and it
+    updates, projects and sums elementwise with per-fit ``lam``, ``eta``,
+    ``m`` and radius.  Why the bits hold:
 
-    - padding changes how a BLAS kernel blocks the rows and so how it rounds
-      a margin, but any two roundings of a length-d dot product lie within
-      ``d * eps * |row| * |beta|`` of each other; only ``margin < 1`` uses a
-      margin, so one within ``MARGIN_GUARD`` such bounds of 1.0 (``|row|``
-      the largest over the rows the problems train on) is recomputed as
-      ``batch @ beta`` of its slice alone;
-    - the violator sum adds the batch rows in order (the rows have at least
-      two columns, the bias among them, so numpy never sums them pairwise), a
-      non-violator or a padding row as zeros, which moves at most the sign of
-      a zero sum and never ``beta`` (no weight is ever -0.0);
-    - the squared norms are a same-shape stacked ``matmul``, one dot product
-      per slice, and the projection factor is exactly 1.0 inside the radius.
+    - a full-width margin is another rounding of the view's dot product (the
+      other columns add exact zeros), and any two roundings of a dot product
+      of length at most D, the pool's width, lie within ``D * eps * |row| *
+      |beta|`` of each other, with ``|row|`` the full row's norm; only
+      ``margin < 1`` uses a margin, so one within ``MARGIN_GUARD`` such
+      bounds of 1.0 (``|row|`` the largest over the rows the problems train
+      on) is recomputed as ``batch @ beta`` of the view's own batch alone;
+    - each column of a violator sum adds the violating rows in batch order
+      along a non-last axis (a view has at least two columns, the bias among
+      them, so numpy never sums them pairwise), then zeros, which moves at
+      most the sign of a zero sum and never ``beta`` (no weight is ever
+      -0.0); a step's fits share one block unless splitting them by their
+      violator counts, into blocks at most twice as deep as their fits need,
+      saves ``SPLIT_SAVING`` numbers;
+    - the squared norms are a same-shape stacked ``matmul`` at the view's own
+      width, one dot product per fit, and the projection factor is exactly
+      1.0 inside the radius.
     """
     if not problems:
         return []
-    pool, layout = _pool(problems)
-    problems = [_checked_problem(p, layout[id(p.views)][2]) for p in problems]
+    pool, layouts = _pool(problems)
+    problems = [_checked_problem(p, n_rows) for p, (n_rows, _) in zip(problems, layouts)]
     d = pool.shape[1]
-    ordered = sorted(problems, key=lambda p: -len(p.rows))
+    order = sorted(range(len(problems)), key=lambda i: -len(problems[i].rows))
+    ordered = [problems[i] for i in order]
     n = np.array([len(p.rows) for p in ordered])
     k = -(-n // batch_size)  # steps per epoch, falling along the problems
-    # slice s of problem q finds row r of its view at pool row shift[slice] + r
-    owner = np.concatenate([np.full(layout[id(p.views)][1], q) for q, p in enumerate(ordered)])
-    shift = np.concatenate([first + size * np.arange(views)
-                            for first, views, size in (layout[id(p.views)] for p in ordered)])
-    shift = shift[:, None]
+    # group g: the rows of a matrix from pool row first[g] on, for problem owner[g]
+    groups = [(q, f, views) for q, i in enumerate(order) for f, views in layouts[i][1]]
+    owner = np.array([q for q, _, _ in groups])
+    first = np.array([f for _, f, _ in groups])[:, None]
+    n_views = max(len(views) for _, _, views in groups)
+    lam = 1.0 / (c * n[:, None, None])
+    m = np.minimum(batch_size, n[:, None] - batch_size * np.arange(k[0]))  # batch sizes
+    size = m.astype(float)[:, :, None]
+    fits = _fits(groups, owner, lam, m)
     trained = np.zeros(len(pool), dtype=bool)  # the rows a batch can hold, padding included
-    for q, p in enumerate(ordered):
-        trained[shift[owner == q] + p.rows] = True
+    for q, f, _ in groups:
+        trained[f + ordered[q].rows] = True
     gamma = MARGIN_GUARD * d * np.finfo(float).eps * np.sqrt(
         np.einsum("ij,ij->i", pool, pool)[trained].max())
-    slices = len(owner)
-    lam = 1.0 / (c * n[owner, None])
-    radius = 1.0 / np.sqrt(lam)
-    # batch j: each slice's size, the slices still stepping, and their chunks
-    m = np.minimum(batch_size, n[owner, None] - batch_size * np.arange(k[0]))
-    budget = max(pool.size // 2, batch_size * d)
+    budget = max(pool.size // 2, batch_size * d * n_views)
+    # batch j: the groups still stepping and their chunks, each chunk's batch
+    # as wide as its first group's, with where each fits' weights go in it
     plan = []
     for j in range(k[0]):
-        active = int(np.count_nonzero(m[:, j] > 0))
-        plan.append((active, m[:, j: j + 1].astype(float), list(_chunks(m[:active, j], d, budget))))
+        active = int(np.count_nonzero(m[owner, j] > 0))
+        chunks, lo = [], 0
+        while lo < active:
+            wide = int(m[owner[lo], j])
+            hi = min(active, lo + max(1, budget // (d * (wide + n_views))))
+            chunks.append((lo, hi, wide, [_places(fit, lo, hi) for fit in fits]))
+            lo = hi
+        plan.append((active, chunks))
+    # view v of group g is view where[1][g, v] of group where[0][g, v] of fits[where[2][g, v]]
+    where = np.zeros((3, len(groups), n_views), dtype=int)
+    for f, fit in enumerate(fits):
+        at = fit.groups[:, None], fit.views
+        where[0][at], where[1][at], where[2][at] = np.arange(len(fit.groups))[:, None], \
+            np.arange(len(fit.views)), f
 
     # an epoch's batches: table[q, j * batch_size + b] is row b of problem q's
     # batch j; padding repeats the problem's first row, with sign 0
     span = int(k[0]) * batch_size
     all_rows = np.concatenate([p.rows for p in ordered])
     all_labels = np.concatenate([p.labels for p in ordered])
-    dest = np.concatenate([q * span + np.arange(size) for q, size in enumerate(n)])
+    dest = np.concatenate([q * span + np.arange(n_q) for q, n_q in enumerate(n)])
     row_table = np.repeat([[p.rows[0]] for p in ordered], span, axis=1)
     sign_table = np.zeros((len(ordered), span))
     rngs = [np.random.default_rng(p.seed) for p in ordered]
 
     buffer = np.empty(budget)
-    beta = np.zeros((slices, d))
-    norm = np.zeros((slices, 1))
-    violators = np.empty((slices, d))
-    running_sum = np.zeros((slices, d))
-    t = np.zeros((slices, 1))
+    norm = np.zeros((len(groups), 1, n_views))  # each fit's norm after its last update
+    t = np.zeros((len(ordered), 1, 1))
     for _ in range(epochs):
         # shuffling arange(n) in place draws what permutation(n) draws
         row_table.flat[dest] = np.arange(len(all_rows))
-        for rng, own, size in zip(rngs, row_table, n):
-            rng.shuffle(own[:size])
+        for rng, own, n_q in zip(rngs, row_table, n):
+            rng.shuffle(own[:n_q])
         picks = row_table.flat[dest]
         row_table.flat[dest] = all_rows[picks]
         sign_table.flat[dest] = all_labels[picks]
-        for j, (active, size, chunks) in enumerate(plan):
-            for lo, hi, width in chunks:
-                cols, own = slice(j * batch_size, j * batch_size + width), owner[lo:hi]
-                batch = buffer[: (hi - lo) * width * d].reshape(hi - lo, width, d)
-                np.take(pool, row_table[own, cols] + shift[lo:hi], axis=0, out=batch, mode="clip")
-                sign = sign_table[own, cols]
-                margin = np.matmul(batch, beta[lo:hi, :, None])[:, :, 0]
-                margin *= sign
+        for j, (active, chunks) in enumerate(plan):
+            cols = slice(j * batch_size, j * batch_size + m[0, j])
+            rows = row_table[owner[:active], cols] + first[:active]  # pool rows
+            sign = sign_table[owner[:active], cols]
+            hit = np.zeros((active, n_views, m[0, j]), dtype=bool)  # margin < 1
+            for lo, hi, wide, places in chunks:
+                batch = buffer[: (hi - lo) * wide * d].reshape(hi - lo, wide, d)
+                np.take(pool, rows[lo:hi, :wide], axis=0, out=batch, mode="clip")
+                weights = np.zeros((hi - lo, d, n_views))
+                for fit, (at, a, b) in zip(fits, places):
+                    weights[at, fit.columns, fit.views[:, None]] = fit.beta[a:b]
+                margin = np.matmul(batch, weights)
+                margin *= sign[lo:hi, :wide, None]
+                margin[sign[lo:hi, :wide] == 0.0] = np.inf  # padding never violates
                 near = np.abs(margin - 1.0) <= gamma * norm[lo:hi]
-                for s in np.flatnonzero(near.any(axis=1)) if near.any() else ():
-                    alone = int(size[lo + s, 0])
-                    margin[s, :alone] = (batch[s, :alone] * sign[s, :alone, None]) @ beta[lo + s]
-                batch *= ((margin < 1.0) * sign)[:, :, None]
-                np.add.reduce(batch, axis=1, out=violators[lo:hi])
-            live = beta[:active]
-            t[:active] += size[:active]
-            eta = 1.0 / (lam[:active] * t[:active])
-            live -= eta * (lam[:active] * live - violators[:active] / size[:active])
-            norm[:active] = np.sqrt(np.matmul(live[:, None, :], live[:, :, None])[:, 0])
-            live *= radius[:active] / np.maximum(norm[:active], radius[:active])
-            running_sum[:active] += live
-    if epochs > 0:
-        running_sum /= epochs * k[owner, None].astype(float)
-    fits = {id(p): [] for p in ordered}  # every fit's weights are a row of one array
-    for s, q in enumerate(owner):
-        fits[id(ordered[q])].append(LinearSvm(beta=running_sum[s], c=c,
-                                              class_pair=ordered[q].class_pair))
-    return [fits[id(p)] for p in problems]
+                for g, v in zip(*np.nonzero(near.any(axis=1))) if near.any() else ():
+                    i, u, f = where[:, lo + g, v]
+                    alone = m[owner[lo + g], j]
+                    view = pool[rows[lo + g, :alone, None], fits[f].columns[u]]
+                    view *= sign[lo + g, :alone, None]
+                    margin[g, :alone, v] = view @ fits[f].beta[i, u]
+                np.less(margin, 1.0, out=hit[lo:hi, :, :wide].transpose(0, 2, 1))
+            live = int(np.count_nonzero(k > j))  # problems still stepping
+            t[:live] += size[:live, j: j + 1]
+            eta = 1.0 / (lam[:live] * t[:live])
+            for fit in fits:
+                _step(fit, j, pool, rows, sign, hit, norm, size[:, j, None], eta, budget)
+    slots = {}
+    for fit in fits:
+        if epochs > 0:
+            fit.running_sum /= epochs * k[fit.owner, None, None].astype(float)
+        for g, weights in zip(fit.groups.tolist(), fit.running_sum):
+            slots.update(((g, v), w) for v, w in zip(fit.views.tolist(), weights))
+    result = [[] for _ in ordered]
+    for g, (q, _, views) in enumerate(groups):
+        result[q] += [LinearSvm(beta=slots[g, v], c=c, class_pair=ordered[q].class_pair)
+                      for v in range(len(views))]
+    rank = {i: q for q, i in enumerate(order)}
+    return [result[rank[i]] for i in range(len(problems))]
+
+
+def _places(fit: _Fits, lo: int, hi: int):
+    """Where the weights of the fits of groups ``lo..hi`` go in a chunk's
+    weights: the chunk's groups they sit in (a slice where they are
+    consecutive) and the span of their rows in ``fit``."""
+    a, b = np.searchsorted(fit.groups, (lo, hi))
+    at = fit.groups[a:b] - lo
+    if b - a and at[-1] - at[0] == b - a - 1:
+        return slice(at[0], at[-1] + 1), a, b
+    return at[:, None, None], a, b
+
+
+def _step(fit: _Fits, j: int, pool, rows, sign, hit, norm, size, eta, budget) -> None:
+    """Step ``j`` of the fits of ``fit`` whose groups are still stepping, given
+    every group's batch rows in the pool, their signs, which of them each view
+    finds inside the margin, each problem's batch size and ``eta``."""
+    active = fit.active[j]
+    if not active:
+        return
+    views, width = fit.columns.shape
+    group, owner = fit.groups[:active], fit.owner[:active]
+    hits = hit[group[:, None], fit.views]  # (groups, views, batch)
+    count = np.count_nonzero(hits, axis=2)
+    most = int(count.max())
+    if (count.size * most * width <= budget // 2
+            and (count.size * most - 2 * count.sum()) * width < SPLIT_SAVING):  # one block
+        violators = _violator_sums(pool, rows, sign, group[:, None, None], hits, count, most,
+                                   fit.columns)
+    else:  # blocks of fits with more than half the violators of the deepest among them
+        hits, count = hits.reshape(active * views, -1), count.ravel()
+        violators = np.zeros((active * views, width))
+        by_count = np.argsort(-count, kind="stable")
+        counts = count[by_count]
+        lo, hit_fits = 0, int(np.count_nonzero(count))
+        while lo < hit_fits:
+            most = int(counts[lo])
+            hi = min(int(np.searchsorted(-counts, -(most // 2))),
+                     lo + max(1, budget // (2 * most * width)))
+            chosen = by_count[lo:hi]
+            violators[chosen] = _violator_sums(
+                pool, rows, sign, group[chosen // views, None], hits[chosen], counts[lo:hi],
+                most, fit.columns[chosen % views])
+            lo = hi
+        violators = violators.reshape(fit.beta[:active].shape)
+    live = fit.beta[:active]
+    live -= eta[owner] * (fit.lam[:active] * live - violators / size[owner])
+    new_norm = np.sqrt(np.matmul(live[:, :, None, :], live[:, :, :, None])[:, :, 0])
+    live *= fit.radius[:active] / np.maximum(new_norm, fit.radius[:active])
+    fit.running_sum[:active] += live
+    norm[group[:, None], 0, fit.views] = new_norm[:, :, 0]
+
+
+def _violator_sums(pool, rows, sign, group, hits, count, most: int, columns) -> np.ndarray:
+    """Each fit's sum of its violating rows: ``hits`` marks them among the
+    batch positions of its group ``group`` (a row of ``rows`` and ``sign``,
+    its batch's pool rows and signs), and ``columns`` are the pool columns
+    the fit reads.
+
+    The violators are packed first, in batch order, into a block ``most``
+    deep whose other rows read the pool's zero row, and the block is summed
+    along that depth, a non-last axis.
+    """
+    if not most:
+        return np.zeros(1)
+    packed = group, np.argsort(~hits, axis=-1, kind="stable")[..., :most]
+    packed_rows = np.where(np.arange(most) < count[..., None], rows[packed], len(pool) - 1)
+    block = pool.take(packed_rows[..., None] * pool.shape[1] + columns[..., None, :])
+    block *= sign[packed][..., None]
+    return np.add.reduce(block, axis=-2)
 
 
 def train_svm_binary(
@@ -317,13 +499,14 @@ class SvmEnsemble:
         return pred[0] if single else pred
 
 
-def _pair_problems(views: np.ndarray, y_idx: np.ndarray, n_classes: int, seed):
+def _pair_problems(views, y_idx: np.ndarray, n_classes: int, seed, columns=None):
     """An ``SvmProblem`` on ``views`` for each class pair present in ``y_idx``."""
     present = set(np.unique(y_idx).tolist())
     pairs = [p for p in combinations(range(n_classes), 2) if p[0] in present and p[1] in present]
     for (a, b), child in zip(pairs, spawn_seeds(seed, len(pairs))):
         rows = np.flatnonzero((y_idx == a) | (y_idx == b))
-        yield SvmProblem(views, rows, np.where(y_idx[rows] == b, 1.0, -1.0), child, (a, b))
+        yield SvmProblem(views, rows, np.where(y_idx[rows] == b, 1.0, -1.0), child, (a, b),
+                         columns)
 
 
 def train_svm_ensembles(
@@ -331,21 +514,25 @@ def train_svm_ensembles(
     classes: tuple[str, ...],
     c: float = 1.0,
     epochs: int = 50,
+    columns: list[np.ndarray] | None = None,
 ) -> list[list[SvmEnsemble]]:
     """``train_svm_ensemble`` of every view of several stacks of views, bit for bit.
 
-    ``stacks`` holds ``(views, y_idx, seed)`` triples, ``views`` as in
-    ``SvmProblem``; every class pair of every stack is one problem of a single
-    ``train_svm_stack`` run.  One list of S ensembles comes back per stack.
+    ``stacks`` holds ``(views, y_idx, seed)`` triples, ``views`` and
+    ``columns`` as in ``SvmProblem``; every stack is read through the same
+    ``columns``.  Every class pair of every stack is one problem of a single
+    ``train_svm_stack`` run.  One list of ensembles, one per view, comes back
+    per stack.
     """
-    problems = [[*_pair_problems(views, np.asarray(y_idx, dtype=int), len(classes), seed)]
+    problems = [[*_pair_problems(views, np.asarray(y_idx, dtype=int), len(classes), seed,
+                                 columns)]
                 for views, y_idx, seed in stacks]
     fits = iter(train_svm_stack([p for own in problems for p in own], c=c, epochs=epochs))
     ensembles = []
     for (views, _, _), own in zip(stacks, problems):
         per_pair = [next(fits) for _ in own]
         ensembles.append([SvmEnsemble(svms=[fit[s] for fit in per_pair], classes=tuple(classes))
-                          for s in range(len(views))])
+                          for s in range(len(views if columns is None else columns))])
     return ensembles
 
 

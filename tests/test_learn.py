@@ -12,6 +12,7 @@ from rftraffic import cart, learn
 from rftraffic.cart import _best_splits, _dense_ranks, _grow_trees
 from rftraffic.features import ScalingTransform, fit_scaling, link_block_slice
 from rftraffic.learn import (
+    ZERO_COLUMN,
     _node_depths,
     _prune_tree,
     LinearSvm,
@@ -320,18 +321,142 @@ def test_every_problem_of_a_ragged_run_equals_its_single_fits(problems, batch_si
 
 def test_forced_exact_margins_give_the_same_bits(monkeypatch):
     """With the rounding guard wide open, every margin of a nonzero ``beta`` is
-    recomputed alone (a zero ``beta`` gives exact zero margins in any shape)."""
+    recomputed alone (a zero ``beta`` gives exact zero margins in any shape).
+    The last problem reads views of mixed widths from one matrix."""
     problems = []
     for q, (s, n) in enumerate([(3, 80), (1, 5), (2, 33), (3, 31)]):
         views, labels = _fold_like_stack(s, n, 13, exact_fraction=0.3, zero_columns=(0,),
                                          seed=40 + q)
         problems.append(SvmProblem(views, np.arange(n), labels, q, (0, 1)))
-    normal = train_svm_stack(problems, c=10.0, epochs=6, batch_size=32)
+    matrix, labels = _fold_like_stack(1, 70, 13, exact_fraction=0.3, zero_columns=(4,), seed=44)
+    columns = [np.arange(13), np.array([ZERO_COLUMN, ZERO_COLUMN, 7, 2]), np.array([12, 0, 5])]
+    mixed = SvmProblem(matrix, np.arange(3, 70), labels[3:], 4, (0, 1), columns)
+    normal = train_svm_stack(problems + [mixed], c=10.0, epochs=6, batch_size=32)
     monkeypatch.setattr(learn, "MARGIN_GUARD", 1e200)
-    forced = train_svm_stack(problems, c=10.0, epochs=6, batch_size=32)
+    forced = train_svm_stack(problems + [mixed], c=10.0, epochs=6, batch_size=32)
     for got, want in zip(forced, normal):
         assert [f.beta.tobytes() for f in got] == [f.beta.tobytes() for f in want]
     _assert_fits_match_single_fits(problems, c=10.0, epochs=6, batch_size=32)
+    _assert_column_fits_match_views_alone([mixed], c=10.0, epochs=6, batch_size=32)
+
+
+def _view_alone(matrix, columns):
+    """The ``(N, d)`` matrix one column view reads: ``ZERO_COLUMN`` gives zeros."""
+    view = matrix[:, columns]
+    view[:, columns == ZERO_COLUMN] = 0.0
+    return view
+
+
+def _assert_column_fits_match_views_alone(problems, **kwargs):
+    """Every view of every problem, fitted in one run, equals
+    ``_single_fit_train_svm_binary`` of that view alone, compared by ``float.hex``."""
+    fits = train_svm_stack(problems, **kwargs)
+    assert len(fits) == len(problems)
+    for problem, got in zip(problems, fits):
+        [matrix] = list(problem.views) if np.ndim(problem.views) == 3 else [problem.views]
+        assert len(got) == len(problem.columns)
+        for columns, fit in zip(problem.columns, got):
+            alone = _single_fit_train_svm_binary(_view_alone(matrix, columns)[problem.rows],
+                                                 problem.labels, seed=problem.seed, **kwargs)
+            assert [float.hex(v) for v in fit.beta] == [float.hex(v) for v in alone]
+            assert fit.class_pair == problem.class_pair
+
+
+@st.composite
+def column_problems(draw):
+    """1-8 problems on 1-3 matrices of one width D, each read through views of
+    mixed widths: some blank a leading pair with ``ZERO_COLUMN``, one reads
+    every column, and a problem may share its matrix and its views with the
+    one before it, as the class pairs of a fold do.  A problem may be
+    separable with a wide margin, so that its later steps find no violator."""
+    d = draw(st.integers(2, 24))
+    problems = []
+    for q in range(draw(st.integers(1, 8))):
+        if problems and draw(st.booleans()):
+            matrix, columns = problems[-1].views, problems[-1].columns
+        else:
+            matrix, _ = _fold_like_stack(
+                s=1, n=draw(st.integers(2, 70)), d=d,
+                exact_fraction=draw(st.sampled_from([0.0, 0.2, 0.6])),
+                zero_columns=draw(st.lists(st.integers(0, d - 1), max_size=2)),
+                seed=draw(st.integers(0, 2**32 - 1)))
+            matrix = matrix[0]
+            columns = [np.arange(d)]
+            for _ in range(draw(st.integers(0, 5))):
+                picked = np.array(draw(st.permutations(range(d)))[:draw(st.integers(1, d))])
+                if len(picked) >= 2 and draw(st.booleans()):
+                    picked[:2] = ZERO_COLUMN
+                columns.append(picked)
+            columns = draw(st.permutations(columns))
+        big = len(matrix)
+        n = draw(st.integers(2, big))
+        rows = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                       .choice(big, size=n, replace=False))
+        labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
+        labels[:2] = (1.0, -1.0)
+        if draw(st.booleans()):  # separable: the first column carries the label, far out
+            matrix = matrix.copy()
+            matrix[rows, 0] = 50.0 * labels
+        problems.append(SvmProblem(matrix, rows, labels, draw(st.integers(0, 2**32 - 1)),
+                                   (q % 3, q % 3 + 1), columns))
+    return problems
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    problems=column_problems(),
+    batch_size=st.sampled_from([1, 7, 32]),
+    epochs=st.integers(1, 10),
+    c=st.sampled_from([0.01, 1.0, 10.0]),
+)
+def test_every_column_view_equals_its_view_fitted_alone(problems, batch_size, epochs, c):
+    _assert_column_fits_match_views_alone(problems, c=c, epochs=epochs, batch_size=batch_size)
+
+
+def test_column_views_cover_every_violator_case(monkeypatch):
+    """One run meets a first step where every row violates, steps with no
+    violator, padded batches and blocks split by violator count, and still
+    equals every view fitted alone; ``batch_size`` 1 too."""
+    rng = np.random.default_rng(5)
+    matrix = rng.uniform(-1.0, 1.0, (300, 9))
+    labels = np.where(rng.random(300) < 0.5, 1.0, -1.0)
+    labels[:2] = (1.0, -1.0)
+    separable = matrix.copy()
+    separable[:, 0] = 50.0 * labels
+    columns = [np.arange(9), np.array([ZERO_COLUMN, ZERO_COLUMN, 3]), np.array([8, 1]),
+               np.array([2, 5, 4, 6])]
+    problems = [SvmProblem(matrix, np.arange(0, 300), labels, 1, (0, 1), columns),
+                SvmProblem(matrix, np.arange(0, 45), labels[:45], 2, (0, 2), columns),
+                SvmProblem(separable, np.arange(10, 61), labels[10:61], 3, (1, 2), columns[:2])]
+    seen = []
+    original = learn._violator_sums
+
+    def recording(pool, rows, sign, group, hits, count, most, view_columns):
+        seen.append((most, hits.shape[-1], bool(np.all(count == hits.shape[-1])), count.size))
+        return original(pool, rows, sign, group, hits, count, most, view_columns)
+
+    monkeypatch.setattr(learn, "_violator_sums", recording)
+    monkeypatch.setattr(learn, "SPLIT_SAVING", 1)
+    _assert_column_fits_match_views_alone(problems, c=10.0, epochs=8, batch_size=32)
+    assert any(every for _, _, every, _ in seen)  # every row of a batch violates
+    assert any(most == 0 for most, _, _, _ in seen)  # no violator at all
+    assert any(0 < most < width for most, width, _, _ in seen)  # a packed, shallower block
+    seen.clear()
+    _assert_column_fits_match_views_alone(problems[1:], c=1.0, epochs=3, batch_size=1)
+    assert seen
+
+
+def test_column_views_are_checked():
+    matrix = np.zeros((4, 3))
+    labels = np.array([1.0, -1.0, 1.0, -1.0])
+    for columns, message in (([np.array([0, 3])], "lie in"), ([np.array([1, 1])], "once"),
+                             ([np.array([], dtype=int)], "nonempty"), ([], "one view"),
+                             ([np.array([0.0, 1.0])], "column indices")):
+        with pytest.raises(ValueError, match=message):
+            train_svm_stack([SvmProblem(matrix, np.arange(4), labels, 0, (0, 1), columns)])
+    with pytest.raises(ValueError, match="one matrix"):
+        train_svm_stack([SvmProblem(np.zeros((2, 4, 3)), np.arange(4), labels, 0, (0, 1),
+                                    [np.arange(3)])])
 
 
 def test_zero_epochs_give_zero_weights():
