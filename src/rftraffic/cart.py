@@ -29,11 +29,12 @@ SPLIT_BATCH_ROWS = 4096
 
 
 def _dense_ranks(x: np.ndarray) -> np.ndarray:
-    """Each value's rank among the distinct values of its column, as a ``(d, n)`` array."""
+    """Each value's rank among the distinct values of its column, as a ``(d, n)``
+    array of the narrowest unsigned type that holds ``n - 1``."""
     order = np.argsort(x, axis=0, kind="stable")
     ordered = np.take_along_axis(x, order, axis=0)
-    dense = np.zeros(x.shape, dtype=np.int64)
-    np.cumsum(ordered[1:] > ordered[:-1], axis=0, out=dense[1:])
+    dense = np.zeros(x.shape, dtype=np.min_scalar_type(max(len(x) - 1, 0)))
+    np.cumsum(ordered[1:] > ordered[:-1], axis=0, dtype=dense.dtype, out=dense[1:])
     ranks = np.empty_like(dense)
     np.put_along_axis(ranks, order, dense, axis=0)
     return np.ascontiguousarray(ranks.T)
@@ -100,7 +101,7 @@ def _best_splits(x, ranks, y, n_classes, idxs, feature_ids):
     valid &= n_right > 0
     del rank
     label = y[rows]
-    klass = label[order]
+    klass = label.astype(np.min_scalar_type(n_classes - 1))[order]  # widened in the keys
     totals = np.bincount(node * n_classes + label,
                          minlength=n_nodes * n_classes).reshape(-1, n_classes)
     sum_sq = (totals * totals).sum(axis=1)
