@@ -10,8 +10,9 @@ over the augmented space.  The trainer works on label-signed rows
 (``train_svm_stack``): each problem is some rows of a matrix with its own
 labels and seed, read through views that select columns of it (or a stack of
 matrices, each one view).  Every view's batch rows are gathered once per
-problem at full width, the margin guard is derived for that width, only the
-violators are summed, and each fit keeps its state at its view's own width,
+problem at full width, the margin guard is derived for that width, each
+fit's violators are packed in batch order and summed in blocks of fits with
+like violator counts, and each fit keeps its state at its view's own width,
 so every fit comes out bit for bit as its view fitted alone; one fit is the
 one-problem, one-view case.
 Multi-class problems are composed one-vs-one: one SVM per class pair plus a
@@ -80,13 +81,14 @@ class LinearSvm:
 #: is recomputed in the shape a fit alone computes it (see ``train_svm_stack``)
 MARGIN_GUARD = 4.0
 
+#: the fixed cost of summing one block of violators (``_step``) in numbers
+#: gathered and summed: a block's numpy calls cost about as much as 4,000 to
+#: 5,000 of them on a 2-CPU x86-64 host, so a step's fits start another block
+#: only where that sheds more padding than this
+BLOCK_NUMBERS = 1 << 12
+
 #: a view column that reads 0.0 in every row (``SvmProblem.columns``)
 ZERO_COLUMN = -1
-
-#: numbers a step's violator block must shed before its fits are split into
-#: blocks by violator count: below it the extra numpy calls cost more than
-#: the padding they save
-SPLIT_SAVING = 1 << 16
 
 
 class SvmProblem(NamedTuple):
@@ -94,10 +96,9 @@ class SvmProblem(NamedTuple):
 
     ``views`` is an ``(S, N, D)`` array or any iterable of S ``(N, D)``
     arrays, read once.  Without ``columns`` each matrix is one view, all of
-    its columns.  With ``columns`` there is one matrix (``views`` may also be
-    that ``(N, D)`` array itself), and each entry of ``columns`` is a view of
-    it: the indices of the columns it reads, in its order, where
-    ``ZERO_COLUMN`` reads 0.0.  ``rows`` picks the problem's
+    its columns.  With ``columns`` the stack holds one matrix, and each entry
+    of ``columns`` is a view of it: the indices of the columns it reads, in
+    its order, where ``ZERO_COLUMN`` reads 0.0.  ``rows`` picks the problem's
     rows out of the N and ``labels`` gives each of them +/-1.  Every view is
     one fit on those rows, and all of them take the shuffles of ``seed``.
     Problems may share a stack (the same object).
@@ -134,9 +135,9 @@ def _view_columns(columns, d: int) -> np.ndarray:
 
 def _pool(problems: list[SvmProblem]):
     """Every matrix of every distinct stack as rows ``[x, 1, 0]`` (the bias and
-    a zero column), one after the other in one array that ends in a row of
-    zeros, and for each problem its row count and its groups: the first pool
-    row of one of its matrices and the pool columns of each view of it.
+    a zero column), one after the other in one array, and for each problem
+    its row count and its groups: the first pool row of one of its matrices
+    and the pool columns of each view of it.
 
     The matrices themselves are dropped once copied, so a caller that builds
     them as they are read holds no second copy.
@@ -144,8 +145,7 @@ def _pool(problems: list[SvmProblem]):
     blocks, seen = [], {}
     for p in problems:
         if id(p.views) not in seen:
-            one = p.columns is not None and np.ndim(p.views) == 2
-            stack = _checked_views([p.views] if one else p.views)
+            stack = _checked_views(p.views)
             if p.columns is not None and len(stack) != 1:
                 raise ValueError("a problem with columns must have one matrix")
             seen[id(p.views)] = (len(blocks), len(stack))
@@ -157,9 +157,9 @@ def _pool(problems: list[SvmProblem]):
     if d < 1:
         raise ValueError("views need at least one column")
     firsts = np.cumsum([0] + [len(b) for b in blocks])
-    pool = np.zeros((firsts[-1] + 1, d + 2))
-    np.concatenate(blocks, out=pool[:-1, :d])
-    pool[:-1, d] = 1.0
+    pool = np.zeros((firsts[-1], d + 2))
+    np.concatenate(blocks, out=pool[:, :d])
+    pool[:, d] = 1.0
     views = {None: [np.arange(d + 1)]}  # by the id of a problem's columns
     layouts = []
     for p in problems:
@@ -205,7 +205,11 @@ class _Fits:
         self.owner = owner[self.groups]
         self.lam = lam[self.owner]
         self.radius = 1.0 / np.sqrt(self.lam)
+        self.size = m[self.owner].astype(float)[:, :, None, None]  # batch sizes, by step
         self.active = np.count_nonzero(m[self.owner] > 0, axis=0)  # groups stepping, by step
+        # by step, where the stepping groups' views sit in (groups, views, ...) arrays
+        self.at = [_at(self.groups[:a], self.views) for a in self.active]
+        self.own = [_span(self.owner[:a]) for a in self.active]  # the groups' problems
         self.beta = np.zeros((len(groups),) + self.columns.shape)
         self.running_sum = np.zeros_like(self.beta)
 
@@ -226,6 +230,21 @@ def _fits(groups, owner: np.ndarray, lam: np.ndarray, m: np.ndarray) -> list[_Fi
             members.setdefault(key, (same, []))[1].append(g)
     return [_Fits(own, [v for v, _ in same], [cols for _, cols in same], owner, lam, m)
             for same, own in members.values()]
+
+
+def _span(index: np.ndarray):
+    """A 1-d ``index`` as a slice where it runs consecutively."""
+    if len(index) and index[-1] - index[0] == len(index) - 1 and np.all(np.diff(index) == 1):
+        return slice(int(index[0]), int(index[-1]) + 1)
+    return index
+
+
+def _at(groups: np.ndarray, views: np.ndarray):
+    """The index of some views of some groups in a ``(groups, views, ...)`` array."""
+    at = _span(groups), _span(views)
+    if isinstance(at[0], slice) or isinstance(at[1], slice):
+        return at
+    return groups[:, None], views
 
 
 def train_svm_stack(
@@ -254,9 +273,9 @@ def train_svm_stack(
     full width.  Each fit keeps its state at its view's own width: the fits
     of the views of one width that groups read alike share one ``(groups,
     views, width)`` array.  A fit sums its violators packed in batch order at
-    the front of a block whose other rows read the pool's zero row, and it
-    updates, projects and sums elementwise with per-fit ``lam``, ``eta``,
-    ``m`` and radius.  Why the bits hold:
+    the front of a block whose other rows are a padding slot of sign zero
+    (``_step``), and it updates, projects and sums elementwise with per-fit
+    ``lam``, ``eta``, ``m`` and radius.  Why the bits hold:
 
     - a full-width margin is another rounding of the view's dot product (the
       other columns add exact zeros), and any two roundings of a dot product
@@ -269,9 +288,8 @@ def train_svm_stack(
       along a non-last axis (a view has at least two columns, the bias among
       them, so numpy never sums them pairwise), then zeros, which moves at
       most the sign of a zero sum and never ``beta`` (no weight is ever
-      -0.0); a step's fits share one block unless splitting them by their
-      violator counts, into blocks at most twice as deep as their fits need,
-      saves ``SPLIT_SAVING`` numbers;
+      -0.0); which block a fit is summed in changes only how many zeros
+      follow, and a step without violators subtracts none, as a fit alone;
     - the squared norms are a same-shape stacked ``matmul`` at the view's own
       width, one dot product per fit, and the projection factor is exactly
       1.0 inside the radius.
@@ -299,19 +317,43 @@ def train_svm_stack(
         trained[f + ordered[q].rows] = True
     gamma = MARGIN_GUARD * d * np.finfo(float).eps * np.sqrt(
         np.einsum("ij,ij->i", pool, pool)[trained].max())
+    # an epoch's batches: table[q, j * batch_size + b] is row b of problem q's
+    # batch j; padding repeats the problem's first row, with sign 0
+    span = int(k[0]) * batch_size
+    all_rows = np.concatenate([p.rows for p in ordered])
+    all_labels = np.concatenate([p.labels for p in ordered])
+    dest = np.concatenate([q * span + np.arange(n_q) for q, n_q in enumerate(n)])
+    pad = np.array([p.rows[0] for p in ordered])
+    row_table = np.repeat(pad[:, None], span, axis=1)
+    sign_table = np.zeros((len(ordered), span))
     budget = max(pool.size // 2, batch_size * d * n_views)
-    # batch j: the groups still stepping and their chunks, each chunk's batch
-    # as wide as its first group's, with where each fits' weights go in it
+    buffer = np.empty(budget)
+    # batch j: the problems of the groups still stepping, how many problems
+    # still step, the groups' pool rows and signs (with one more padding slot,
+    # which a fit's violator block reads past its violators), which
+    # rows each view finds inside the margin, and the chunks of the groups:
+    # each chunk's batch is as wide as its first group's, and a chunk holds
+    # where each fit's weights go in it, its groups' rows, signs, full-width
+    # rows in ``buffer`` and hits, and the bound a margin must fall below
+    # (-inf at padding, which never violates)
     plan = []
     for j in range(k[0]):
         active = int(np.count_nonzero(m[owner, j] > 0))
+        rows, sign = np.zeros((active, m[0, j] + 1), dtype=int), np.zeros((active, m[0, j] + 1))
+        rows[:, -1] = pad[owner[:active]] + first[:active, 0]
+        hit = np.zeros((active, n_views, m[0, j]), dtype=bool)
         chunks, lo = [], 0
         while lo < active:
             wide = int(m[owner[lo], j])
             hi = min(active, lo + max(1, budget // (d * (wide + n_views))))
-            chunks.append((lo, hi, wide, [_places(fit, lo, hi) for fit in fits]))
+            limit = np.where(np.arange(wide) < m[owner[lo:hi], j, None], 1.0, -np.inf)
+            chunks.append((lo, hi, [_places(fit, lo, hi) for fit in fits], rows[lo:hi, :wide],
+                           sign[lo:hi, :wide, None],
+                           buffer[: (hi - lo) * wide * d].reshape(hi - lo, wide, d),
+                           hit[lo:hi, :, :wide].transpose(0, 2, 1), limit[:, :, None]))
             lo = hi
-        plan.append((active, chunks))
+        plan.append((_span(owner[:active]), int(np.count_nonzero(k > j)), rows, sign, hit,
+                     chunks))
     # view v of group g is view where[1][g, v] of group where[0][g, v] of fits[where[2][g, v]]
     where = np.zeros((3, len(groups), n_views), dtype=int)
     for f, fit in enumerate(fits):
@@ -319,17 +361,8 @@ def train_svm_stack(
         where[0][at], where[1][at], where[2][at] = np.arange(len(fit.groups))[:, None], \
             np.arange(len(fit.views)), f
 
-    # an epoch's batches: table[q, j * batch_size + b] is row b of problem q's
-    # batch j; padding repeats the problem's first row, with sign 0
-    span = int(k[0]) * batch_size
-    all_rows = np.concatenate([p.rows for p in ordered])
-    all_labels = np.concatenate([p.labels for p in ordered])
-    dest = np.concatenate([q * span + np.arange(n_q) for q, n_q in enumerate(n)])
-    row_table = np.repeat([[p.rows[0]] for p in ordered], span, axis=1)
-    sign_table = np.zeros((len(ordered), span))
     rngs = [np.random.default_rng(p.seed) for p in ordered]
 
-    buffer = np.empty(budget)
     norm = np.zeros((len(groups), 1, n_views))  # each fit's norm after its last update
     t = np.zeros((len(ordered), 1, 1))
     for _ in range(epochs):
@@ -340,20 +373,17 @@ def train_svm_stack(
         picks = row_table.flat[dest]
         row_table.flat[dest] = all_rows[picks]
         sign_table.flat[dest] = all_labels[picks]
-        for j, (active, chunks) in enumerate(plan):
+        for j, (stepping, live, rows, sign, hit, chunks) in enumerate(plan):
             cols = slice(j * batch_size, j * batch_size + m[0, j])
-            rows = row_table[owner[:active], cols] + first[:active]  # pool rows
-            sign = sign_table[owner[:active], cols]
-            hit = np.zeros((active, n_views, m[0, j]), dtype=bool)  # margin < 1
-            for lo, hi, wide, places in chunks:
-                batch = buffer[: (hi - lo) * wide * d].reshape(hi - lo, wide, d)
-                np.take(pool, rows[lo:hi, :wide], axis=0, out=batch, mode="clip")
+            np.add(row_table[stepping, cols], first[: len(rows)], out=rows[:, :-1])
+            sign[:, :-1] = sign_table[stepping, cols]
+            for lo, hi, places, own_rows, own_sign, batch, own_hit, limit in chunks:
+                pool.take(own_rows, axis=0, out=batch, mode="clip")
                 weights = np.zeros((hi - lo, d, n_views))
                 for fit, (at, a, b) in zip(fits, places):
                     weights[at, fit.columns, fit.views[:, None]] = fit.beta[a:b]
                 margin = np.matmul(batch, weights)
-                margin *= sign[lo:hi, :wide, None]
-                margin[sign[lo:hi, :wide] == 0.0] = np.inf  # padding never violates
+                margin *= own_sign
                 near = np.abs(margin - 1.0) <= gamma * norm[lo:hi]
                 for g, v in zip(*np.nonzero(near.any(axis=1))) if near.any() else ():
                     i, u, f = where[:, lo + g, v]
@@ -361,12 +391,11 @@ def train_svm_stack(
                     view = pool[rows[lo + g, :alone, None], fits[f].columns[u]]
                     view *= sign[lo + g, :alone, None]
                     margin[g, :alone, v] = view @ fits[f].beta[i, u]
-                np.less(margin, 1.0, out=hit[lo:hi, :, :wide].transpose(0, 2, 1))
-            live = int(np.count_nonzero(k > j))  # problems still stepping
-            t[:live] += size[:live, j: j + 1]
+                np.less(margin, limit, out=own_hit)
+            t[:live] += size[:live, j: j + 1]  # the problems still stepping
             eta = 1.0 / (lam[:live] * t[:live])
             for fit in fits:
-                _step(fit, j, pool, rows, sign, hit, norm, size[:, j, None], eta, budget)
+                _step(fit, j, pool, rows, sign, hit, norm, eta, buffer)
     slots = {}
     for fit in fits:
         if epochs > 0:
@@ -392,63 +421,72 @@ def _places(fit: _Fits, lo: int, hi: int):
     return at[:, None, None], a, b
 
 
-def _step(fit: _Fits, j: int, pool, rows, sign, hit, norm, size, eta, budget) -> None:
+def _step(fit: _Fits, j: int, pool, rows, sign, hit, norm, eta, buffer) -> None:
     """Step ``j`` of the fits of ``fit`` whose groups are still stepping, given
     every group's batch rows in the pool, their signs, which of them each view
-    finds inside the margin, each problem's batch size and ``eta``."""
+    finds inside the margin and each problem's ``eta``."""
     active = fit.active[j]
     if not active:
         return
-    views, width = fit.columns.shape
-    group, owner = fit.groups[:active], fit.owner[:active]
-    hits = hit[group[:, None], fit.views]  # (groups, views, batch)
-    count = np.count_nonzero(hits, axis=2)
-    most = int(count.max())
-    if (count.size * most * width <= budget // 2
-            and (count.size * most - 2 * count.sum()) * width < SPLIT_SAVING):  # one block
-        violators = _violator_sums(pool, rows, sign, group[:, None, None], hits, count, most,
-                                   fit.columns)
-    else:  # blocks of fits with more than half the violators of the deepest among them
-        hits, count = hits.reshape(active * views, -1), count.ravel()
-        violators = np.zeros((active * views, width))
-        by_count = np.argsort(-count, kind="stable")
-        counts = count[by_count]
-        lo, hit_fits = 0, int(np.count_nonzero(count))
-        while lo < hit_fits:
-            most = int(counts[lo])
-            hi = min(int(np.searchsorted(-counts, -(most // 2))),
-                     lo + max(1, budget // (2 * most * width)))
-            chosen = by_count[lo:hi]
-            violators[chosen] = _violator_sums(
-                pool, rows, sign, group[chosen // views, None], hits[chosen], counts[lo:hi],
-                most, fit.columns[chosen % views])
-            lo = hi
-        violators = violators.reshape(fit.beta[:active].shape)
+    at = fit.at[j]
+    hits = hit[at].reshape(active * len(fit.views), -1)
     live = fit.beta[:active]
-    live -= eta[owner] * (fit.lam[:active] * live - violators / size[owner])
+    pull = fit.lam[:active] * live
+    if hits.any():  # as a fit alone, a step without violators subtracts no sum
+        violators = _violator_sums(pool, rows, sign, hits, fit.groups, fit.columns, buffer)
+        pull -= violators.reshape(live.shape) / fit.size[:active, j]
+    live -= eta[fit.own[j]] * pull
     new_norm = np.sqrt(np.matmul(live[:, :, None, :], live[:, :, :, None])[:, :, 0])
     live *= fit.radius[:active] / np.maximum(new_norm, fit.radius[:active])
     fit.running_sum[:active] += live
-    norm[group[:, None], 0, fit.views] = new_norm[:, :, 0]
+    norm[at[0], 0, at[1]] = new_norm[:, :, 0]
 
 
-def _violator_sums(pool, rows, sign, group, hits, count, most: int, columns) -> np.ndarray:
-    """Each fit's sum of its violating rows: ``hits`` marks them among the
-    batch positions of its group ``group`` (a row of ``rows`` and ``sign``,
-    its batch's pool rows and signs), and ``columns`` are the pool columns
-    the fit reads.
+def _violator_sums(pool, rows, sign, hits, groups, columns, buffer) -> np.ndarray:
+    """Each fit's sum of its violating rows.  Fit i is view ``i % V`` of group
+    ``groups[i // V]``: ``hits[i]`` marks its violators among the group's
+    batch positions (a row of ``rows`` and ``sign``, the batches' pool rows
+    and signs), and it reads the pool columns ``columns[i % V]``.
 
-    The violators are packed first, in batch order, into a block ``most``
-    deep whose other rows read the pool's zero row, and the block is summed
-    along that depth, a non-last axis.
+    The fits with violators are summed in blocks, most violators first, each
+    as deep as its first fit's count.  A block ends at the first fit with at
+    most half that count, unless the fits left would shed fewer than
+    ``BLOCK_NUMBERS`` numbers of padding by starting the next one, and it
+    holds no more numbers than ``buffer``, where it is made.
     """
-    if not most:
-        return np.zeros(1)
-    packed = group, np.argsort(~hits, axis=-1, kind="stable")[..., :most]
-    packed_rows = np.where(np.arange(most) < count[..., None], rows[packed], len(pool) - 1)
-    block = pool.take(packed_rows[..., None] * pool.shape[1] + columns[..., None, :])
-    block *= sign[packed][..., None]
-    return np.add.reduce(block, axis=-2)
+    views, width = columns.shape
+    fewer = -hits.sum(axis=1)
+    by = np.argsort(fewer, kind="stable")
+    fewer = fewer[by]
+    sums = np.zeros((len(by), width))
+    lo, end = 0, int(np.count_nonzero(fewer))
+    while lo < end:
+        most = -int(fewer[lo])
+        hi = int(np.searchsorted(fewer, -(most // 2)))
+        if hi < end and (end - hi) * (most + int(fewer[hi])) * width < BLOCK_NUMBERS:
+            hi = end
+        chosen = by[lo: min(hi, lo + max(1, len(buffer) // (most * width)))]
+        sums[chosen] = _block_sum(pool, rows, sign, groups[chosen // views], hits[chosen], most,
+                                  columns[chosen % views], buffer)
+        lo += len(chosen)
+    return sums
+
+
+def _block_sum(pool, rows, sign, group, hits, most: int, columns, buffer) -> np.ndarray:
+    """The violator sums of one block of fits, as in ``_violator_sums``.
+
+    The violators' positions are packed first, in batch order, into a block
+    ``most`` deep whose other rows are the batch's last slot, padding of sign
+    zero, and the block, made in ``buffer``, is summed along that depth, a
+    non-last axis.
+    """
+    at = np.where(hits, np.arange(hits.shape[1]), hits.shape[1])
+    at.sort(axis=1)
+    at, group = at[:, :most], group[:, None]
+    cells = rows[group, at][:, :, None] * pool.shape[1] + columns[:, None, :]
+    block = pool.take(cells, out=buffer[: cells.size].reshape(cells.shape), mode="clip")
+    block *= sign[group, at][:, :, None]
+    return np.add.reduce(block, axis=1)
 
 
 def train_svm_binary(

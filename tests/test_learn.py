@@ -328,9 +328,9 @@ def test_forced_exact_margins_give_the_same_bits(monkeypatch):
         views, labels = _fold_like_stack(s, n, 13, exact_fraction=0.3, zero_columns=(0,),
                                          seed=40 + q)
         problems.append(SvmProblem(views, np.arange(n), labels, q, (0, 1)))
-    matrix, labels = _fold_like_stack(1, 70, 13, exact_fraction=0.3, zero_columns=(4,), seed=44)
+    stack, labels = _fold_like_stack(1, 70, 13, exact_fraction=0.3, zero_columns=(4,), seed=44)
     columns = [np.arange(13), np.array([ZERO_COLUMN, ZERO_COLUMN, 7, 2]), np.array([12, 0, 5])]
-    mixed = SvmProblem(matrix, np.arange(3, 70), labels[3:], 4, (0, 1), columns)
+    mixed = SvmProblem(stack, np.arange(3, 70), labels[3:], 4, (0, 1), columns)
     normal = train_svm_stack(problems + [mixed], c=10.0, epochs=6, batch_size=32)
     monkeypatch.setattr(learn, "MARGIN_GUARD", 1e200)
     forced = train_svm_stack(problems + [mixed], c=10.0, epochs=6, batch_size=32)
@@ -353,7 +353,7 @@ def _assert_column_fits_match_views_alone(problems, **kwargs):
     fits = train_svm_stack(problems, **kwargs)
     assert len(fits) == len(problems)
     for problem, got in zip(problems, fits):
-        [matrix] = list(problem.views) if np.ndim(problem.views) == 3 else [problem.views]
+        [matrix] = list(problem.views)
         assert len(got) == len(problem.columns)
         for columns, fit in zip(problem.columns, got):
             alone = _single_fit_train_svm_binary(_view_alone(matrix, columns)[problem.rows],
@@ -364,23 +364,22 @@ def _assert_column_fits_match_views_alone(problems, **kwargs):
 
 @st.composite
 def column_problems(draw):
-    """1-8 problems on 1-3 matrices of one width D, each read through views of
-    mixed widths: some blank a leading pair with ``ZERO_COLUMN``, one reads
-    every column, and a problem may share its matrix and its views with the
-    one before it, as the class pairs of a fold do.  A problem may be
+    """1-8 problems on stacks of one matrix of one width D, each read through
+    views of mixed widths: some blank a leading pair with ``ZERO_COLUMN``, one
+    reads every column, and a problem may share its stack and its views with
+    the one before it, as the class pairs of a fold do.  A problem may be
     separable with a wide margin, so that its later steps find no violator."""
     d = draw(st.integers(2, 24))
     problems = []
     for q in range(draw(st.integers(1, 8))):
         if problems and draw(st.booleans()):
-            matrix, columns = problems[-1].views, problems[-1].columns
+            stack, columns = problems[-1].views, problems[-1].columns
         else:
-            matrix, _ = _fold_like_stack(
+            stack, _ = _fold_like_stack(
                 s=1, n=draw(st.integers(2, 70)), d=d,
                 exact_fraction=draw(st.sampled_from([0.0, 0.2, 0.6])),
                 zero_columns=draw(st.lists(st.integers(0, d - 1), max_size=2)),
                 seed=draw(st.integers(0, 2**32 - 1)))
-            matrix = matrix[0]
             columns = [np.arange(d)]
             for _ in range(draw(st.integers(0, 5))):
                 picked = np.array(draw(st.permutations(range(d)))[:draw(st.integers(1, d))])
@@ -388,16 +387,16 @@ def column_problems(draw):
                     picked[:2] = ZERO_COLUMN
                 columns.append(picked)
             columns = draw(st.permutations(columns))
-        big = len(matrix)
+        big = stack.shape[1]
         n = draw(st.integers(2, big))
         rows = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
                        .choice(big, size=n, replace=False))
         labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
         labels[:2] = (1.0, -1.0)
         if draw(st.booleans()):  # separable: the first column carries the label, far out
-            matrix = matrix.copy()
-            matrix[rows, 0] = 50.0 * labels
-        problems.append(SvmProblem(matrix, rows, labels, draw(st.integers(0, 2**32 - 1)),
+            stack = stack.copy()
+            stack[0, rows, 0] = 50.0 * labels
+        problems.append(SvmProblem(stack, rows, labels, draw(st.integers(0, 2**32 - 1)),
                                    (q % 3, q % 3 + 1), columns))
     return problems
 
@@ -413,41 +412,79 @@ def test_every_column_view_equals_its_view_fitted_alone(problems, batch_size, ep
     _assert_column_fits_match_views_alone(problems, c=c, epochs=epochs, batch_size=batch_size)
 
 
-def test_column_views_cover_every_violator_case(monkeypatch):
-    """One run meets a first step where every row violates, steps with no
-    violator, padded batches and blocks split by violator count, and still
-    equals every view fitted alone; ``batch_size`` 1 too."""
+def _violator_case_problems():
+    """Three problems on one 300-row matrix (one of them separable), read
+    through views of widths 10, 3, 2 and 4."""
     rng = np.random.default_rng(5)
-    matrix = rng.uniform(-1.0, 1.0, (300, 9))
+    stack = rng.uniform(-1.0, 1.0, (1, 300, 9))
     labels = np.where(rng.random(300) < 0.5, 1.0, -1.0)
     labels[:2] = (1.0, -1.0)
-    separable = matrix.copy()
-    separable[:, 0] = 50.0 * labels
+    separable = stack.copy()
+    separable[0, :, 0] = 50.0 * labels
     columns = [np.arange(9), np.array([ZERO_COLUMN, ZERO_COLUMN, 3]), np.array([8, 1]),
                np.array([2, 5, 4, 6])]
-    problems = [SvmProblem(matrix, np.arange(0, 300), labels, 1, (0, 1), columns),
-                SvmProblem(matrix, np.arange(0, 45), labels[:45], 2, (0, 2), columns),
-                SvmProblem(separable, np.arange(10, 61), labels[10:61], 3, (1, 2), columns[:2])]
-    seen = []
-    original = learn._violator_sums
+    return [SvmProblem(stack, np.arange(0, 300), labels, 1, (0, 1), columns),
+            SvmProblem(stack, np.arange(0, 45), labels[:45], 2, (0, 2), columns),
+            SvmProblem(separable, np.arange(10, 61), labels[10:61], 3, (1, 2), columns[:2])]
 
-    def recording(pool, rows, sign, group, hits, count, most, view_columns):
-        seen.append((most, hits.shape[-1], bool(np.all(count == hits.shape[-1])), count.size))
-        return original(pool, rows, sign, group, hits, count, most, view_columns)
 
-    monkeypatch.setattr(learn, "_violator_sums", recording)
-    monkeypatch.setattr(learn, "SPLIT_SAVING", 1)
+def test_column_views_cover_every_violator_case(monkeypatch):
+    """One run meets a first step where every row violates, steps where a
+    fit finds no violator, padded batches and blocks shallower than the
+    batch, and still equals every view fitted alone; ``batch_size`` 1 too."""
+    steps, blocks = [], []
+    step, block_sum = learn._step, learn._block_sum
+
+    def recording_step(fit, j, pool, rows, sign, hit, *rest):
+        if fit.active[j]:
+            steps.append(hit[fit.at[j]].sum(axis=-1).ravel())
+        return step(fit, j, pool, rows, sign, hit, *rest)
+
+    def recording_block_sum(pool, rows, sign, group, hits, most, *rest):
+        blocks.append((most, hits.shape[1]))
+        return block_sum(pool, rows, sign, group, hits, most, *rest)
+
+    monkeypatch.setattr(learn, "_step", recording_step)
+    monkeypatch.setattr(learn, "_block_sum", recording_block_sum)
+    problems = _violator_case_problems()
     _assert_column_fits_match_views_alone(problems, c=10.0, epochs=8, batch_size=32)
-    assert any(every for _, _, every, _ in seen)  # every row of a batch violates
-    assert any(most == 0 for most, _, _, _ in seen)  # no violator at all
-    assert any(0 < most < width for most, width, _, _ in seen)  # a packed, shallower block
-    seen.clear()
+    assert np.all(steps[0] == 32)  # every row of the first batch violates
+    assert any(not counts.all() for counts in steps)  # a fit without a violator
+    assert any(most == width for most, width in blocks)
+    assert any(0 < most < width for most, width in blocks)  # a packed, shallower block
+    blocks.clear()
     _assert_column_fits_match_views_alone(problems[1:], c=1.0, epochs=3, batch_size=1)
-    assert seen
+    assert blocks
+
+
+@pytest.mark.parametrize("block_numbers", [0, 10**9])
+def test_column_fits_do_not_depend_on_the_violator_blocks(monkeypatch, block_numbers):
+    """A step's fits summed in as many blocks as halving their violator
+    counts gives, or all in one, come out the same bits."""
+    problems = _violator_case_problems()
+    expected = train_svm_stack(problems, c=10.0, epochs=8)
+    blocks = []  # blocks per call of _violator_sums
+    violator_sums, block_sum = learn._violator_sums, learn._block_sum
+
+    def counting_violator_sums(*args):
+        blocks.append(0)
+        return violator_sums(*args)
+
+    def counting_block_sum(*args):
+        blocks[-1] += 1
+        return block_sum(*args)
+
+    monkeypatch.setattr(learn, "BLOCK_NUMBERS", block_numbers)
+    monkeypatch.setattr(learn, "_violator_sums", counting_violator_sums)
+    monkeypatch.setattr(learn, "_block_sum", counting_block_sum)
+    got = train_svm_stack(problems, c=10.0, epochs=8)
+    assert [[f.beta.tobytes() for f in fits] for fits in got] == \
+        [[f.beta.tobytes() for f in fits] for fits in expected]
+    assert max(blocks) > 1 if block_numbers == 0 else set(blocks) == {1}
 
 
 def test_column_views_are_checked():
-    matrix = np.zeros((4, 3))
+    matrix = np.zeros((1, 4, 3))
     labels = np.array([1.0, -1.0, 1.0, -1.0])
     for columns, message in (([np.array([0, 3])], "lie in"), ([np.array([1, 1])], "once"),
                              ([np.array([], dtype=int)], "nonempty"), ([], "one view"),
