@@ -300,10 +300,11 @@ def _fit_importance(x_scaled: np.ndarray, labels: list[str], taxonomy, c: float,
 
 
 #: reproduce's tasks by their inline time at --count 90, longest first, so that
-#: no worker is left with a long one at the end: the body_style subset study,
-#: forest CV body_style, forest CV size_based, the grid, SVM CV body_style,
-#: the size_based subset study, forest CV binary, then the short SVM tasks
-_REPRODUCE_LONGEST_FIRST = (11, 5, 3, 12, 4, 10, 1, 2, 9, 8, 0, 7, 6)
+#: no worker is left with a long one at the end: forest CV body_style, the
+#: body_style subset study, the grid, forest CV size_based, SVM CV body_style,
+#: forest CV binary, the size_based and binary subset studies, then the short
+#: SVM tasks
+_REPRODUCE_LONGEST_FIRST = (5, 11, 12, 3, 4, 1, 10, 9, 2, 8, 0, 7, 6)
 
 
 def _run_reproduce(args: argparse.Namespace) -> int:
