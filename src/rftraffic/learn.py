@@ -274,8 +274,8 @@ def train_svm_stack(
     of the views of one width that groups read alike share one ``(groups,
     views, width)`` array.  A fit sums its violators packed in batch order at
     the front of a block whose other rows are a padding slot of sign zero
-    (``_step``), and it updates, projects and sums elementwise with per-fit
-    ``lam``, ``eta``, ``m`` and radius.  Why the bits hold:
+    (``_violator_sums``), and it updates, projects and sums elementwise with
+    per-fit ``lam``, ``eta``, ``m`` and radius.  Why the bits hold:
 
     - a full-width margin is another rounding of the view's dot product (the
       other columns add exact zeros), and any two roundings of a dot product
@@ -330,12 +330,12 @@ def train_svm_stack(
     buffer = np.empty(budget)
     # batch j: the problems of the groups still stepping, how many problems
     # still step, the groups' pool rows and signs (with one more padding slot,
-    # which a fit's violator block reads past its violators), which
-    # rows each view finds inside the margin, and the chunks of the groups:
-    # each chunk's batch is as wide as its first group's, and a chunk holds
-    # where each fit's weights go in it, its groups' rows, signs, full-width
-    # rows in ``buffer`` and hits, and the bound a margin must fall below
-    # (-inf at padding, which never violates)
+    # which a fit's violator block reads past its violators), which rows each
+    # view finds inside the margin, and the chunks of the groups: each chunk's
+    # batch is as wide as its first group's, and a chunk holds where each
+    # fit's weights go in it, its groups' rows, signs, full-width rows in
+    # ``buffer`` and hits, and the bound a margin must fall below (-inf at
+    # padding, which never violates)
     plan = []
     for j in range(k[0]):
         active = int(np.count_nonzero(m[owner, j] > 0))
