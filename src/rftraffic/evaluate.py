@@ -190,46 +190,33 @@ def cross_validate(
     fold_plan: FoldPlan | None = None,
 ) -> EvaluationReport:
     """Fit scaling and model per fold on the training split, score the test split."""
-    every_column = np.ones(np.shape(x)[1], dtype=bool)
-    return _cross_validate_views(x, labels, taxonomy, model_spec, [(every_column, False)],
+    return _cross_validate_views(x, labels, taxonomy, model_spec, [np.arange(np.shape(x)[1])],
                                  k, seed, fold_plan)[0]
 
 
-def _column_view(x: np.ndarray, columns: np.ndarray, zero_globals: bool) -> np.ndarray:
-    if columns.all() and not zero_globals:
+def _column_view(x: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The columns of ``x`` a view reads, ``ZERO_COLUMN`` as 0.0; ``x`` itself
+    for every column in order."""
+    if np.array_equal(columns, np.arange(x.shape[1])):
         return x
     view = x[:, columns]
-    if zero_globals:
-        view[:, 0:2] = 0.0
+    view[:, columns == ZERO_COLUMN] = 0.0
     return view
-
-
-def _view_columns(columns: np.ndarray, zero_globals: bool) -> np.ndarray:
-    """The columns a view reads, as ``SvmProblem`` columns."""
-    read = np.flatnonzero(columns)
-    if zero_globals:
-        read[0:2] = ZERO_COLUMN
-    return read
-
-
-def _training_split(fold: ScaledFold):
-    """A stack of one matrix, the fold's scaled training split, built when read."""
-    yield fold.x_train
 
 
 def _fold_models(folds: list[ScaledFold], views, classes: tuple[str, ...], spec: ModelSpec):
     """For each fold, one model per view.
 
     The SVMs of every fold, class pair and view train in one lockstep run,
-    each view a column selection of its fold's training split; forests train
-    one fold at a time, as the folds are iterated.
+    each view a column selection of its fold's training split, which is
+    scaled as the run reads it; forests train one fold at a time, as the
+    folds are iterated.
     """
     if spec.kind == "svm":
-        columns = [_view_columns(*view) for view in views]
-        stacks = [(_training_split(fold), fold.y_train, fold.model_seed) for fold in folds]
-        return train_svm_ensembles(stacks, classes, c=spec.c, epochs=spec.epochs,
-                                   columns=columns)
-    return ([train_model(_column_view(fold.x_train, *view), fold.y_train, classes, spec,
+        return train_svm_ensembles((fold.x_train for fold in folds),
+                                   [(fold.y_train, fold.model_seed) for fold in folds],
+                                   classes, c=spec.c, epochs=spec.epochs, views=views)
+    return ([train_model(_column_view(fold.x_train, view), fold.y_train, classes, spec,
                          fold.model_seed) for view in views] for fold in folds)
 
 
@@ -237,7 +224,7 @@ def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
                           fold_plan) -> list[EvaluationReport]:
     """Cross-validate the model on column views of ``x``.
 
-    A view is ``(columns, zero_globals)``: a column mask and whether the
+    A view is the array of columns it reads, ``ZERO_COLUMN`` where the
     speed/length pair is blanked.  Every fold is scaled once on all columns and
     each view selects from it; scaling works column by column and a zero column
     scales to exactly 0.0, so a view scores as if it had been cut and blanked
@@ -254,7 +241,7 @@ def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
     folds = list(scaled_folds(x, y_idx, fold_plan, seed))
     for fold, models in zip(folds, _fold_models(folds, views, taxonomy.classes, model_spec)):
         for i, model in enumerate(models):
-            pred = np.atleast_1d(model.predict(_column_view(fold.x_test, *views[i])))
+            pred = np.atleast_1d(model.predict(_column_view(fold.x_test, views[i])))
             fold_acc[i, fold.index] = fold_accuracy(pred, fold.y_test)
             np.add.at(counts[i], (fold.y_test, pred), 1)
     sums = counts.sum(axis=2, keepdims=True)
@@ -308,8 +295,8 @@ def subset_by_id(subset_id: str) -> SubsetSpec:
     raise KeyError(f"unknown subset id {subset_id!r}")
 
 
-def subset_columns(spec: SubsetSpec) -> tuple[np.ndarray, bool]:
-    """Column mask for a subset plus whether the global pair must be zeroed.
+def subset_columns(spec: SubsetSpec) -> np.ndarray:
+    """The columns a subset reads, in order, with ``ZERO_COLUMN`` for a blanked global pair.
 
     Speed and length need onset differences of at least two straight links, so
     subsets with fewer keep the two global columns only as zeros.
@@ -318,8 +305,10 @@ def subset_columns(spec: SubsetSpec) -> tuple[np.ndarray, bool]:
     mask[0:2] = True
     for link in spec.links:
         mask[link_block_slice(link)] = True
-    zero_globals = len(set(spec.links) & set(STRAIGHT_LINKS)) < 2
-    return mask, zero_globals
+    columns = np.flatnonzero(mask)
+    if len(set(spec.links) & set(STRAIGHT_LINKS)) < 2:
+        columns[0:2] = ZERO_COLUMN
+    return columns
 
 
 def subset_evaluation(

@@ -7,14 +7,14 @@ iterates.  A constant-one feature augments the inputs so the bias is
 regularized like every other weight and the objective keeps its plain form
 over the augmented space.  The trainer works on label-signed rows
 ``y * [x, 1]`` and runs a ragged list of problems in lockstep
-(``train_svm_stack``): each problem is some rows of a matrix with its own
-labels and seed, read through views that select columns of it (or a stack of
-matrices, each one view).  Every view's batch rows are gathered once per
-problem at full width, the margin guard is derived for that width, each
-fit's violators are packed in batch order and summed in blocks of fits with
-like violator counts, and each fit keeps its state at its view's own width,
-so every fit comes out bit for bit as its view fitted alone; one fit is the
-one-problem, one-view case.
+(``train_svm_stack``): each problem is some rows of one of the run's
+matrices, with its own labels and seed, and one list of views, each a
+selection of columns, serves every problem.  Every problem's batch rows are
+gathered once at full width, the margin guard is derived for that width,
+each fit's violators are packed in batch order and summed in blocks of fits
+with like violator counts, and each fit keeps its state at its view's own
+width, so every fit comes out bit for bit as its view fitted alone; one fit
+is the one-problem, one-view case.
 Multi-class problems are composed one-vs-one: one SVM per class pair plus a
 mapping from (pair, sign) to class, combined by majority vote.
 
@@ -87,36 +87,24 @@ MARGIN_GUARD = 4.0
 #: rule counts a lower bound of the padding it sheds
 BLOCK_NUMBERS = 1 << 12
 
-#: a view column that reads 0.0 in every row (``SvmProblem.columns``)
+#: a view column that reads 0.0 in every row (``train_svm_stack``)
 ZERO_COLUMN = -1
 
 
 class SvmProblem(NamedTuple):
-    """One binary problem of ``train_svm_stack``: some rows of a stack of S matrices.
+    """One binary problem of ``train_svm_stack``: some rows of one of its matrices.
 
-    ``views`` is an ``(S, N, D)`` array or any iterable of S ``(N, D)``
-    arrays, read once.  Without ``columns`` each matrix is one view, all of
-    its columns.  With ``columns`` the stack holds one matrix, and each entry
-    of ``columns`` is a view of it: the indices of the columns it reads, in
-    its order, where ``ZERO_COLUMN`` reads 0.0.  ``rows`` picks the problem's
-    rows out of the N and ``labels`` gives each of them +/-1.  Every view is
-    one fit on those rows, and all of them take the shuffles of ``seed``.
-    Problems may share a stack (the same object).
+    ``matrix`` is the index of that matrix among the run's matrices, ``rows``
+    picks the problem's rows out of it and ``labels`` gives each of them +/-1.
+    Every view of the run is one fit on those rows, and all of them take the
+    shuffles of ``seed``.  Problems may share a matrix.
     """
 
-    views: np.ndarray | Iterable[np.ndarray]
+    matrix: int
     rows: np.ndarray
     labels: np.ndarray
     seed: object = 0
     class_pair: tuple[int, int] = (0, 1)
-    columns: list[np.ndarray] | None = None
-
-
-def _checked_views(views) -> list[np.ndarray]:
-    blocks = [np.asarray(v, dtype=float) for v in views]
-    if not blocks or any(b.ndim != 2 or b.shape != blocks[0].shape for b in blocks):
-        raise ValueError("x must be an (S, n, d) stack: S views of one (n, d) shape")
-    return blocks
 
 
 def _view_columns(columns, d: int) -> np.ndarray:
@@ -133,48 +121,33 @@ def _view_columns(columns, d: int) -> np.ndarray:
     return np.append(np.where(columns == ZERO_COLUMN, d + 1, columns), d)
 
 
-def _pool(problems: list[SvmProblem]):
-    """Every matrix of every distinct stack as rows ``[x, 1, 0]`` (the bias and
-    a zero column), one after the other in one array, and for each problem
-    its row count and its groups: the first pool row of one of its matrices
-    and the pool columns of each view of it.
+def _pool(matrices) -> tuple[np.ndarray, np.ndarray]:
+    """Every matrix as rows ``[x, 1, 0]`` (the bias and a zero column), one
+    after the other in one array, and the first pool row of each matrix
+    (and one past the last).
 
     The matrices themselves are dropped once copied, so a caller that builds
     them as they are read holds no second copy.
     """
-    blocks, seen = [], {}
-    for p in problems:
-        if id(p.views) not in seen:
-            stack = _checked_views(p.views)
-            if p.columns is not None and len(stack) != 1:
-                raise ValueError("a problem with columns must have one matrix")
-            seen[id(p.views)] = (len(blocks), len(stack))
-            blocks += stack
-    widths = {b.shape[1] for b in blocks}
-    if len(widths) != 1:
-        raise ValueError("every problem's views must have the same width")
-    d = widths.pop()
+    blocks = [np.asarray(x, dtype=float) for x in matrices]
+    if any(b.ndim != 2 for b in blocks) or len({b.shape[1] for b in blocks}) != 1:
+        raise ValueError("matrices must be one or more (n, d) arrays of one width d")
+    d = blocks[0].shape[1]
     if d < 1:
-        raise ValueError("views need at least one column")
+        raise ValueError("matrices need at least one column")
     firsts = np.cumsum([0] + [len(b) for b in blocks])
     pool = np.zeros((firsts[-1], d + 2))
     np.concatenate(blocks, out=pool[:, :d])
     pool[:, d] = 1.0
-    views = {None: [np.arange(d + 1)]}  # by the id of a problem's columns
-    layouts = []
-    for p in problems:
-        first, count = seen[id(p.views)]
-        key = None if p.columns is None else id(p.columns)
-        if key not in views:
-            views[key] = [_view_columns(cols, d) for cols in p.columns]
-            if not views[key]:
-                raise ValueError("a problem needs at least one view")
-        layouts.append((len(blocks[first]), [(firsts[first + s], views[key])
-                                             for s in range(count)]))
-    return pool, layouts
+    return pool, firsts
 
 
-def _checked_problem(problem: SvmProblem, n_rows: int) -> SvmProblem:
+def _checked_problem(problem: SvmProblem, firsts: np.ndarray) -> SvmProblem:
+    """``problem`` with its rows as pool rows."""
+    i = problem.matrix
+    if type(i) is not int or not 0 <= i < len(firsts) - 1:  # an exact type test: no bool
+        raise ValueError(f"a problem's matrix must be the index of one of the "
+                         f"{len(firsts) - 1} matrices, not {i!r}")
     rows = np.asarray(problem.rows, dtype=np.intp)
     labels = np.asarray(problem.labels, dtype=float)
     if rows.ndim != 1 or rows.shape != labels.shape:
@@ -183,103 +156,65 @@ def _checked_problem(problem: SvmProblem, n_rows: int) -> SvmProblem:
         raise ValueError("labels must be exactly +1 or -1")
     if not (np.any(labels > 0) and np.any(labels < 0)):
         raise ValueError("training data must contain both classes")
-    if rows.min() < 0 or rows.max() >= n_rows:
-        raise ValueError("rows must index the rows of the views")
-    return problem._replace(rows=rows, labels=labels)
+    if rows.min() < 0 or rows.max() >= firsts[i + 1] - firsts[i]:
+        raise ValueError("rows must index the rows of the problem's matrix")
+    return problem._replace(rows=rows + firsts[i], labels=labels)
 
 
 class _Fits:
-    """The fits of some views of one width that several groups read alike:
-    their state is ``(groups, views, width)``, the groups in order, so that
-    the groups still stepping are a prefix.
+    """The fits of the views of one width: their state is ``(problems, views,
+    width)``, the problems largest first, so that those still stepping are a
+    prefix.  View ``views[u]`` reads the pool columns ``columns[u]``."""
 
-    View ``views[u]`` of group ``groups[i]`` reads the pool columns
-    ``columns[u]`` of the group's rows.
-    """
-
-    def __init__(self, groups: list[int], views: list[int], columns: list[np.ndarray],
-                 owner: np.ndarray, lam: np.ndarray, m: np.ndarray):
-        self.groups = np.array(groups)
+    def __init__(self, views: list[int], columns: list[np.ndarray], lam: np.ndarray,
+                 m: np.ndarray):
         self.views = np.array(views)
         self.columns = np.stack(columns)
-        self.owner = owner[self.groups]
-        self.lam = lam[self.owner]
-        self.radius = 1.0 / np.sqrt(self.lam)
-        self.size = m[self.owner].astype(float)[:, :, None, None]  # batch sizes, by step
-        self.active = np.count_nonzero(m[self.owner] > 0, axis=0)  # groups stepping, by step
-        # by step, where the stepping groups' views sit in (groups, views, ...) arrays
-        self.at = [_at(self.groups[:a], self.views) for a in self.active]
-        self.own = [_span(self.owner[:a]) for a in self.active]  # the groups' problems
-        self.beta = np.zeros((len(groups),) + self.columns.shape)
+        self.lam = lam
+        self.radius = 1.0 / np.sqrt(lam)
+        self.size = m.astype(float)[:, :, None, None]  # batch sizes, by step
+        self.beta = np.zeros((len(lam),) + self.columns.shape)
         self.running_sum = np.zeros_like(self.beta)
 
 
-def _fits(groups, owner: np.ndarray, lam: np.ndarray, m: np.ndarray) -> list[_Fits]:
-    """The fits of every view of every group, those of one width and of one
-    list of views together; ``lam`` and ``m`` are by problem."""
-    members: dict[tuple, tuple[list, list]] = {}
-    split: dict[int, list] = {}  # a list of views, split by width, by its id
-    for g, (_, _, views) in enumerate(groups):
-        if id(views) not in split:
-            by_width: dict[int, list] = {}
-            for v, cols in enumerate(views):
-                by_width.setdefault(len(cols), []).append((v, cols))
-            split[id(views)] = list(by_width.values())
-        for same in split[id(views)]:
-            key = tuple((v, id(cols)) for v, cols in same)
-            members.setdefault(key, (same, []))[1].append(g)
-    return [_Fits(own, [v for v, _ in same], [cols for _, cols in same], owner, lam, m)
-            for same, own in members.values()]
-
-
-def _span(index: np.ndarray):
-    """A 1-d ``index`` as a slice where it runs consecutively."""
-    if len(index) and index[-1] - index[0] == len(index) - 1 and np.all(np.diff(index) == 1):
-        return slice(int(index[0]), int(index[-1]) + 1)
-    return index
-
-
-def _at(groups: np.ndarray, views: np.ndarray):
-    """The index of some views of some groups in a ``(groups, views, ...)`` array."""
-    at = _span(groups), _span(views)
-    if isinstance(at[0], slice) or isinstance(at[1], slice):
-        return at
-    return groups[:, None], views
-
-
 def train_svm_stack(
+    matrices: Iterable[np.ndarray],
     problems: list[SvmProblem],
+    views: list[np.ndarray] | None = None,
     c: float = 1.0,
     epochs: int = 50,
     batch_size: int = 32,
 ) -> list[list[LinearSvm]]:
-    """Fit every view of every problem in one lockstep run; one list of fits per problem.
+    """Fit every view of every problem in one lockstep run; per problem, one fit per view.
 
-    A problem's views take its seeded shuffles and mini-batches, and each
-    fit's weight vector is the average of all its iterates (zero after no
-    epochs).  Every fit comes out bit for bit as its view fitted alone.
+    ``matrices`` is an iterable of ``(N_i, D)`` arrays, read once, and each
+    problem names one of them.  Each entry of ``views`` is the indices of the
+    columns a view reads, in its order, where ``ZERO_COLUMN`` reads 0.0;
+    ``None`` is one view of every column.  Every problem is read through
+    every view.  A problem's fits take its seeded shuffles and mini-batches,
+    and each fit's weight vector is the average of all its iterates (zero
+    after no epochs).  Every fit comes out bit for bit as its view fitted alone.
 
     The steps work on label-signed rows ``y * [x, 1]``: a row's margin is its
     dot product with ``beta`` and a violator's subgradient term is the row
     itself (negation is exact and round-to-nearest symmetric, so this is the
     arithmetic of applying the label after the product).  Problems run
     largest first, so in every step the problems still stepping are a prefix
-    and their batch sizes fall along it.  A group is one matrix of a problem,
-    and its views select columns of that matrix's rows in one pool of
-    full-width rows ``[x, 1, 0]``.  A step gathers each group's batch rows
-    once, at full width, padded to the widest batch of its chunk with rows of
-    sign zero, and takes the margins of all the group's views in one product:
-    the rows times the views' weights, each scattered into a zero column of
-    full width.  Each fit keeps its state at its view's own width: the fits
-    of the views of one width that groups read alike share one ``(groups,
-    views, width)`` array.  A fit sums its violators packed in batch order at
-    the front of a block whose other rows are a padding slot of sign zero
+    and their batch sizes fall along it.  The views select columns of one
+    pool of full-width rows ``[x, 1, 0]``.  A step gathers each problem's
+    batch rows once, at full width, padded to the widest batch of its chunk
+    with rows of sign zero, and takes the margins of all the views in one
+    product: the rows times the views' weights, each scattered into a zero
+    column of full width.  Each fit keeps its state at its view's own width:
+    the fits of the views of one width share one ``(problems, views, width)``
+    array.  A fit sums its violators packed in batch order at the front of a
+    block whose other rows are a padding slot of sign zero
     (``_violator_sums``), and it updates, projects and sums elementwise with
     per-fit ``lam``, ``eta``, ``m`` and radius.  Why the bits hold:
 
     - a full-width margin is another rounding of the view's dot product (the
       other columns add exact zeros), and any two roundings of a dot product
-      of length at most D, the pool's width, lie within ``D * eps * |row| *
+      of length at most W, the pool's width, lie within ``W * eps * |row| *
       |beta|`` of each other, with ``|row|`` the full row's norm; only
       ``margin < 1`` uses a margin, so one within ``MARGIN_GUARD`` such
       bounds of 1.0 (``|row|`` the largest over the rows the problems train
@@ -294,31 +229,33 @@ def train_svm_stack(
       width, one dot product per fit, and the projection factor is exactly
       1.0 inside the radius.
     """
+    problems = list(problems)
     if not problems:
         return []
-    pool, layouts = _pool(problems)
-    problems = [_checked_problem(p, n_rows) for p, (n_rows, _) in zip(problems, layouts)]
+    pool, firsts = _pool(matrices)
     d = pool.shape[1]
+    views = [np.arange(d - 2)] if views is None else list(views)
+    if not views:
+        raise ValueError("a run needs at least one view")
+    columns = [_view_columns(cols, d - 2) for cols in views]
+    problems = [_checked_problem(p, firsts) for p in problems]
     order = sorted(range(len(problems)), key=lambda i: -len(problems[i].rows))
     ordered = [problems[i] for i in order]
     n = np.array([len(p.rows) for p in ordered])
     k = -(-n // batch_size)  # steps per epoch, falling along the problems
-    # group g: the rows of a matrix from pool row first[g] on, for problem owner[g]
-    groups = [(q, f, views) for q, i in enumerate(order) for f, views in layouts[i][1]]
-    owner = np.array([q for q, _, _ in groups])
-    first = np.array([f for _, f, _ in groups])[:, None]
-    n_views = max(len(views) for _, _, views in groups)
     lam = 1.0 / (c * n[:, None, None])
     m = np.minimum(batch_size, n[:, None] - batch_size * np.arange(k[0]))  # batch sizes
     size = m.astype(float)[:, :, None]
-    fits = _fits(groups, owner, lam, m)
-    trained = np.zeros(len(pool), dtype=bool)  # the rows a batch can hold, padding included
-    for q, f, _ in groups:
-        trained[f + ordered[q].rows] = True
-    gamma = MARGIN_GUARD * d * np.finfo(float).eps * np.sqrt(
-        np.einsum("ij,ij->i", pool, pool)[trained].max())
-    # an epoch's batches: table[q, j * batch_size + b] is row b of problem q's
-    # batch j; padding repeats the problem's first row, with sign 0
+    by_width: dict[int, list[int]] = {}
+    for v, cols in enumerate(columns):
+        by_width.setdefault(len(cols), []).append(v)
+    fits = [_Fits(same, [columns[v] for v in same], lam, m) for same in by_width.values()]
+    slots = [None] * len(views)  # view v is view u of fit: slots[v] == (fit, u)
+    for fit in fits:
+        for u, v in enumerate(fit.views.tolist()):
+            slots[v] = fit, u
+    # an epoch's batches: table[q, j * batch_size + b] is the pool row of row
+    # b of problem q's batch j; padding repeats the problem's first row, with sign 0
     span = int(k[0]) * batch_size
     all_rows = np.concatenate([p.rows for p in ordered])
     all_labels = np.concatenate([p.labels for p in ordered])
@@ -326,44 +263,36 @@ def train_svm_stack(
     pad = np.array([p.rows[0] for p in ordered])
     row_table = np.repeat(pad[:, None], span, axis=1)
     sign_table = np.zeros((len(ordered), span))
-    budget = max(pool.size // 2, batch_size * d * n_views)
+    gamma = MARGIN_GUARD * d * np.finfo(float).eps * np.sqrt(
+        np.einsum("ij,ij->i", pool, pool)[all_rows].max())
+    budget = max(pool.size // 2, batch_size * d * len(views))
     buffer = np.empty(budget)
-    # batch j: the problems of the groups still stepping, how many problems
-    # still step, the groups' pool rows and signs (with one more padding slot,
-    # which a fit's violator block reads past its violators), which rows each
-    # view finds inside the margin, and the chunks of the groups: each chunk's
-    # batch is as wide as its first group's, and a chunk holds where each
-    # fit's weights go in it, its groups' rows, signs, full-width rows in
-    # ``buffer`` and hits, and the bound a margin must fall below (-inf at
+    # batch j: how many problems still step, their pool rows and signs (with
+    # one more padding slot, which a fit's violator block reads past its
+    # violators), which rows each view finds inside the margin, and the
+    # chunks of the problems: each chunk's batch is as wide as its first
+    # problem's, and a chunk holds its problems' rows, signs, full-width rows
+    # in ``buffer`` and hits, and the bound a margin must fall below (-inf at
     # padding, which never violates)
     plan = []
     for j in range(k[0]):
-        active = int(np.count_nonzero(m[owner, j] > 0))
+        active = int(np.count_nonzero(k > j))
         rows, sign = np.zeros((active, m[0, j] + 1), dtype=int), np.zeros((active, m[0, j] + 1))
-        rows[:, -1] = pad[owner[:active]] + first[:active, 0]
-        hit = np.zeros((active, n_views, m[0, j]), dtype=bool)
+        rows[:, -1] = pad[:active]
+        hit = np.zeros((active, len(views), m[0, j]), dtype=bool)
         chunks, lo = [], 0
         while lo < active:
-            wide = int(m[owner[lo], j])
-            hi = min(active, lo + max(1, budget // (d * (wide + n_views))))
-            limit = np.where(np.arange(wide) < m[owner[lo:hi], j, None], 1.0, -np.inf)
-            chunks.append((lo, hi, [_places(fit, lo, hi) for fit in fits], rows[lo:hi, :wide],
-                           sign[lo:hi, :wide, None],
+            wide = int(m[lo, j])
+            hi = min(active, lo + max(1, budget // (d * (wide + len(views)))))
+            limit = np.where(np.arange(wide) < m[lo:hi, j, None], 1.0, -np.inf)
+            chunks.append((lo, hi, rows[lo:hi, :wide], sign[lo:hi, :wide, None],
                            buffer[: (hi - lo) * wide * d].reshape(hi - lo, wide, d),
                            hit[lo:hi, :, :wide].transpose(0, 2, 1), limit[:, :, None]))
             lo = hi
-        plan.append((_span(owner[:active]), int(np.count_nonzero(k > j)), rows, sign, hit,
-                     chunks))
-    # view v of group g is view where[1][g, v] of group where[0][g, v] of fits[where[2][g, v]]
-    where = np.zeros((3, len(groups), n_views), dtype=int)
-    for f, fit in enumerate(fits):
-        at = fit.groups[:, None], fit.views
-        where[0][at], where[1][at], where[2][at] = np.arange(len(fit.groups))[:, None], \
-            np.arange(len(fit.views)), f
+        plan.append((active, rows, sign, hit, chunks))
 
     rngs = [np.random.default_rng(p.seed) for p in ordered]
-
-    norm = np.zeros((len(groups), 1, n_views))  # each fit's norm after its last update
+    norm = np.zeros((len(ordered), 1, len(views)))  # each fit's norm after its last update
     t = np.zeros((len(ordered), 1, 1))
     for _ in range(epochs):
         # shuffling arange(n) in place draws what permutation(n) draws
@@ -373,76 +302,60 @@ def train_svm_stack(
         picks = row_table.flat[dest]
         row_table.flat[dest] = all_rows[picks]
         sign_table.flat[dest] = all_labels[picks]
-        for j, (stepping, live, rows, sign, hit, chunks) in enumerate(plan):
+        for j, (active, rows, sign, hit, chunks) in enumerate(plan):
             cols = slice(j * batch_size, j * batch_size + m[0, j])
-            np.add(row_table[stepping, cols], first[: len(rows)], out=rows[:, :-1])
-            sign[:, :-1] = sign_table[stepping, cols]
-            for lo, hi, places, own_rows, own_sign, batch, own_hit, limit in chunks:
+            rows[:, :-1] = row_table[:active, cols]
+            sign[:, :-1] = sign_table[:active, cols]
+            for lo, hi, own_rows, own_sign, batch, own_hit, limit in chunks:
                 pool.take(own_rows, axis=0, out=batch, mode="clip")
-                weights = np.zeros((hi - lo, d, n_views))
-                for fit, (at, a, b) in zip(fits, places):
-                    weights[at, fit.columns, fit.views[:, None]] = fit.beta[a:b]
+                weights = np.zeros((hi - lo, d, len(views)))
+                for fit in fits:
+                    weights[:, fit.columns, fit.views[:, None]] = fit.beta[lo:hi]
                 margin = np.matmul(batch, weights)
                 margin *= own_sign
                 near = np.abs(margin - 1.0) <= gamma * norm[lo:hi]
                 for g, v in zip(*np.nonzero(near.any(axis=1))) if near.any() else ():
-                    i, u, f = where[:, lo + g, v]
-                    alone = m[owner[lo + g], j]
-                    view = pool[rows[lo + g, :alone, None], fits[f].columns[u]]
-                    view *= sign[lo + g, :alone, None]
-                    margin[g, :alone, v] = view @ fits[f].beta[i, u]
+                    (fit, u), q = slots[v], lo + g
+                    alone = m[q, j]
+                    view = pool[rows[q, :alone, None], fit.columns[u]]
+                    view *= sign[q, :alone, None]
+                    margin[g, :alone, v] = view @ fit.beta[q, u]
                 np.less(margin, limit, out=own_hit)
-            t[:live] += size[:live, j: j + 1]  # the problems still stepping
-            eta = 1.0 / (lam[:live] * t[:live])
+            t[:active] += size[:active, j: j + 1]
+            eta = 1.0 / (lam[:active] * t[:active])
             for fit in fits:
                 _step(fit, j, pool, rows, sign, hit, norm, eta, buffer)
-    slots = {}
-    for fit in fits:
-        if epochs > 0:
-            fit.running_sum /= epochs * k[fit.owner, None, None].astype(float)
-        for g, weights in zip(fit.groups.tolist(), fit.running_sum):
-            slots.update(((g, v), w) for v, w in zip(fit.views.tolist(), weights))
-    result = [[] for _ in ordered]
-    for g, (q, _, views) in enumerate(groups):
-        result[q] += [LinearSvm(beta=slots[g, v], c=c, class_pair=ordered[q].class_pair)
-                      for v in range(len(views))]
-    rank = {i: q for q, i in enumerate(order)}
-    return [result[rank[i]] for i in range(len(problems))]
-
-
-def _places(fit: _Fits, lo: int, hi: int):
-    """Where the weights of the fits of groups ``lo..hi`` go in a chunk's
-    weights: the chunk's groups they sit in (a slice where they are
-    consecutive) and the span of their rows in ``fit``."""
-    a, b = np.searchsorted(fit.groups, (lo, hi))
-    at = _span(fit.groups[a:b] - lo)
-    return (at if isinstance(at, slice) else at[:, None, None]), a, b
+    if epochs > 0:
+        for fit in fits:
+            fit.running_sum /= epochs * k[:, None, None].astype(float)
+    result = [None] * len(problems)
+    for q, i in enumerate(order):
+        result[i] = [LinearSvm(beta=fit.running_sum[q, u], c=c, class_pair=ordered[q].class_pair)
+                     for fit, u in slots]
+    return result
 
 
 def _step(fit: _Fits, j: int, pool, rows, sign, hit, norm, eta, buffer) -> None:
-    """Step ``j`` of the fits of ``fit`` whose groups are still stepping, given
-    every group's batch rows in the pool, their signs, which of them each view
-    finds inside the margin and each problem's ``eta``."""
-    active = fit.active[j]
-    if not active:
-        return
-    at = fit.at[j]
-    hits = hit[at].reshape(active * len(fit.views), -1)
+    """Step ``j`` of the fits of ``fit`` whose problems are still stepping,
+    given those problems' batch rows in the pool, their signs, which of them
+    each view finds inside the margin and each problem's ``eta``."""
+    active = len(hit)
+    hits = hit[:, fit.views].reshape(active * len(fit.views), -1)
     live = fit.beta[:active]
     pull = fit.lam[:active] * live
     if hits.any():  # as a fit alone, a step without violators subtracts no sum
-        violators = _violator_sums(pool, rows, sign, hits, fit.groups, fit.columns, buffer)
+        violators = _violator_sums(pool, rows, sign, hits, fit.columns, buffer)
         pull -= violators.reshape(live.shape) / fit.size[:active, j]
-    live -= eta[fit.own[j]] * pull
+    live -= eta * pull
     new_norm = np.sqrt(np.matmul(live[:, :, None, :], live[:, :, :, None])[:, :, 0])
     live *= fit.radius[:active] / np.maximum(new_norm, fit.radius[:active])
     fit.running_sum[:active] += live
-    norm[at[0], 0, at[1]] = new_norm[:, :, 0]
+    norm[:active, 0, fit.views] = new_norm[:, :, 0]
 
 
-def _violator_sums(pool, rows, sign, hits, groups, columns, buffer) -> np.ndarray:
-    """Each fit's sum of its violating rows.  Fit i is view ``i % V`` of group
-    ``groups[i // V]``: ``hits[i]`` marks its violators among the group's
+def _violator_sums(pool, rows, sign, hits, columns, buffer) -> np.ndarray:
+    """Each fit's sum of its violating rows.  Fit i is view ``i % V`` of
+    problem ``i // V``: ``hits[i]`` marks its violators among the problem's
     batch positions (a row of ``rows`` and ``sign``, the batches' pool rows
     and signs), and it reads the pool columns ``columns[i % V]``.
 
@@ -464,13 +377,13 @@ def _violator_sums(pool, rows, sign, hits, groups, columns, buffer) -> np.ndarra
         if hi < end and (end - hi) * (most + int(fewer[hi])) * width < BLOCK_NUMBERS:
             hi = end
         chosen = by[lo: min(hi, lo + max(1, len(buffer) // (most * width)))]
-        sums[chosen] = _block_sum(pool, rows, sign, groups[chosen // views], hits[chosen], most,
+        sums[chosen] = _block_sum(pool, rows, sign, chosen // views, hits[chosen], most,
                                   columns[chosen % views], buffer)
         lo += len(chosen)
     return sums
 
 
-def _block_sum(pool, rows, sign, group, hits, most: int, columns, buffer) -> np.ndarray:
+def _block_sum(pool, rows, sign, problem, hits, most: int, columns, buffer) -> np.ndarray:
     """The violator sums of one block of fits, as in ``_violator_sums``.
 
     The violators' positions are packed first, in batch order, into a block
@@ -480,28 +393,11 @@ def _block_sum(pool, rows, sign, group, hits, most: int, columns, buffer) -> np.
     """
     at = np.where(hits, np.arange(hits.shape[1]), hits.shape[1])
     at.sort(axis=1)
-    at, group = at[:, :most], group[:, None]
-    cells = rows[group, at][:, :, None] * pool.shape[1] + columns[:, None, :]
+    at, problem = at[:, :most], problem[:, None]
+    cells = rows[problem, at][:, :, None] * pool.shape[1] + columns[:, None, :]
     block = pool.take(cells, out=buffer[: cells.size].reshape(cells.shape), mode="clip")
-    block *= sign[group, at][:, :, None]
+    block *= sign[problem, at][:, :, None]
     return np.add.reduce(block, axis=1)
-
-
-def train_svm_binary(
-    x: np.ndarray,
-    y: np.ndarray,
-    c: float = 1.0,
-    epochs: int = 50,
-    batch_size: int = 32,
-    seed=0,
-    class_pair: tuple[int, int] = (0, 1),
-) -> LinearSvm:
-    """Fit one binary SVM on +/-1 labels: ``train_svm_stack`` of one one-slice problem."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("x must be an (n, d) matrix, not a stack")
-    problem = SvmProblem(x[None], np.arange(len(x)), y, seed, class_pair)
-    return train_svm_stack([problem], c=c, epochs=epochs, batch_size=batch_size)[0][0]
 
 
 def vote_counts(classes: np.ndarray, n_classes: int) -> np.ndarray:
@@ -535,41 +431,39 @@ class SvmEnsemble:
         return pred[0] if single else pred
 
 
-def _pair_problems(views, y_idx: np.ndarray, n_classes: int, seed, columns=None):
-    """An ``SvmProblem`` on ``views`` for each class pair present in ``y_idx``."""
+def _pair_problems(matrix: int, y_idx: np.ndarray, n_classes: int, seed):
+    """An ``SvmProblem`` on ``matrix`` for each class pair present in ``y_idx``."""
     present = set(np.unique(y_idx).tolist())
     pairs = [p for p in combinations(range(n_classes), 2) if p[0] in present and p[1] in present]
+    if not pairs:
+        raise ValueError(f"an SVM needs training rows of at least two classes, not {len(present)}")
     for (a, b), child in zip(pairs, spawn_seeds(seed, len(pairs))):
         rows = np.flatnonzero((y_idx == a) | (y_idx == b))
-        yield SvmProblem(views, rows, np.where(y_idx[rows] == b, 1.0, -1.0), child, (a, b),
-                         columns)
+        yield SvmProblem(matrix, rows, np.where(y_idx[rows] == b, 1.0, -1.0), child, (a, b))
 
 
 def train_svm_ensembles(
-    stacks: list[tuple[np.ndarray | list[np.ndarray], np.ndarray, object]],
+    matrices: Iterable[np.ndarray],
+    labels: list[tuple[np.ndarray, object]],
     classes: tuple[str, ...],
     c: float = 1.0,
     epochs: int = 50,
-    columns: list[np.ndarray] | None = None,
+    views: list[np.ndarray] | None = None,
 ) -> list[list[SvmEnsemble]]:
-    """``train_svm_ensemble`` of every view of several stacks of views, bit for bit.
+    """``train_svm_ensemble`` of every view of several matrices, bit for bit.
 
-    ``stacks`` holds ``(views, y_idx, seed)`` triples, ``views`` and
-    ``columns`` as in ``SvmProblem``; every stack is read through the same
-    ``columns``.  Every class pair of every stack is one problem of a single
-    ``train_svm_stack`` run.  One list of ensembles, one per view, comes back
-    per stack.
+    ``labels`` holds one ``(y_idx, seed)`` pair per matrix; ``matrices`` and
+    ``views`` are as in ``train_svm_stack``.  Every class pair of every
+    matrix is one problem of a single ``train_svm_stack`` run.  One list of
+    ensembles, one per view, comes back per matrix.  Labels of fewer than
+    two classes are a ValueError, raised before ``matrices`` is read.
     """
-    problems = [[*_pair_problems(views, np.asarray(y_idx, dtype=int), len(classes), seed,
-                                 columns)]
-                for views, y_idx, seed in stacks]
-    fits = iter(train_svm_stack([p for own in problems for p in own], c=c, epochs=epochs))
-    ensembles = []
-    for (views, _, _), own in zip(stacks, problems):
-        per_pair = [next(fits) for _ in own]
-        ensembles.append([SvmEnsemble(svms=[fit[s] for fit in per_pair], classes=tuple(classes))
-                          for s in range(len(views if columns is None else columns))])
-    return ensembles
+    problems = [[*_pair_problems(i, np.asarray(y_idx, dtype=int), len(classes), seed)]
+                for i, (y_idx, seed) in enumerate(labels)]
+    fits = iter(train_svm_stack(matrices, [p for own in problems for p in own], views,
+                                c=c, epochs=epochs))
+    return [[SvmEnsemble(svms=list(svms), classes=tuple(classes))
+             for svms in zip(*[next(fits) for _ in own])] for own in problems]
 
 
 def train_svm_ensemble(
@@ -581,8 +475,7 @@ def train_svm_ensemble(
     seed=0,
 ) -> SvmEnsemble:
     """Train all pairwise SVMs; pairs missing a class in the data are skipped."""
-    stack = np.asarray(x, dtype=float)[None]
-    return train_svm_ensembles([(stack, y_idx, seed)], classes, c=c, epochs=epochs)[0][0]
+    return train_svm_ensembles([x], [(y_idx, seed)], classes, c=c, epochs=epochs)[0][0]
 
 
 # ---------------------------------------------------------------------------

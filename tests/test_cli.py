@@ -175,6 +175,27 @@ def test_train_degenerate_hyper_parameters_exit_config(tmp_path, binary_small, f
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate", "confusion"])
+def test_svm_on_rows_of_one_class_exits_config_in_one_line(tmp_path, capsys, body_small,
+                                                           command):
+    """An SVM ensemble trained on one class would hold no pairs and vote
+    class 0, another class, for every row."""
+    x, labels = body_small
+    vans = [i for i, label in enumerate(labels) if label == "van"]
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), x[vans], [labels[i] for i in vans])
+    out = tmp_path / "out"
+    argv = [command, "--features", str(path), "--taxonomy", "body_style", "--model", "svm"]
+    if command == "evaluate":
+        argv += ["--out-results", str(out), "--out-summary", str(tmp_path / "summary.csv")]
+    else:
+        argv += ["--out", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least two classes" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--count", "3"],
     ["reproduce", "--count", "5"],

@@ -20,7 +20,8 @@ from rftraffic.evaluate import (
     write_results_csv,
     write_summary_csv,
 )
-from rftraffic.features import fit_scaling
+from rftraffic.features import N_FEATURES, fit_scaling, link_block_slice
+from rftraffic.learn import ZERO_COLUMN
 from rftraffic.topology import BINARY, BODY_STYLE, SIZE_BASED, STRAIGHT_LINKS
 
 
@@ -174,16 +175,15 @@ def test_builtin_subsets_table():
 
 
 def test_subset_columns_dimension_and_global_rule():
-    mask_b, zero_b = subset_columns(subset_by_id("B"))
-    assert mask_b.sum() == 12  # two globals plus one ten-wide block
-    assert zero_b  # a single straight link cannot support speed/length
-    mask_e, zero_e = subset_columns(subset_by_id("E"))
-    assert mask_e.sum() == 22
-    assert not zero_e  # links 1 and 5 give two straight onsets
-    mask_o, zero_o = subset_columns(subset_by_id("O"))
-    assert zero_o  # diagonals only
-    mask_a, zero_a = subset_columns(subset_by_id("A"))
-    assert mask_a.all() and not zero_a
+    columns_b = subset_columns(subset_by_id("B"))
+    assert len(columns_b) == 12  # two globals plus one ten-wide block
+    assert list(columns_b[:2]) == [ZERO_COLUMN] * 2  # one straight link: no speed/length
+    assert list(columns_b[2:]) == list(range(2, 12))
+    columns_e = subset_columns(subset_by_id("E"))
+    assert len(columns_e) == 22
+    assert list(columns_e[:2]) == [0, 1]  # links 1 and 5 give two straight onsets
+    assert list(subset_columns(subset_by_id("O"))[:2]) == [ZERO_COLUMN] * 2  # diagonals only
+    assert list(subset_columns(subset_by_id("A"))) == list(range(92))
 
 
 def test_subset_a_equals_plain_run_bitexact(body_small):
@@ -261,6 +261,15 @@ def test_csv_writers(tmp_path):
     assert lines[1].startswith("car-like,")
 
 
+def _mask_view(spec):
+    """A subset as a column mask and whether the speed/length pair is blanked."""
+    mask = np.zeros(N_FEATURES, dtype=bool)
+    mask[0:2] = True
+    for link in spec.links:
+        mask[link_block_slice(link)] = True
+    return mask, len(set(spec.links) & set(STRAIGHT_LINKS)) < 2
+
+
 def _reference_cross_validate_views(x, labels, taxonomy, spec, views, k, seed, fold_plan=None):
     """The per-fold loop before the lockstep run, the oracle for
     ``_cross_validate_views``: each fold is scaled, then one model per view is
@@ -311,8 +320,8 @@ def test_cross_validation_equals_the_per_fold_loop(body_small, spec):
 
 
 def test_subset_study_equals_the_per_fold_loop(body_small):
-    """Singleton width groups (A, E, H) and stacked ones (B C D, M N), and a
-    fold whose training split lacks a class, so that it has fewer pairs."""
+    """Views of five widths, one of them (B C D, M N) shared by several, and
+    a fold whose training split lacks a class, so that it has fewer pairs."""
     x, labels = body_small
     y_idx = BODY_STYLE.encode(labels)
     rare = int(np.argmin(np.bincount(y_idx)))
@@ -325,5 +334,5 @@ def test_subset_study_equals_the_per_fold_loop(body_small):
     pairs = subset_evaluation(x, labels, BODY_STYLE, spec, chosen, seed=12, fold_plan=plan)
     assert [subset for subset, _ in pairs] == chosen
     reference = _reference_cross_validate_views(
-        x, labels, BODY_STYLE, spec, [subset_columns(s) for s in chosen], 3, 12, plan)
+        x, labels, BODY_STYLE, spec, [_mask_view(s) for s in chosen], 3, 12, plan)
     _assert_reports_match_reference([report for _, report in pairs], reference)

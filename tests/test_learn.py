@@ -24,7 +24,6 @@ from rftraffic.learn import (
     load_model,
     save_model,
     train_random_forest,
-    train_svm_binary,
     train_svm_ensemble,
     train_svm_ensembles,
     train_svm_stack,
@@ -41,6 +40,12 @@ def scaled_binary(binary_small):
 
 # ---------------------------------------------------------------------------
 # binary SVM
+
+
+def train_svm_binary(x, y, c=1.0, epochs=50, batch_size=32, seed=0, class_pair=(0, 1)):
+    """Fit one binary SVM on +/-1 labels: ``train_svm_stack`` of one problem and one view."""
+    problem = SvmProblem(0, np.arange(len(x)), y, seed, class_pair)
+    return train_svm_stack([x], [problem], c=c, epochs=epochs, batch_size=batch_size)[0][0]
 
 
 def test_separable_two_points():
@@ -233,6 +238,13 @@ def _fold_like_stack(s, n, d, exact_fraction, zero_columns, seed):
     return x, y
 
 
+def _side_by_side(stack):
+    """A stack of S ``(N, d)`` matrices as one ``(N, S * d)`` matrix, and the
+    S views that read the matrices back out of it."""
+    s, _, d = stack.shape
+    return np.concatenate(stack, axis=1), [np.arange(i * d, (i + 1) * d) for i in range(s)]
+
+
 @st.composite
 def svm_stacks(draw):
     d = draw(st.integers(1, 40))
@@ -244,22 +256,34 @@ def svm_stacks(draw):
     )
 
 
-def _assert_fits_match_single_fits(problems, **kwargs):
-    """Every slice of every problem equals ``_single_fit_train_svm_binary`` of it alone."""
-    fits = train_svm_stack(problems, **kwargs)
+def _view_alone(matrix, columns):
+    """The ``(N, d)`` matrix one column view reads: ``ZERO_COLUMN`` gives zeros."""
+    columns = np.asarray(columns)
+    view = matrix[:, columns]
+    view[:, columns == ZERO_COLUMN] = 0.0
+    return view
+
+
+def _assert_fits_match_single_fits(matrices, problems, views=None, **kwargs):
+    """Every view of every problem, fitted in one run, equals
+    ``_single_fit_train_svm_binary`` of that view alone, compared by ``float.hex``."""
+    fits = train_svm_stack(matrices, problems, views, **kwargs)
     assert len(fits) == len(problems)
-    for problem, slices in zip(problems, fits):
-        assert len(slices) == len(problem.views)
-        for views, fit in zip(problem.views, slices):
-            beta = _single_fit_train_svm_binary(
-                views[problem.rows], problem.labels, seed=problem.seed, **kwargs)
-            assert fit.beta.tobytes() == beta.tobytes()
+    for problem, got in zip(problems, fits):
+        matrix = matrices[problem.matrix]
+        every = [np.arange(matrix.shape[1])] if views is None else views
+        assert len(got) == len(every)
+        for columns, fit in zip(every, got):
+            alone = _single_fit_train_svm_binary(_view_alone(matrix, columns)[problem.rows],
+                                                 problem.labels, seed=problem.seed, **kwargs)
+            assert [float.hex(v) for v in fit.beta] == [float.hex(v) for v in alone]
             assert fit.class_pair == problem.class_pair
 
 
 def _assert_slices_match_single_fits(x, y, seed, **kwargs):
-    problem = SvmProblem(x, np.arange(len(y)), y, seed, (2, 5))
-    _assert_fits_match_single_fits([problem], **kwargs)
+    matrix, views = _side_by_side(x)
+    problem = SvmProblem(0, np.arange(len(y)), y, seed, (2, 5))
+    _assert_fits_match_single_fits([matrix], [problem], views, **kwargs)
 
 
 @settings(max_examples=120, deadline=None)
@@ -284,148 +308,126 @@ def test_stack_slices_at_the_corner_shapes(shape, batch_size):
 
 @st.composite
 def ragged_problems(draw):
-    """1-12 problems of one width, each with its own rows, labels, seed and
-    slice count; some share a view stack, as the class pairs of a fold do."""
-    d = draw(st.integers(1, 30))
-    problems = []
+    """1-12 problems on matrices of one width, each with its own rows, labels
+    and seed, all read through 1-9 views of side-by-side column blocks; some
+    share a matrix, as the class pairs of a fold do."""
+    d, s = draw(st.integers(1, 30)), draw(st.integers(1, 9))
+    matrices, problems = [], []
     for q in range(draw(st.integers(1, 12))):
-        if problems and draw(st.booleans()):  # another row subset of an earlier stack
-            views = problems[-1].views
-        else:
-            views, _ = _fold_like_stack(
-                s=draw(st.integers(1, 9)), n=draw(st.integers(2, 80)), d=d,
+        if not matrices or not draw(st.booleans()):  # else more rows of the last matrix
+            stack, _ = _fold_like_stack(
+                s=s, n=draw(st.integers(2, 80)), d=d,
                 exact_fraction=draw(st.sampled_from([0.0, 0.2, 0.6])),
                 zero_columns=draw(st.lists(st.integers(0, d - 1), max_size=3)),
                 seed=draw(st.integers(0, 2**32 - 1)))
-        big = views.shape[1]
+            matrix, views = _side_by_side(stack)
+            matrices.append(matrix)
+        big = len(matrices[-1])
         n = draw(st.integers(2, big))
         rows = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
                        .choice(big, size=n, replace=False))
         labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
         labels[:2] = (1.0, -1.0)
-        problems.append(SvmProblem(views, rows, labels, draw(st.integers(0, 2**32 - 1)),
-                                   (q % 3, q % 3 + 1)))
-    return problems
+        problems.append(SvmProblem(len(matrices) - 1, rows, labels,
+                                   draw(st.integers(0, 2**32 - 1)), (q % 3, q % 3 + 1)))
+    return matrices, problems, views
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    problems=ragged_problems(),
+    run=ragged_problems(),
     batch_size=st.sampled_from([1, 7, 32]),
     epochs=st.integers(1, 12),
     c=st.sampled_from([0.01, 1.0, 10.0]),
 )
-def test_every_problem_of_a_ragged_run_equals_its_single_fits(problems, batch_size, epochs, c):
-    _assert_fits_match_single_fits(problems, c=c, epochs=epochs, batch_size=batch_size)
+def test_every_problem_of_a_ragged_run_equals_its_single_fits(run, batch_size, epochs, c):
+    _assert_fits_match_single_fits(*run, c=c, epochs=epochs, batch_size=batch_size)
 
 
 def test_forced_exact_margins_give_the_same_bits(monkeypatch):
     """With the rounding guard wide open, every margin of a nonzero ``beta`` is
     recomputed alone (a zero ``beta`` gives exact zero margins in any shape).
-    The last problem reads views of mixed widths from one matrix."""
-    problems = []
-    for q, (s, n) in enumerate([(3, 80), (1, 5), (2, 33), (3, 31)]):
-        views, labels = _fold_like_stack(s, n, 13, exact_fraction=0.3, zero_columns=(0,),
+    The views have mixed widths: three read 13-column blocks side by side and
+    two read a few columns, one of them blanking a pair with ``ZERO_COLUMN``."""
+    matrices, problems = [], []
+    for q, (lo, n) in enumerate([(0, 80), (0, 5), (0, 33), (0, 31), (3, 70)]):
+        stack, labels = _fold_like_stack(3, n, 13, exact_fraction=0.3, zero_columns=(0, 4),
                                          seed=40 + q)
-        problems.append(SvmProblem(views, np.arange(n), labels, q, (0, 1)))
-    stack, labels = _fold_like_stack(1, 70, 13, exact_fraction=0.3, zero_columns=(4,), seed=44)
-    columns = [np.arange(13), np.array([ZERO_COLUMN, ZERO_COLUMN, 7, 2]), np.array([12, 0, 5])]
-    mixed = SvmProblem(stack, np.arange(3, 70), labels[3:], 4, (0, 1), columns)
-    normal = train_svm_stack(problems + [mixed], c=10.0, epochs=6, batch_size=32)
+        matrix, views = _side_by_side(stack)
+        matrices.append(matrix)
+        problems.append(SvmProblem(q, np.arange(lo, n), labels[lo:], q, (0, 1)))
+    views += [np.array([ZERO_COLUMN, ZERO_COLUMN, 7, 2]), np.array([38, 0, 5])]
+    normal = train_svm_stack(matrices, problems, views, c=10.0, epochs=6, batch_size=32)
     monkeypatch.setattr(learn, "MARGIN_GUARD", 1e200)
-    forced = train_svm_stack(problems + [mixed], c=10.0, epochs=6, batch_size=32)
+    forced = train_svm_stack(matrices, problems, views, c=10.0, epochs=6, batch_size=32)
     for got, want in zip(forced, normal):
         assert [f.beta.tobytes() for f in got] == [f.beta.tobytes() for f in want]
-    _assert_fits_match_single_fits(problems, c=10.0, epochs=6, batch_size=32)
-    _assert_column_fits_match_views_alone([mixed], c=10.0, epochs=6, batch_size=32)
-
-
-def _view_alone(matrix, columns):
-    """The ``(N, d)`` matrix one column view reads: ``ZERO_COLUMN`` gives zeros."""
-    view = matrix[:, columns]
-    view[:, columns == ZERO_COLUMN] = 0.0
-    return view
-
-
-def _assert_column_fits_match_views_alone(problems, **kwargs):
-    """Every view of every problem, fitted in one run, equals
-    ``_single_fit_train_svm_binary`` of that view alone, compared by ``float.hex``."""
-    fits = train_svm_stack(problems, **kwargs)
-    assert len(fits) == len(problems)
-    for problem, got in zip(problems, fits):
-        [matrix] = list(problem.views)
-        assert len(got) == len(problem.columns)
-        for columns, fit in zip(problem.columns, got):
-            alone = _single_fit_train_svm_binary(_view_alone(matrix, columns)[problem.rows],
-                                                 problem.labels, seed=problem.seed, **kwargs)
-            assert [float.hex(v) for v in fit.beta] == [float.hex(v) for v in alone]
-            assert fit.class_pair == problem.class_pair
+    _assert_fits_match_single_fits(matrices, problems, views, c=10.0, epochs=6, batch_size=32)
 
 
 @st.composite
 def column_problems(draw):
-    """1-8 problems on stacks of one matrix of one width D, each read through
-    views of mixed widths: some blank a leading pair with ``ZERO_COLUMN``, one
-    reads every column, and a problem may share its stack and its views with
-    the one before it, as the class pairs of a fold do.  A problem may be
-    separable with a wide margin, so that its later steps find no violator."""
+    """1-8 problems on matrices of one width D, all read through one list of
+    views of mixed widths: some blank a leading pair with ``ZERO_COLUMN`` and
+    one reads every column.  A problem may share its matrix with the one
+    before it, as the class pairs of a fold do, and it may be separable with
+    a wide margin, so that its later steps find no violator."""
     d = draw(st.integers(2, 24))
-    problems = []
+    views = [np.arange(d)]
+    for _ in range(draw(st.integers(0, 5))):
+        picked = np.array(draw(st.permutations(range(d)))[:draw(st.integers(1, d))])
+        if len(picked) >= 2 and draw(st.booleans()):
+            picked[:2] = ZERO_COLUMN
+        views.append(picked)
+    views = draw(st.permutations(views))
+    matrices, problems = [], []
     for q in range(draw(st.integers(1, 8))):
-        if problems and draw(st.booleans()):
-            stack, columns = problems[-1].views, problems[-1].columns
-        else:
+        if not matrices or not draw(st.booleans()):  # else more rows of the last matrix
             stack, _ = _fold_like_stack(
                 s=1, n=draw(st.integers(2, 70)), d=d,
                 exact_fraction=draw(st.sampled_from([0.0, 0.2, 0.6])),
                 zero_columns=draw(st.lists(st.integers(0, d - 1), max_size=2)),
                 seed=draw(st.integers(0, 2**32 - 1)))
-            columns = [np.arange(d)]
-            for _ in range(draw(st.integers(0, 5))):
-                picked = np.array(draw(st.permutations(range(d)))[:draw(st.integers(1, d))])
-                if len(picked) >= 2 and draw(st.booleans()):
-                    picked[:2] = ZERO_COLUMN
-                columns.append(picked)
-            columns = draw(st.permutations(columns))
-        big = stack.shape[1]
+            matrices.append(stack[0])
+        big = len(matrices[-1])
         n = draw(st.integers(2, big))
         rows = np.sort(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
                        .choice(big, size=n, replace=False))
         labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
         labels[:2] = (1.0, -1.0)
         if draw(st.booleans()):  # separable: the first column carries the label, far out
-            stack = stack.copy()
-            stack[0, rows, 0] = 50.0 * labels
-        problems.append(SvmProblem(stack, rows, labels, draw(st.integers(0, 2**32 - 1)),
-                                   (q % 3, q % 3 + 1), columns))
-    return problems
+            matrices.append(matrices[-1].copy())
+            matrices[-1][rows, 0] = 50.0 * labels
+        problems.append(SvmProblem(len(matrices) - 1, rows, labels,
+                                   draw(st.integers(0, 2**32 - 1)), (q % 3, q % 3 + 1)))
+    return matrices, problems, views
 
 
 @settings(max_examples=120, deadline=None)
 @given(
-    problems=column_problems(),
+    run=column_problems(),
     batch_size=st.sampled_from([1, 7, 32]),
     epochs=st.integers(1, 10),
     c=st.sampled_from([0.01, 1.0, 10.0]),
 )
-def test_every_column_view_equals_its_view_fitted_alone(problems, batch_size, epochs, c):
-    _assert_column_fits_match_views_alone(problems, c=c, epochs=epochs, batch_size=batch_size)
+def test_every_column_view_equals_its_view_fitted_alone(run, batch_size, epochs, c):
+    _assert_fits_match_single_fits(*run, c=c, epochs=epochs, batch_size=batch_size)
 
 
 def _violator_case_problems():
-    """Three problems on one 300-row matrix (one of them separable), read
-    through views of widths 10, 3, 2 and 4."""
+    """Three problems on a 300-row matrix and a separable copy of it, read
+    through views of widths 10, 3, 2 and 4: ``(matrices, problems, views)``."""
     rng = np.random.default_rng(5)
-    stack = rng.uniform(-1.0, 1.0, (1, 300, 9))
+    matrix = rng.uniform(-1.0, 1.0, (300, 9))
     labels = np.where(rng.random(300) < 0.5, 1.0, -1.0)
     labels[:2] = (1.0, -1.0)
-    separable = stack.copy()
-    separable[0, :, 0] = 50.0 * labels
-    columns = [np.arange(9), np.array([ZERO_COLUMN, ZERO_COLUMN, 3]), np.array([8, 1]),
-               np.array([2, 5, 4, 6])]
-    return [SvmProblem(stack, np.arange(0, 300), labels, 1, (0, 1), columns),
-            SvmProblem(stack, np.arange(0, 45), labels[:45], 2, (0, 2), columns),
-            SvmProblem(separable, np.arange(10, 61), labels[10:61], 3, (1, 2), columns[:2])]
+    separable = matrix.copy()
+    separable[:, 0] = 50.0 * labels
+    views = [np.arange(9), np.array([ZERO_COLUMN, ZERO_COLUMN, 3]), np.array([8, 1]),
+             np.array([2, 5, 4, 6])]
+    return [matrix, separable], [SvmProblem(0, np.arange(0, 300), labels, 1, (0, 1)),
+                                 SvmProblem(0, np.arange(0, 45), labels[:45], 2, (0, 2)),
+                                 SvmProblem(1, np.arange(10, 61), labels[10:61], 3, (1, 2))], views
 
 
 def test_column_views_cover_every_violator_case(monkeypatch):
@@ -436,24 +438,23 @@ def test_column_views_cover_every_violator_case(monkeypatch):
     step, block_sum = learn._step, learn._block_sum
 
     def recording_step(fit, j, pool, rows, sign, hit, *rest):
-        if fit.active[j]:
-            steps.append(hit[fit.at[j]].sum(axis=-1).ravel())
+        steps.append(hit[:, fit.views].sum(axis=-1).ravel())
         return step(fit, j, pool, rows, sign, hit, *rest)
 
-    def recording_block_sum(pool, rows, sign, group, hits, most, *rest):
+    def recording_block_sum(pool, rows, sign, problem, hits, most, *rest):
         blocks.append((most, hits.shape[1]))
-        return block_sum(pool, rows, sign, group, hits, most, *rest)
+        return block_sum(pool, rows, sign, problem, hits, most, *rest)
 
     monkeypatch.setattr(learn, "_step", recording_step)
     monkeypatch.setattr(learn, "_block_sum", recording_block_sum)
-    problems = _violator_case_problems()
-    _assert_column_fits_match_views_alone(problems, c=10.0, epochs=8, batch_size=32)
+    matrices, problems, views = _violator_case_problems()
+    _assert_fits_match_single_fits(matrices, problems, views, c=10.0, epochs=8, batch_size=32)
     assert np.all(steps[0] == 32)  # every row of the first batch violates
     assert any(not counts.all() for counts in steps)  # a fit without a violator
     assert any(most == width for most, width in blocks)
     assert any(0 < most < width for most, width in blocks)  # a packed, shallower block
     blocks.clear()
-    _assert_column_fits_match_views_alone(problems[1:], c=1.0, epochs=3, batch_size=1)
+    _assert_fits_match_single_fits(matrices, problems[1:], views, c=1.0, epochs=3, batch_size=1)
     assert blocks
 
 
@@ -461,8 +462,8 @@ def test_column_views_cover_every_violator_case(monkeypatch):
 def test_column_fits_do_not_depend_on_the_violator_blocks(monkeypatch, block_numbers):
     """A step's fits summed in as many blocks as halving their violator
     counts gives, or all in one, come out the same bits."""
-    problems = _violator_case_problems()
-    expected = train_svm_stack(problems, c=10.0, epochs=8)
+    matrices, problems, views = _violator_case_problems()
+    expected = train_svm_stack(matrices, problems, views, c=10.0, epochs=8)
     blocks = []  # blocks per call of _violator_sums
     violator_sums, block_sum = learn._violator_sums, learn._block_sum
 
@@ -477,63 +478,105 @@ def test_column_fits_do_not_depend_on_the_violator_blocks(monkeypatch, block_num
     monkeypatch.setattr(learn, "BLOCK_NUMBERS", block_numbers)
     monkeypatch.setattr(learn, "_violator_sums", counting_violator_sums)
     monkeypatch.setattr(learn, "_block_sum", counting_block_sum)
-    got = train_svm_stack(problems, c=10.0, epochs=8)
+    got = train_svm_stack(matrices, problems, views, c=10.0, epochs=8)
     assert [[f.beta.tobytes() for f in fits] for fits in got] == \
         [[f.beta.tobytes() for f in fits] for fits in expected]
     assert max(blocks) > 1 if block_numbers == 0 else set(blocks) == {1}
 
 
 def test_column_views_are_checked():
-    matrix = np.zeros((1, 4, 3))
-    labels = np.array([1.0, -1.0, 1.0, -1.0])
-    for columns, message in (([np.array([0, 3])], "lie in"), ([np.array([1, 1])], "once"),
-                             ([np.array([], dtype=int)], "nonempty"), ([], "one view"),
-                             ([np.array([0.0, 1.0])], "column indices")):
+    problem = SvmProblem(0, np.arange(4), np.array([1.0, -1.0, 1.0, -1.0]))
+    for views, message in (([np.array([0, 3])], "lie in"), ([np.array([1, 1])], "once"),
+                           ([np.array([ZERO_COLUMN - 1, 0])], "lie in"),
+                           ([np.array([], dtype=int)], "nonempty"), ([], "one view"),
+                           ([np.array([0.0, 1.0])], "column indices")):
         with pytest.raises(ValueError, match=message):
-            train_svm_stack([SvmProblem(matrix, np.arange(4), labels, 0, (0, 1), columns)])
-    with pytest.raises(ValueError, match="one matrix"):
-        train_svm_stack([SvmProblem(np.zeros((2, 4, 3)), np.arange(4), labels, 0, (0, 1),
-                                    [np.arange(3)])])
+            train_svm_stack([np.zeros((4, 3))], [problem], views)
+
+
+def test_matrices_are_checked():
+    """A problem names one of the matrices by an integer index, and the
+    matrices are 2-d arrays of one width."""
+    labels = np.array([1.0, -1.0, 1.0, -1.0])
+    for index in (1, -1, 0.0, np.int64(0), True, False, "0", None):
+        with pytest.raises(ValueError, match="index of one of the 1 matrices"):
+            train_svm_stack([np.zeros((4, 2))], [SvmProblem(index, np.arange(4), labels)])
+    problem = SvmProblem(0, np.arange(4), labels)
+    for matrices in ([np.zeros((4, 2)), np.zeros((4, 3))], [np.zeros((1, 4, 2))],
+                     [np.zeros(4)], [], [np.zeros((4, 0))]):
+        with pytest.raises(ValueError, match="matri"):
+            train_svm_stack(matrices, [problem])
+    with pytest.raises(ValueError, match="rows of the problem's matrix"):
+        train_svm_stack([np.zeros((4, 2)), np.zeros((3, 2))],
+                        [SvmProblem(1, np.arange(4), labels)])
+
+
+def test_matrices_may_be_a_one_shot_generator():
+    """Each matrix is read once, as the run's pool is made."""
+    stack, labels = _fold_like_stack(3, 40, 5, exact_fraction=0.2, zero_columns=(), seed=9)
+    problems = [SvmProblem(i, np.arange(i, 40), labels[i:], i, (0, 1)) for i in (2, 0, 1)]
+    read = []
+
+    def matrices():
+        for i, matrix in enumerate(stack):
+            read.append(i)
+            yield matrix
+
+    got = train_svm_stack(matrices(), problems, c=10.0, epochs=4)
+    assert read == [0, 1, 2]
+    want = train_svm_stack(list(stack), problems, c=10.0, epochs=4)
+    assert [[f.beta.tobytes() for f in fits] for fits in got] == \
+        [[f.beta.tobytes() for f in fits] for fits in want]
+    _assert_fits_match_single_fits(list(stack), problems, c=10.0, epochs=4)
 
 
 def test_zero_epochs_give_zero_weights():
-    views, labels = _fold_like_stack(2, 9, 4, exact_fraction=0.0, zero_columns=(), seed=3)
-    fits = train_svm_stack([SvmProblem(views, np.arange(9), labels, 1, (0, 1))], epochs=0)
+    stack, labels = _fold_like_stack(2, 9, 4, exact_fraction=0.0, zero_columns=(), seed=3)
+    matrix, views = _side_by_side(stack)
+    fits = train_svm_stack([matrix], [SvmProblem(0, np.arange(9), labels, 1, (0, 1))], views,
+                           epochs=0)
+    assert len(fits[0]) == 2
     for fit in fits[0]:
         assert fit.beta.tobytes() == np.zeros(5).tobytes()
-    alone = train_svm_binary(views[0], labels, epochs=0)
+    alone = train_svm_binary(stack[0], labels, epochs=0)
     assert alone.beta.tobytes() == np.zeros(5).tobytes()
-
-
-def test_stack_rejects_non_stacks():
-    labels = np.array([1.0, -1.0, 1.0, -1.0])
-    with pytest.raises(ValueError, match="stack"):
-        train_svm_stack([SvmProblem(np.zeros((4, 2)), np.arange(4), labels)])
-    with pytest.raises(ValueError, match="stack"):
-        train_svm_binary(np.zeros((1, 4, 2)), labels)
-    with pytest.raises(ValueError, match="width"):
-        train_svm_stack([SvmProblem(np.zeros((1, 4, 2)), np.arange(4), labels),
-                         SvmProblem(np.zeros((1, 4, 3)), np.arange(4), labels)])
 
 
 def test_stacked_ensembles_equal_one_ensemble_per_slice(body_small):
     x, labels = body_small
     y = BODY_STYLE.encode(labels)
     scaled = fit_scaling(x).apply(x)
-    views = np.stack([scaled[:, link_block_slice(link)] for link in (1, 5, 9)])
-    half = np.flatnonzero(y != 3)[::2]  # a second stack that lacks class 3
-    stacked = train_svm_ensembles([(views, y, 17), (views[:2, half], y[half], 18)],
-                                  BODY_STYLE.classes, epochs=4)
-    assert [len(ensembles) for ensembles in stacked] == [3, 2]
-    for ensembles, (stack, y_idx, seed) in zip(stacked, [(views, y, 17),
-                                                        (views[:2, half], y[half], 18)]):
-        for view, ensemble in zip(stack, ensembles):
-            alone = train_svm_ensemble(view, y_idx, BODY_STYLE.classes, epochs=4, seed=seed)
+    views = [np.arange(scaled.shape[1])[link_block_slice(link)] for link in (1, 5, 9)]
+    half = np.flatnonzero(y != 3)[::2]  # a second matrix that lacks class 3
+    runs = [(scaled, y, 17), (scaled[half], y[half], 18)]
+    stacked = train_svm_ensembles((matrix for matrix, _, _ in runs),
+                                  [(y_idx, seed) for _, y_idx, seed in runs],
+                                  BODY_STYLE.classes, epochs=4, views=views)
+    assert [len(ensembles) for ensembles in stacked] == [3, 3]
+    for ensembles, (matrix, y_idx, seed) in zip(stacked, runs):
+        for columns, ensemble in zip(views, ensembles):
+            alone = train_svm_ensemble(matrix[:, columns], y_idx, BODY_STYLE.classes, epochs=4,
+                                       seed=seed)
             assert [s.class_pair for s in ensemble.svms] == [s.class_pair for s in alone.svms]
             for got, want in zip(ensemble.svms, alone.svms):
                 assert got.beta.tobytes() == want.beta.tobytes()
     present = len(np.unique(y[half]))
     assert len(stacked[1][0].svms) == present * (present - 1) // 2 < 21  # fewer pairs
+
+
+def test_ensembles_need_two_classes_in_every_matrix():
+    """A matrix whose labels hold one class would give an ensemble of no
+    pairs, which votes class 0 for every row; it is refused before any
+    matrix is read."""
+    def unread():
+        raise AssertionError("the matrices were read")
+        yield
+
+    two, one = (np.array([0, 2, 2, 0]), 1), (np.array([3, 3, 3, 3]), 2)
+    with pytest.raises(ValueError, match="at least two classes, not 1"):
+        train_svm_ensembles(unread(), [two, one], BODY_STYLE.classes)
+    with pytest.raises(ValueError, match="at least two classes, not 1"):
+        train_svm_ensemble(np.zeros((4, 3)), one[0], BODY_STYLE.classes)
 
 
 def test_svm_trainer_matches_reference_on_every_corpus_pair(body_small):
@@ -1380,11 +1423,12 @@ def test_load_model_keeps_constant_scaling_columns(tmp_path, model_docs):
 
 def test_rows_outside_a_problem_never_reach_its_fits():
     """Padding slots of a short batch must not read a row the problem lacks."""
-    views, labels = _fold_like_stack(1, 200, 6, exact_fraction=0.2, zero_columns=(), seed=8)
-    views[:, 0] = np.inf  # row 0 belongs to no problem
+    stack, labels = _fold_like_stack(1, 200, 6, exact_fraction=0.2, zero_columns=(), seed=8)
+    matrix = stack[0]
+    matrix[0] = np.inf  # row 0 belongs to no problem
     labels[1:3] = (1.0, -1.0)
     labels[50:52] = (1.0, -1.0)
     # sizes 60, 45, 20 and 12 share chunks, so the shorter batches are padded
-    problems = [SvmProblem(views, np.arange(lo, lo + n), labels[lo: lo + n], seed, (0, 1))
+    problems = [SvmProblem(0, np.arange(lo, lo + n), labels[lo: lo + n], seed, (0, 1))
                 for lo, n, seed in ((1, 60, 5), (1, 45, 6), (1, 20, 7), (50, 12, 8))]
-    _assert_fits_match_single_fits(problems, c=1.0, epochs=3, batch_size=32)
+    _assert_fits_match_single_fits([matrix], problems, c=1.0, epochs=3, batch_size=32)
