@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .learn import CartTree
-
 
 def _gini_counts(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
     """Gini impurity of class counts along the last axis, given their totals."""
@@ -159,20 +157,22 @@ def _best_splits(x, ranks, y, n_classes, idxs, feature_ids):
 
 def _grow_trees(x, y, n_classes, n_feats, rngs, bootstraps):
     """Grow one tree per generator and bootstrap, to purity and in preorder, all
-    of them together; each tree comes back with its nodes' depths.
+    of them together, and return the forest's node table ``(trees, feature,
+    threshold, left, right, klass)`` as ``learn.RandomForest`` holds it.
 
     Each step pops the next node of every unfinished tree, so a tree's node
-    popped at step s takes slot s.  It takes all their class counts and
+    popped at step s is its node s.  It takes all their class counts and
     parent Ginis at once, draws each impure node's features from its own
     tree's generator in tree order, and searches their splits with
     ``_best_splits`` in batches of at most ``SPLIT_BATCH_ROWS`` rows.  A
     tree's generator thus makes the draws it would make grown alone, and a
-    split is kept when its cost is below ``parent_gini - 1e-12``.
+    split is kept when its cost is below ``parent_gini - 1e-12``.  The table
+    takes the trees one after another, each tree's nodes in step order.
     """
     n_trees, n_draw = len(rngs), min(n_feats, x.shape[1])
     ranks = _dense_ranks(x)
-    # (rows, 2 * parent slot + 1 for a right child, depth); left children pop first
-    stacks = [[(bootstrap, -1, 0)] for bootstrap in bootstraps]
+    # (rows, 2 * parent step + 1 for a right child); left children pop first
+    stacks = [[(bootstrap, -1)] for bootstrap in bootstraps]
     steps = []  # per step: the trees it grew and their nodes' fields
     live = np.arange(n_trees)
     while live.size:
@@ -201,8 +201,7 @@ def _grow_trees(x, y, n_classes, n_feats, rngs, bootstraps):
             keep = (f >= 0) & (cost < parent_gini[at] - 1e-12)
             feature[at[keep]], threshold[at[keep]] = f[keep], thr[keep]
             lo = hi
-        depth = np.array([node[2] for node in popped])
-        steps.append((live, feature, threshold, counts.argmax(axis=1), depth,
+        steps.append((live, feature, threshold, counts.argmax(axis=1),
                       np.array([node[1] for node in popped])))
         split = np.flatnonzero(feature >= 0)
         if split.size:
@@ -213,27 +212,26 @@ def _grow_trees(x, y, n_classes, n_feats, rngs, bootstraps):
             ends = np.cumsum(np.bincount(side, minlength=2 * len(live))).tolist()
             slot = len(steps) - 1
             for i in split.tolist():
-                stack, level = stacks[live[i]], depth[i] + 1
+                stack = stacks[live[i]]
                 first, middle, last = ends[2 * i + 1] - sizes[i], ends[2 * i], ends[2 * i + 1]
                 # a right child may wait long on its stack: a copy lets this
                 # step's rows go once the left child, popped next, is done
-                stack.append((ordered[middle:last].copy(), 2 * slot + 1, level))
-                stack.append((ordered[first:middle], 2 * slot, level))
+                stack.append((ordered[middle:last].copy(), 2 * slot + 1))
+                stack.append((ordered[first:middle], 2 * slot))
         live = live[[len(stacks[t]) > 0 for t in live]]
-    # tree t's node s is column t of step s's fields
-    fields = np.full((5, len(steps), n_trees), -1)
+    # tree t's node s is column t of step s's fields, its children steps of tree t
+    fields = np.full((4, len(steps), n_trees), -1)
     thresholds = np.zeros((len(steps), n_trees))
     n_nodes = np.zeros(n_trees, dtype=int)
-    for s, (live, feature, threshold, klass, depth, link) in enumerate(steps):
-        fields[0, s, live], fields[3, s, live], fields[4, s, live] = feature, klass, depth
+    for s, (live, feature, threshold, klass, link) in enumerate(steps):
+        fields[0, s, live], fields[3, s, live] = feature, klass
         thresholds[s, live] = threshold
         child = link >= 0
         fields[1 + link[child] % 2, link[child] // 2, live[child]] = s
         n_nodes[live] += 1
-    grown = []
-    for t, bootstrap in enumerate(bootstraps):
-        feature, left, right, klass, depth = fields[:, : n_nodes[t], t].copy()
-        tree = CartTree(feature=feature, threshold=thresholds[: n_nodes[t], t].copy(),
-                        left=left, right=right, klass=klass, bootstrap_indices=bootstrap)
-        grown.append((tree, depth))
-    return grown
+    trees = np.cumsum(n_nodes) - n_nodes
+    grown = np.arange(len(steps)) < n_nodes[:, None]  # (tree, step): tree order, then step
+    feature, left, right, klass = fields.transpose(0, 2, 1)[:, grown]
+    offset = np.repeat(trees, n_nodes)
+    left, right = (np.where(child >= 0, child + offset, -1) for child in (left, right))
+    return trees, feature, thresholds.T[grown], left, right, klass

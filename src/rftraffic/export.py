@@ -76,10 +76,7 @@ def count_operations(model: SvmEnsemble | RandomForest) -> int:
     """Worst-case per-prediction operation count (multiply-adds or compares)."""
     if isinstance(model, SvmEnsemble):
         return sum(len(svm.beta) for svm in model.svms)
-    if not model.trees:
-        return 0
-    packed = model.packed
-    return int(np.maximum.reduceat(packed.node_depth, packed.roots).sum())
+    return int(np.maximum.reduceat(model.node_depth, model.trees).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +166,13 @@ def _emit_svm(model: SvmEnsemble) -> str:
 
 def _emit_forest(model: RandomForest) -> str:
     y = model.n_classes
-    packed = model.packed
     lines = _emit_header("random_forest")
-    lines.append(_c_int_table("tree_root", packed.roots.tolist()))
-    lines.append(_c_int_table("node_feature", packed.feature.tolist()))
-    lines.append(_c_double_table("node_threshold", packed.threshold.tolist()))
-    lines.append(_c_int_table("node_left", packed.left.tolist()))
-    lines.append(_c_int_table("node_right", packed.right.tolist()))
-    lines.append(_c_int_table("node_class", packed.klass.tolist()))
+    lines.append(_c_int_table("tree_root", model.trees.tolist()))
+    lines.append(_c_int_table("node_feature", model.feature.tolist()))
+    lines.append(_c_double_table("node_threshold", model.threshold.tolist()))
+    lines.append(_c_int_table("node_left", model.left.tolist()))
+    lines.append(_c_int_table("node_right", model.right.tolist()))
+    lines.append(_c_int_table("node_class", model.klass.tolist()))
     lines.extend(
         [
             "",
@@ -213,7 +209,7 @@ def emit_inference_source(model: SvmEnsemble | RandomForest) -> str:
         if not model.svms:
             raise ValueError("cannot emit source for an empty ensemble")
         return _emit_svm(model)
-    if not model.trees:
+    if len(model.trees) == 0:
         raise ValueError("cannot emit source for an empty forest")
     return _emit_forest(model)
 
@@ -278,7 +274,7 @@ def grid_search(
             n_trees=counts[-1], max_depth=caps[-1], seed=fold.model_seed,
         )
         for j, depth in enumerate(caps):
-            voted = forest.packed.tree_classes(fold.x_test, depth)
+            voted = forest.tree_classes(fold.x_test, depth)
             for i, n_trees in enumerate(counts):
                 votes = vote_counts(voted[:, :n_trees], n_classes)
                 fold_acc[i, j, fold.index] = fold_accuracy(votes.argmax(axis=1), fold.y_test)

@@ -20,15 +20,17 @@ mapping from (pair, sign) to class, combined by majority vote.
 
 The random forest grows bootstrapped CART trees with Gini-impurity splits over
 a fresh random feature subset per node; prediction is the majority vote over
-trees.  Ties break toward the lowest class index everywhere.
+trees.  Ties break toward the lowest class index everywhere.  A forest is one
+node table, its trees one after another, which is the layout of the emitted C
+file: growing, pruning, prediction, model files and C emission all work on it.
 
 Every tree is grown to purity, in preorder, from a seed derived from its index
-alone and only then pruned to the depth cap by a depth mask.  The first n trees
-of a forest, each pruned again to a smaller depth d, are therefore node for
-node the forest that the same seed trains with n trees at depth d
-(``RandomForest.truncated``).  Every node holds its majority class, so that
-forest votes what the full one votes after d steps of its walk; the forest grid
-of ``export.grid_search`` scores all of its cells from one forest this way.
+alone and only then pruned to the depth cap by one depth mask over the table.
+The first n trees of a forest, each pruned again to a smaller depth d, are
+therefore node for node the forest that the same seed trains with n trees at
+depth d (``RandomForest.truncated``).  Every node holds its majority class, so
+that forest votes what the full one votes after d steps of its walk; the forest
+grid of ``export.grid_search`` scores all of its cells from one forest this way.
 
 The trees of a forest grow together in ``cart``, each node for node as it
 would grow alone; that module loads when a forest is first trained.
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, NamedTuple
 
@@ -483,115 +485,24 @@ def train_svm_ensemble(
 
 
 @dataclass
-class CartTree:
-    """Array-encoded binary decision tree (feature < 0 marks a leaf).
-
-    Children follow their parent in the arrays, so every root-to-leaf walk
-    visits rising node indices and ends.  Grown and pruned trees are in
-    preorder (a node, then its left subtree, then its right), so pruning is a
-    depth mask over the arrays.
-    """
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    klass: np.ndarray
-    bootstrap_indices: np.ndarray | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def n_nodes(self) -> int:
-        return len(self.feature)
-
-
-def _node_depths(feature: np.ndarray, left: np.ndarray, right: np.ndarray,
-                 roots: np.ndarray) -> np.ndarray:
-    """Each node's depth below its root, walking one level of every tree at a time."""
-    depth = np.zeros(len(feature), dtype=int)
-    level, d = roots, 0
-    while level.size:  # children follow their parents, so the levels run out
-        depth[level] = d
-        inner = level[feature[level] >= 0]
-        level, d = np.concatenate([left[inner], right[inner]]), d + 1
-    return depth
-
-
-@dataclass(frozen=True)
-class PackedForest:
+class RandomForest:
     """Every tree of a forest in one node table, the layout of the emitted C file.
 
-    Tree ``t`` starts at node ``roots[t]``; children are indices into the whole
-    table (-1 at leaves), ``node_depth`` is each node's depth in its tree and
-    ``depth`` the deepest of them.
+    Tree ``t`` starts at node ``trees[t]`` and ends where the next tree
+    starts.  A node splits on ``feature`` at ``threshold`` (rows at most the
+    threshold go left) or is a leaf (feature -1); children index the whole
+    table (-1 at leaves) and every node holds its majority class ``klass``.
+    Each tree is in preorder (a node, then its left subtree, then its right),
+    so every root-to-leaf walk visits rising node indices and ends, and
+    pruning is a depth mask over the table (``_pruned``).
     """
 
-    roots: np.ndarray
+    trees: np.ndarray
     feature: np.ndarray
     threshold: np.ndarray
     left: np.ndarray
     right: np.ndarray
     klass: np.ndarray
-    node_depth: np.ndarray
-    depth: int
-
-    @classmethod
-    def of(cls, trees: list[CartTree]) -> PackedForest:
-        sizes = np.array([tree.n_nodes for tree in trees], dtype=int)
-        roots = np.cumsum(sizes) - sizes
-        offsets = np.repeat(roots, sizes)
-
-        def table(name, dtype):
-            return np.concatenate([getattr(tree, name) for tree in trees]
-                                  + [np.empty(0, dtype=dtype)]).astype(dtype, copy=False)
-
-        feature, left, right = table("feature", int), table("left", int), table("right", int)
-        left = left + np.where(left >= 0, offsets, 0)
-        right = right + np.where(right >= 0, offsets, 0)
-        node_depth = _node_depths(feature, left, right, roots)
-        return cls(roots=roots, feature=feature, threshold=table("threshold", float),
-                   left=left, right=right, klass=table("klass", int), node_depth=node_depth,
-                   depth=int(node_depth.max(initial=0)))
-
-    def tree_classes(self, x: np.ndarray, steps: int) -> np.ndarray:
-        """The class each tree votes for each row of ``x`` after ``steps`` steps, ``(n, trees)``.
-
-        All trees step together, one level per step; a walk that has reached
-        its leaf stays there.  Every node holds its majority class, so ``steps``
-        d votes as the trees pruned at depth d and ``depth`` as the full trees.
-        """
-        rows = np.arange(len(x))[:, None]
-        node = np.repeat(self.roots[None, :], len(x), axis=0)
-        for _ in range(min(steps, self.depth)):
-            feat = self.feature[node]
-            go_left = x[rows, feat] <= self.threshold[node]
-            node = np.where(feat < 0, node,
-                            np.where(go_left, self.left[node], self.right[node]))
-        return self.klass[node]
-
-
-def _prune_tree(tree: CartTree, depth: np.ndarray, max_depth: int) -> CartTree:
-    """Truncate a preorder tree at ``max_depth``; cut nodes become majority-class leaves.
-
-    The nodes at most ``max_depth`` deep (by ``depth``) keep their order, the
-    pruned tree's preorder, renumbered by a cumsum; those at the cap lose their
-    children.  So the tree pruned at depth d is a subtree of the one at d + 1.
-    """
-    keep = depth <= max_depth
-    index = np.cumsum(keep) - 1
-    inner = keep & (tree.feature >= 0) & (depth < max_depth)
-    return CartTree(
-        feature=np.where(inner, tree.feature, -1)[keep],
-        threshold=np.where(inner, tree.threshold, 0.0)[keep],
-        left=np.where(inner, index[tree.left], -1)[keep],
-        right=np.where(inner, index[tree.right], -1)[keep],
-        klass=tree.klass[keep],
-        bootstrap_indices=tree.bootstrap_indices,
-    )
-
-
-@dataclass
-class RandomForest:
-    trees: list[CartTree]
     classes: tuple[str, ...]
     max_depth: int
     feature_subset: int
@@ -602,11 +513,39 @@ class RandomForest:
 
     @property
     def n_nodes(self) -> int:
-        return sum(t.n_nodes for t in self.trees)
+        return len(self.feature)
 
     @functools.cached_property
-    def packed(self) -> PackedForest:
-        return PackedForest.of(self.trees)
+    def node_depth(self) -> np.ndarray:
+        """Each node's depth in its tree, walking one level of every tree at a time."""
+        depth = np.zeros(self.n_nodes, dtype=int)
+        level, d = self.trees, 0
+        while level.size:  # children follow their parents, so the levels run out
+            depth[level] = d
+            inner = level[self.feature[level] >= 0]
+            level, d = np.concatenate([self.left[inner], self.right[inner]]), d + 1
+        return depth
+
+    @functools.cached_property
+    def depth(self) -> int:
+        """The deepest node's depth; 0 for an empty forest."""
+        return int(self.node_depth.max(initial=0))
+
+    def tree_classes(self, x: np.ndarray, steps: int) -> np.ndarray:
+        """The class each tree votes for each row of ``x`` after ``steps`` steps, ``(n, trees)``.
+
+        All trees step together, one level per step; a walk that has reached
+        its leaf stays there.  Every node holds its majority class, so ``steps``
+        d votes as the trees pruned at depth d and ``depth`` as the full trees.
+        """
+        rows = np.arange(len(x))[:, None]
+        node = np.repeat(self.trees[None, :], len(x), axis=0)
+        for _ in range(min(steps, self.depth)):
+            feat = self.feature[node]
+            go_left = x[rows, feat] <= self.threshold[node]
+            node = np.where(feat < 0, node,
+                            np.where(go_left, self.left[node], self.right[node]))
+        return self.klass[node]
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Majority vote over the trees, walked all at once; ties break low."""
@@ -614,8 +553,7 @@ class RandomForest:
         single = x.ndim == 1
         if single:
             x = x[None, :]
-        packed = self.packed
-        pred = vote_counts(packed.tree_classes(x, packed.depth), self.n_classes).argmax(axis=1)
+        pred = vote_counts(self.tree_classes(x, self.depth), self.n_classes).argmax(axis=1)
         return pred[0] if single else pred
 
     def truncated(self, n_trees: int, max_depth: int) -> RandomForest:
@@ -629,12 +567,32 @@ class RandomForest:
                 f"cannot cut {n_trees} trees at depth {max_depth} from "
                 f"{len(self.trees)} trees at depth {self.max_depth}"
             )
-        depths = self.packed.node_depth
-        return RandomForest(
-            trees=[_prune_tree(tree, depths[root: root + tree.n_nodes], max_depth)
-                   for tree, root in zip(self.trees[:n_trees], self.packed.roots)],
-            classes=self.classes, max_depth=max_depth, feature_subset=self.feature_subset,
-        )
+        return _pruned(self, n_trees, max_depth)
+
+
+def _pruned(forest: RandomForest, n_trees: int, cap: int) -> RandomForest:
+    """The first ``n_trees`` trees of ``forest`` cut at depth ``cap``; cut nodes
+    become majority-class leaves.
+
+    The nodes at most ``cap`` deep keep their order, each pruned tree's
+    preorder, and are renumbered by a cumsum over the table; those at the cap
+    lose their children.  So a tree pruned at depth d is a subtree of the one
+    at d + 1.
+    """
+    end = forest.trees[n_trees] if n_trees < len(forest.trees) else forest.n_nodes
+    depth = forest.node_depth[:end]
+    keep = depth <= cap
+    index = np.cumsum(keep) - 1
+    inner = keep & (forest.feature[:end] >= 0) & (depth < cap)
+    return RandomForest(
+        trees=index[forest.trees[:n_trees]],
+        feature=np.where(inner, forest.feature[:end], -1)[keep],
+        threshold=np.where(inner, forest.threshold[:end], 0.0)[keep],
+        left=np.where(inner, index[forest.left[:end]], -1)[keep],
+        right=np.where(inner, index[forest.right[:end]], -1)[keep],
+        klass=forest.klass[:end][keep],
+        classes=forest.classes, max_depth=cap, feature_subset=forest.feature_subset,
+    )
 
 
 def train_random_forest(
@@ -668,16 +626,22 @@ def train_random_forest(
     # imported here: only the commands that train a forest pay to load the grower
     from .cart import _grow_trees
 
-    grown = _grow_trees(x, y_idx, len(classes), feature_subset, rngs, bootstraps)
-    trees = [_prune_tree(full, depth, max_depth) for full, depth in grown]
-    return RandomForest(trees=trees, classes=tuple(classes), max_depth=max_depth,
-                        feature_subset=feature_subset)
+    # grown to purity, then cut to the cap
+    grown = RandomForest(*_grow_trees(x, y_idx, len(classes), feature_subset, rngs, bootstraps),
+                         classes=tuple(classes), max_depth=max_depth,
+                         feature_subset=feature_subset)
+    return _pruned(grown, n_trees, max_depth)
 
 
 # ---------------------------------------------------------------------------
 # model files
 
 FORMAT_VERSION = 1
+
+#: a forest's node arrays in a model file: the table field, its key in each
+#: saved tree and its dtype
+_NODE_KEYS = (("feature", "feature", int), ("threshold", "threshold", float),
+              ("left", "left", int), ("right", "right", int), ("klass", "class", int))
 
 
 @dataclass
@@ -715,55 +679,55 @@ def save_model(path: str, bundle: ModelBundle) -> None:
         }
     else:
         forest = bundle.model
+        trees = []
+        ends = np.append(forest.trees[1:], forest.n_nodes).tolist()
+        for root, end in zip(forest.trees.tolist(), ends):
+            # a saved tree's children index its own nodes
+            nodes = {key: getattr(forest, field)[root:end] for field, key, _ in _NODE_KEYS}
+            for key in ("left", "right"):
+                nodes[key] = np.where(nodes[key] >= 0, nodes[key] - root, -1)
+            trees.append({key: values.tolist() for key, values in nodes.items()})
         doc["model"] = {
             "classes": list(forest.classes),
             "max_depth": forest.max_depth,
             "feature_subset": forest.feature_subset,
-            "trees": [
-                {
-                    "feature": tree.feature.tolist(),
-                    "threshold": tree.threshold.tolist(),
-                    "left": tree.left.tolist(),
-                    "right": tree.right.tolist(),
-                    "class": tree.klass.tolist(),
-                }
-                for tree in forest.trees
-            ],
+            "trees": trees,
         }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, allow_nan=False)
 
 
-def _check_model(model: SvmEnsemble | RandomForest, n_classes: int) -> None:
-    """Reject a loaded model that would read outside its inputs or never end a walk."""
-    if isinstance(model, SvmEnsemble):
-        for k, svm in enumerate(model.svms):
-            if svm.beta.shape != (N_FEATURES + 1,) or not np.isfinite(svm.beta).all():
-                raise ValueError(f"svm pair {k}: need {N_FEATURES + 1} finite weights "
-                                 f"({N_FEATURES} features and the bias)")
-            # an exact type test: JSON true and false are ints to isinstance
-            if not (all(type(i) is int and 0 <= i < n_classes for i in svm.class_pair)
-                    and svm.class_pair[0] != svm.class_pair[1]):
-                raise ValueError(f"svm pair {k}: class pair {svm.class_pair} is not two "
-                                 f"of the {n_classes} classes")
-        return
-    for t, tree in enumerate(model.trees):
-        arrays = (tree.feature, tree.threshold, tree.left, tree.right, tree.klass)
-        n = tree.feature.size
-        if n == 0 or any(a.shape != (n,) for a in arrays):
-            raise ValueError(f"tree {t}: node arrays must be nonempty and of equal length")
-        inner = tree.feature >= 0
-        if not (np.all(tree.feature[~inner] == -1) and np.all(tree.feature < N_FEATURES)):
-            raise ValueError(f"tree {t}: node features must be -1 at leaves and below "
-                             f"{N_FEATURES} elsewhere")
-        nodes = np.flatnonzero(inner)
-        for child in (tree.left[inner], tree.right[inner]):
-            if not np.all((child > nodes) & (child < n)):
-                raise ValueError(f"tree {t}: a node's children must follow it in the tree")
-        if not np.isfinite(tree.threshold).all():
-            raise ValueError(f"tree {t}: thresholds must be finite")
-        if not np.all((tree.klass >= 0) & (tree.klass < n_classes)):
-            raise ValueError(f"tree {t}: node classes must lie in 0..{n_classes - 1}")
+def _check_svms(svms: list[LinearSvm], n_classes: int) -> None:
+    """Reject loaded pairwise SVMs that would read outside their inputs."""
+    for k, svm in enumerate(svms):
+        if svm.beta.shape != (N_FEATURES + 1,) or not np.isfinite(svm.beta).all():
+            raise ValueError(f"svm pair {k}: need {N_FEATURES + 1} finite weights "
+                             f"({N_FEATURES} features and the bias)")
+        # an exact type test: JSON true and false are ints to isinstance
+        if not (all(type(i) is int and 0 <= i < n_classes for i in svm.class_pair)
+                and svm.class_pair[0] != svm.class_pair[1]):
+            raise ValueError(f"svm pair {k}: class pair {svm.class_pair} is not two "
+                             f"of the {n_classes} classes")
+
+
+def _check_tree(t: int, feature, threshold, left, right, klass, n_classes: int) -> None:
+    """Reject loaded tree ``t``, its children indexing its own nodes, if it
+    would read outside its inputs or never end a walk."""
+    n = feature.size
+    if n == 0 or any(a.shape != (n,) for a in (feature, threshold, left, right, klass)):
+        raise ValueError(f"tree {t}: node arrays must be nonempty and of equal length")
+    inner = feature >= 0
+    if not (np.all(feature[~inner] == -1) and np.all(feature < N_FEATURES)):
+        raise ValueError(f"tree {t}: node features must be -1 at leaves and below "
+                         f"{N_FEATURES} elsewhere")
+    nodes = np.flatnonzero(inner)
+    for child in (left[inner], right[inner]):
+        if not np.all((child > nodes) & (child < n)):
+            raise ValueError(f"tree {t}: a node's children must follow it in the tree")
+    if not np.isfinite(threshold).all():
+        raise ValueError(f"tree {t}: thresholds must be finite")
+    if not np.all((klass >= 0) & (klass < n_classes)):
+        raise ValueError(f"tree {t}: node classes must lie in 0..{n_classes - 1}")
 
 
 def _entry(doc, key: str, kind):
@@ -815,6 +779,7 @@ def load_model(path: str) -> ModelBundle:
     if tuple(_entry(spec, "classes", list)) != taxonomy.classes:
         raise ValueError("model classes differ from the taxonomy classes")
     kind = _entry(doc, "model_kind", str)
+    n_classes = len(taxonomy.classes)
     if kind == "svm_ensemble":
         svms = [
             LinearSvm(
@@ -824,25 +789,23 @@ def load_model(path: str) -> ModelBundle:
             )
             for p in _entry(spec, "pairs", list)
         ]
+        _check_svms(svms, n_classes)
         model: SvmEnsemble | RandomForest = SvmEnsemble(svms=svms, classes=taxonomy.classes)
     elif kind == "random_forest":
-        trees = [
-            CartTree(
-                feature=_array(t, "feature", int),
-                threshold=_array(t, "threshold", float),
-                left=_array(t, "left", int),
-                right=_array(t, "right", int),
-                klass=_array(t, "class", int),
-            )
-            for t in _entry(spec, "trees", list)
-        ]
-        model = RandomForest(
-            trees=trees,
-            classes=taxonomy.classes,
-            max_depth=_entry(spec, "max_depth", int),
-            feature_subset=_entry(spec, "feature_subset", int),
-        )
+        trees = [[_array(t, key, dtype) for _, key, dtype in _NODE_KEYS]
+                 for t in _entry(spec, "trees", list)]
+        for t, nodes in enumerate(trees):
+            _check_tree(t, *nodes, n_classes)
+        # the trees one after another, children indexing the whole table
+        sizes = np.array([len(nodes[0]) for nodes in trees], dtype=int)
+        roots = np.cumsum(sizes) - sizes
+        table = {field: np.concatenate([nodes[i] for nodes in trees] + [np.empty(0, dtype)])
+                 for i, (field, _, dtype) in enumerate(_NODE_KEYS)}
+        for field in ("left", "right"):
+            table[field] = np.where(table[field] >= 0, table[field] + np.repeat(roots, sizes), -1)
+        model = RandomForest(roots, **table, classes=taxonomy.classes,
+                             max_depth=_entry(spec, "max_depth", int),
+                             feature_subset=_entry(spec, "feature_subset", int))
     else:
         raise ValueError(f"unknown model kind {kind!r}")
-    _check_model(model, len(taxonomy.classes))
     return ModelBundle(taxonomy=taxonomy, scaling=scaling, model=model)

@@ -50,11 +50,19 @@ def test_platform_profiles():
         platform_by_name("cortex")
 
 
+def _empty_forest(classes):
+    """A forest of no trees: an empty node table."""
+    none = np.empty(0, dtype=int)
+    return RandomForest(trees=none, feature=none, threshold=np.empty(0), left=none, right=none,
+                        klass=none, classes=classes, max_depth=1, feature_subset=1)
+
+
 def test_empty_model_costs_overhead_only():
     empty = SvmEnsemble(svms=[], classes=("a", "b"))
     assert estimate_memory(empty).code_bytes == OVERHEAD_BYTES
-    empty_forest = RandomForest(trees=[], classes=("a", "b"), max_depth=1, feature_subset=1)
+    empty_forest = _empty_forest(("a", "b"))
     assert estimate_memory(empty_forest).code_bytes == OVERHEAD_BYTES
+    assert count_operations(empty_forest) == 0
 
 
 def test_memory_monotone_in_trees_and_depth(binary_small):
@@ -106,7 +114,7 @@ def test_emitted_sources_match_library_predictions(trained):
 
 
 def test_emitted_forest_source_is_pinned(trained):
-    # the emitter and RandomForest.predict share one packed node table; the C
+    # the emitter and RandomForest.predict read the forest's one node table; the C
     # file must stay byte for byte what the per-tree emitter wrote for this forest
     _, _, _, forest = trained
     source = emit_inference_source(forest)
@@ -120,7 +128,7 @@ def test_stump_forest_emits_single_branch(binary_small):
     y = np.array([BINARY.index(l) for l in labels])
     stump = train_random_forest(x, y, BINARY.classes, n_trees=1, max_depth=1,
                                 feature_subset=92, seed=0)
-    assert stump.trees[0].n_nodes == 3
+    assert len(stump.trees) == 1 and stump.n_nodes == 3
     source = emit_inference_source(stump)
     assert "node_feature[3]" in source
     vectors = np.random.default_rng(1).uniform(-1, 1, size=(50, 92))
@@ -131,7 +139,7 @@ def test_emit_rejects_empty_models():
     with pytest.raises(ValueError):
         emit_inference_source(SvmEnsemble(svms=[], classes=("a", "b")))
     with pytest.raises(ValueError):
-        emit_inference_source(RandomForest([], ("a",), 1, 1))
+        emit_inference_source(_empty_forest(("a",)))
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +228,8 @@ def test_stopped_walk_votes_as_the_pruned_forest(body_small):
         forest = train_random_forest(fold.x_train, fold.y_train, BODY_STYLE.classes,
                                      n_trees=8, max_depth=9, seed=fold.model_seed)
         for cap in range(forest.max_depth + 1):
-            cut = forest.truncated(8, cap).packed
-            assert np.array_equal(forest.packed.tree_classes(fold.x_test, cap),
+            cut = forest.truncated(8, cap)
+            assert np.array_equal(forest.tree_classes(fold.x_test, cap),
                                   cut.tree_classes(fold.x_test, cut.depth))
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,8 +14,7 @@ from rftraffic.cart import _best_splits, _dense_ranks, _grow_trees
 from rftraffic.features import ScalingTransform, fit_scaling, link_block_slice
 from rftraffic.learn import (
     ZERO_COLUMN,
-    _node_depths,
-    _prune_tree,
+    _pruned,
     LinearSvm,
     ModelBundle,
     RandomForest,
@@ -23,6 +23,7 @@ from rftraffic.learn import (
     augment,
     load_model,
     save_model,
+    spawn_seeds,
     train_random_forest,
     train_svm_ensemble,
     train_svm_ensembles,
@@ -694,13 +695,40 @@ def test_vote_tie_breaks_to_lowest_class_index():
 # random forest
 
 
+class _Tree(NamedTuple):
+    """One tree's node arrays, its children indexing its own nodes."""
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    klass: np.ndarray
+
+
+def _trees_of(forest):
+    """Each tree sliced out of the forest's node table, in tree order."""
+    ends = forest.trees[1:].tolist() + [forest.n_nodes]
+    trees = []
+    for root, end in zip(forest.trees.tolist(), ends):
+        left, right = (np.where(a[root:end] >= 0, a[root:end] - root, -1)
+                       for a in (forest.left, forest.right))
+        trees.append(_Tree(forest.feature[root:end], forest.threshold[root:end], left, right,
+                           forest.klass[root:end]))
+    return trees
+
+
+def _bootstraps(seed, n_trees, n_rows):
+    """The bootstrap rows each tree of a forest trained with ``seed`` draws."""
+    return [np.random.default_rng(child).integers(0, n_rows, size=n_rows)
+            for child in spawn_seeds(seed, n_trees)[:n_trees]]
+
+
 def test_pure_data_gives_single_leaf_trees():
     x = np.random.default_rng(0).normal(size=(30, 4))
     y = np.zeros(30, dtype=int)
     forest = train_random_forest(x, y, ("only", "other"), n_trees=5, max_depth=4, seed=0)
-    for tree in forest.trees:
-        assert tree.n_nodes == 1
-        assert tree.feature[0] == -1
+    assert forest.trees.tolist() == list(range(5))
+    assert np.all(forest.feature == -1)
     assert np.all(forest.predict(x) == 0)
 
 
@@ -709,11 +737,10 @@ def test_stump_splits_separable_line():
     y = np.array([0] * 20 + [1] * 20)
     forest = train_random_forest(x, y, ("lo", "hi"), n_trees=1, max_depth=1,
                                  feature_subset=1, seed=0)
-    tree = forest.trees[0]
-    assert tree.n_nodes == 3
-    assert tree.feature[0] == 0
-    assert 1.0 < tree.threshold[0] < 2.0
-    boot = tree.bootstrap_indices
+    assert forest.trees.tolist() == [0] and forest.n_nodes == 3
+    assert forest.feature[0] == 0
+    assert 1.0 < forest.threshold[0] < 2.0
+    [boot] = _bootstraps(0, 1, len(x))
     assert (forest.predict(x[boot]) == y[boot]).mean() == 1.0
 
 
@@ -724,9 +751,10 @@ def _assert_same_tree(ta, tb):
 
 
 def _assert_same_trees(a, b):
-    assert len(a.trees) == len(b.trees)
-    for ta, tb in zip(a.trees, b.trees):
-        _assert_same_tree(ta, tb)
+    """Two forests' node tables, array for array, in dtype and bytes."""
+    for key in ("trees", "feature", "threshold", "left", "right", "klass"):
+        x, y = getattr(a, key), getattr(b, key)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), key
 
 
 def test_forest_determinism_node_for_node(binary_small):
@@ -774,7 +802,8 @@ def _reference_best_split(x, y, idx, n_classes, feature_ids):
 
 def _reference_grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
     """One tree grown alone, node by node in preorder, with ``_reference_best_split``;
-    the oracle for ``_grow_trees``.  The nodes' depths come back with the tree."""
+    the oracle for ``_grow_trees``.  The nodes' depths come back with the tree's
+    node arrays."""
     feature, threshold, left, right, klass, depth = [], [], [], [], [], []
     d = x.shape[1]
     stack = [(bootstrap, -1, left, 0)]  # (rows, parent, the parent's child list, depth)
@@ -801,14 +830,9 @@ def _reference_grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
             go_left = x[idx, f] <= thr
             stack.append((idx[~go_left], len(feature) - 1, right, level + 1))
             stack.append((idx[go_left], len(feature) - 1, left, level + 1))
-    tree = learn.CartTree(
-        feature=np.array(feature, dtype=int),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=int),
-        right=np.array(right, dtype=int),
-        klass=np.array(klass, dtype=int),
-        bootstrap_indices=bootstrap,
-    )
+    tree = _Tree(np.array(feature, dtype=int), np.array(threshold, dtype=float),
+                 np.array(left, dtype=int), np.array(right, dtype=int),
+                 np.array(klass, dtype=int))
     return tree, np.array(depth, dtype=int)
 
 
@@ -878,22 +902,31 @@ def forest_problems(draw):
             draw(st.integers(0, 2**32 - 1)))
 
 
+def _grown(x, y, n_classes, n_feats, rngs, bootstraps):
+    """``_grow_trees``' node table as a forest, its trees grown to purity."""
+    return RandomForest(*_grow_trees(x, y, n_classes, n_feats, rngs, bootstraps),
+                        classes=tuple(map(str, range(n_classes))), max_depth=len(x),
+                        feature_subset=n_feats)
+
+
 def _assert_lockstep_matches_trees_grown_alone(x, y, n_classes, n_feats, n_trees, seed):
-    """``_grow_trees`` gives each tree and depth the oracle grows alone, and leaves
-    every generator where the oracle leaves it."""
+    """``_grow_trees`` gives each tree the oracle grows alone, the forest's node
+    depths are the oracle's, and every generator ends where the oracle leaves it."""
     def generators():
         rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_trees)]
         return rngs, [rng.integers(0, len(x), size=len(x)) for rng in rngs]
 
     rngs, bootstraps = generators()
-    grown = _grow_trees(x, y, n_classes, n_feats, rngs, bootstraps)
+    forest = _grown(x, y, n_classes, n_feats, rngs, bootstraps)
     alone, alone_bootstraps = generators()
-    assert len(grown) == n_trees
-    for (tree, depth), rng, other, bootstrap in zip(grown, rngs, alone, alone_bootstraps):
+    assert len(forest.trees) == n_trees
+    depths = [np.empty(0, dtype=int)]
+    for tree, rng, other, bootstrap in zip(_trees_of(forest), rngs, alone, alone_bootstraps):
         expected, expected_depth = _reference_grow_tree(x, y, n_classes, n_feats, other, bootstrap)
         _assert_same_tree(tree, expected)
-        assert np.array_equal(depth, expected_depth)
+        depths.append(expected_depth)
         assert rng.bit_generator.state == other.bit_generator.state
+    assert np.array_equal(forest.node_depth, np.concatenate(depths))
 
 
 @settings(max_examples=100, deadline=None)
@@ -931,7 +964,8 @@ def test_forest_rejects_bad_inputs(x_cell, y_cell, feature_subset):
 
 
 def _reference_prune_tree(tree, max_depth):
-    """Truncation as a node-by-node rebuild in preorder; the oracle for ``_prune_tree``."""
+    """Truncation of one tree as a node-by-node rebuild in preorder; the oracle
+    for ``_pruned``."""
     feature, threshold, left, right, klass = [], [], [], [], []
     stack = [(0, 0, -1, False)]  # (source node, depth, parent slot, is right child)
     while stack:
@@ -948,47 +982,45 @@ def _reference_prune_tree(tree, max_depth):
         if not is_leaf:
             stack.append((int(tree.right[src]), depth + 1, slot, True))
             stack.append((int(tree.left[src]), depth + 1, slot, False))
-    return learn.CartTree(
-        feature=np.array(feature, dtype=int),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=int),
-        right=np.array(right, dtype=int),
-        klass=np.array(klass, dtype=int),
-    )
+    return _Tree(np.array(feature, dtype=int), np.array(threshold, dtype=float),
+                 np.array(left, dtype=int), np.array(right, dtype=int),
+                 np.array(klass, dtype=int))
 
 
-def _tree_depths(tree):
-    return _node_depths(tree.feature, tree.left, tree.right, np.zeros(1, dtype=int))
-
-
-def _assert_prunes_match_rebuild(tree, depth):
-    """At every cap, and again below it, the depth mask gives the rebuild's tree."""
-    assert np.array_equal(depth, _tree_depths(tree))
-    _assert_same_tree(tree, _reference_prune_tree(tree, depth.max() + 1))  # in preorder
-    for cap in range(depth.max() + 2):
-        pruned = _prune_tree(tree, depth, cap)
-        _assert_same_tree(pruned, _reference_prune_tree(tree, cap))
-        assert pruned.bootstrap_indices is tree.bootstrap_indices
-        for lower in range(cap + 1):  # a pruned tree prunes again, as truncated does
-            _assert_same_tree(_prune_tree(pruned, _tree_depths(pruned), lower),
-                              _reference_prune_tree(pruned, lower))
+def _assert_prunes_match_rebuild(forest, n_trees):
+    """At every cap, and again below it, the depth mask over the table gives
+    each of the first ``n_trees`` trees the rebuild's tree."""
+    trees = _trees_of(forest)
+    for tree in trees:  # grown in preorder
+        _assert_same_tree(tree, _reference_prune_tree(tree, forest.depth + 1))
+    for cap in range(forest.depth + 2):
+        pruned = _pruned(forest, n_trees, cap)
+        assert pruned.max_depth == cap and len(pruned.trees) == n_trees
+        cut = _trees_of(pruned)
+        for tree, got in zip(trees, cut):
+            _assert_same_tree(got, _reference_prune_tree(tree, cap))
+        for lower in range(cap + 1):  # a pruned forest prunes again, as truncated does
+            for tree, got in zip(cut, _trees_of(_pruned(pruned, n_trees, lower))):
+                _assert_same_tree(got, _reference_prune_tree(tree, lower))
 
 
 @st.composite
-def grown_trees(draw):
+def grown_forests(draw):
     n = draw(st.integers(1, 60))
     d = draw(st.integers(1, 6))
     n_classes = draw(st.integers(2, 5))
     x = np.array(draw(st.lists(st.lists(st.integers(-3, 3), min_size=d, max_size=d),
                                min_size=n, max_size=n)), dtype=float)
     y = np.array(draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _grow_trees(x, y, n_classes, draw(st.integers(1, d)), [rng],
-                       [rng.integers(0, n, size=n)])[0]
+    rngs = [np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            for _ in range(draw(st.integers(1, 3)))]
+    forest = _grown(x, y, n_classes, draw(st.integers(1, d)), rngs,
+                    [rng.integers(0, n, size=n) for rng in rngs])
+    return forest, draw(st.integers(0, len(rngs)))
 
 
 @settings(max_examples=150, deadline=None)
-@given(grown_trees())
+@given(grown_forests())
 def test_depth_mask_prune_matches_node_by_node_rebuild(grown):
     _assert_prunes_match_rebuild(*grown)
 
@@ -996,12 +1028,11 @@ def test_depth_mask_prune_matches_node_by_node_rebuild(grown):
 def test_depth_mask_prune_on_corpus_trees(body_small):
     x, labels = body_small
     y = BODY_STYLE.encode(labels)
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        tree, depth = _grow_trees(x, y, len(BODY_STYLE.classes), 10, [rng],
-                                  [rng.integers(0, len(x), size=len(x))])[0]
-        assert depth.max() >= 5
-        _assert_prunes_match_rebuild(tree, depth)
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    forest = _grown(x, y, len(BODY_STYLE.classes), 10, rngs,
+                    [rng.integers(0, len(x), size=len(x)) for rng in rngs])
+    assert np.maximum.reduceat(forest.node_depth, forest.trees).min() >= 5
+    _assert_prunes_match_rebuild(forest, 4)
 
 
 def test_truncated_forest_equals_trained_forest(body_small):
@@ -1029,14 +1060,15 @@ def test_bootstrap_unique_fraction(binary_small):
     x, labels = binary_small
     y = np.array([BINARY.index(l) for l in labels])
     forest = train_random_forest(x, y, BINARY.classes, n_trees=100, max_depth=2, seed=5)
-    fractions = [len(np.unique(t.bootstrap_indices)) / len(x) for t in forest.trees]
+    assert len(forest.trees) == 100
+    fractions = [len(np.unique(boot)) / len(x) for boot in _bootstraps(5, 100, len(x))]
     assert abs(np.mean(fractions) - (1 - 1 / np.e)) < 0.02
 
 
 def reference_forest_vote(forest, row):
     """Walk one row down each tree in turn and count the leaves' votes; ties go low."""
     votes = [0] * forest.n_classes
-    for tree in forest.trees:
+    for tree in _trees_of(forest):
         node = 0
         while tree.feature[node] >= 0:
             go_left = row[tree.feature[node]] <= tree.threshold[node]
@@ -1077,11 +1109,11 @@ def test_packed_walk_matches_per_tree_vote(oracle_corpus, n_train, n_trees, max_
                                  n_trees=n_trees, max_depth=max_depth, seed=seed)
     rng = np.random.default_rng(seed)
     rows = x[[p % len(x) for p in picks]] + rng.normal(0.0, noise, (len(picks), x.shape[1]))
-    inner = [(t, i) for t, tree in enumerate(forest.trees) for i in np.flatnonzero(tree.feature >= 0)]
-    if snap and inner:  # land rows exactly on split thresholds, where ``<=`` decides
+    inner = np.flatnonzero(forest.feature >= 0)
+    if snap and inner.size:  # land rows exactly on split thresholds, where ``<=`` decides
         for row in rows:
-            t, i = inner[rng.integers(len(inner))]
-            row[forest.trees[t].feature[i]] = forest.trees[t].threshold[i]
+            i = inner[rng.integers(len(inner))]
+            row[forest.feature[i]] = forest.threshold[i]
     path = str(tmp / "forest.json")
     save_model(path, ModelBundle(BODY_STYLE, ScalingTransform(lo=np.zeros(92), hi=np.ones(92)),
                                  forest))
@@ -1100,9 +1132,9 @@ def test_depth_cap_respected(binary_small):
     x, labels = binary_small
     y = np.array([BINARY.index(l) for l in labels])
     forest = train_random_forest(x, y, BINARY.classes, n_trees=5, max_depth=3, seed=2)
-    for tree in forest.trees:
-        depth = np.zeros(tree.n_nodes, dtype=int)
-        for node in range(tree.n_nodes):
+    for tree in _trees_of(forest):
+        depth = np.zeros(len(tree.feature), dtype=int)
+        for node in range(len(tree.feature)):
             if tree.feature[node] >= 0:
                 depth[tree.left[node]] = depth[node] + 1
                 depth[tree.right[node]] = depth[node] + 1
@@ -1158,9 +1190,7 @@ def test_model_json_roundtrip_forest(tmp_path, binary_small):
     save_model(str(path), ModelBundle(BINARY, scaling, forest))
     back = load_model(str(path))
     assert back.kind == "random_forest"
-    for orig, re in zip(forest.trees, back.model.trees):
-        assert np.array_equal(orig.threshold, re.threshold)
-        assert np.array_equal(orig.feature, re.feature)
+    _assert_same_trees(back.model, forest)
     assert np.array_equal(back.model.predict(scaling.apply(x)), forest.predict(scaling.apply(x)))
 
 
