@@ -115,16 +115,12 @@ def _run_detect(args: argparse.Namespace) -> int:
 
 def _run_extract(args: argparse.Namespace) -> int:
     topology, params = _load_params(args)
-    labels_path = os.path.join(args.traces_dir, "labels.csv")
-    rows = simulate.read_labels_csv(labels_path)
-    matrix_rows = []
-    labels = []
-    for trace_file, label, _, _, _ in rows:
-        bundle = simulate.read_trace_csv(os.path.join(args.traces_dir, trace_file))
-        for vec in features.featurize_bundle(bundle, topology, params):
-            matrix_rows.append(vec.values)
-            labels.append(label)
-    matrix = np.vstack(matrix_rows) if matrix_rows else np.empty((0, features.N_FEATURES))
+    rows = simulate.read_labels_csv(os.path.join(args.traces_dir, "labels.csv"))
+    matrix, labels = features.dataset_features(
+        ((simulate.read_trace_csv(os.path.join(args.traces_dir, trace_file)), label)
+         for trace_file, label, *_ in rows),
+        topology, params,
+    )
     features.write_features_csv(args.out, matrix, labels)
     print(f"wrote {len(labels)} feature rows to {args.out}")
     return EXIT_OK
@@ -442,10 +438,23 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def command(name, handler, help):
-        p = sub.add_parser(name, parents=[common], help=help)
+    def command(name, handler, help, *flags):
+        p = sub.add_parser(name, parents=[common, *flags], help=help)
         p.set_defaults(handler=handler)
         return p
+
+    # the flag groups, each command taking those it reads
+    taxonomy = argparse.ArgumentParser(add_help=False)
+    taxonomy.add_argument("--taxonomy", choices=("binary", "size_based", "body_style"),
+                          default="binary")
+    folds = argparse.ArgumentParser(add_help=False)
+    folds.add_argument("--k", type=int, default=10)
+    model = argparse.ArgumentParser(add_help=False)
+    model.add_argument("--model", dest="model_kind", choices=("svm", "rf"), default="svm")
+    model.add_argument("--C", dest="c", type=float, default=1.0)
+    model.add_argument("--epochs", type=int, default=50)
+    model.add_argument("--n-trees", dest="n_trees", type=int, default=100)
+    model.add_argument("--max-depth", dest="max_depth", type=int, default=10)
 
     p = command("simulate", _run_simulate, "generate labeled synthetic traces")
     p.add_argument("--classes", choices=("binary", "body_style"), default="body_style")
@@ -464,33 +473,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--params", dest="params_path", default="default")
 
-    def add_model_flags(p):
-        p.add_argument("--taxonomy", choices=("binary", "size_based", "body_style"),
-                       default="binary")
-        p.add_argument("--model", dest="model_kind", choices=("svm", "rf"), default="svm")
-        p.add_argument("--k", type=int, default=10)
-        p.add_argument("--C", dest="c", type=float, default=1.0)
-        p.add_argument("--epochs", type=int, default=50)
-        p.add_argument("--n-trees", dest="n_trees", type=int, default=100)
-        p.add_argument("--max-depth", dest="max_depth", type=int, default=10)
-
-    p = command("train", _run_train, "fit a model on a feature matrix")
+    p = command("train", _run_train, "fit a model on a feature matrix", taxonomy, model)
     p.add_argument("--features", dest="features_path", required=True)
     p.add_argument("--out", required=True)
-    add_model_flags(p)
 
-    p = command("evaluate", _run_evaluate, "k-fold cross validation, optionally per link subset")
+    p = command("evaluate", _run_evaluate, "k-fold cross validation, optionally per link subset",
+                taxonomy, model, folds)
     p.add_argument("--features", dest="features_path", required=True)
     p.add_argument("--subsets", type=_subset_ids, default="",
                    help="comma-separated subset ids A..T, or 'all'")
     p.add_argument("--out-results", dest="out_results", default="results.csv")
     p.add_argument("--out-summary", dest="out_summary", default="summary.csv")
-    add_model_flags(p)
 
-    p = command("confusion", _run_confusion, "pooled row-normalized confusion matrix")
+    p = command("confusion", _run_confusion, "pooled row-normalized confusion matrix",
+                taxonomy, model, folds)
     p.add_argument("--features", dest="features_path", required=True)
     p.add_argument("--out", required=True)
-    add_model_flags(p)
 
     p = command("importance", _run_importance, "per-group SVM importance matrix")
     p.add_argument("--model", dest="model_path", required=True)
@@ -501,13 +499,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--platform", choices=("msp", "atmega", "esp"))
 
-    p = command("sweetspot", _run_sweetspot, "forest grid search under a memory budget")
+    p = command("sweetspot", _run_sweetspot, "forest grid search under a memory budget",
+                taxonomy, folds)
     p.add_argument("--features", dest="features_path", required=True)
     p.add_argument("--platform", choices=("msp", "atmega", "esp"), default="msp")
     p.add_argument("--tree-grid", dest="tree_grid", type=_int_tuple, default=(10, 25, 50, 100))
     p.add_argument("--depth-grid", dest="depth_grid", type=_int_tuple, default=(4, 8, 12, 16))
     p.add_argument("--out", help="grid CSV output path")
-    add_model_flags(p)
 
     p = command("reproduce", _run_reproduce, "regenerate all desk-scale result tables")
     p.add_argument("--out", required=True)

@@ -322,7 +322,6 @@ def generate_trace(
     topology: Topology,
     params: SystemParams,
     seed,
-    idle_dbm: float = DEFAULT_IDLE_DBM,
 ) -> TraceBundle:
     """Generate one deterministic nine-link trace for a vehicle of the class.
 
@@ -360,7 +359,7 @@ def generate_trace(
 
     span, start0 = _calibrate_lobe(profile, lead, duration_s, params, grid)
 
-    idle_noise = IDLE_NOISE_DB / abs(idle_dbm)
+    idle_noise = IDLE_NOISE_DB / abs(DEFAULT_IDLE_DBM)
     streams = np.empty((9, n))
     for link in LINK_IDS:
         start = start0 + topology.link_midpoint_m(link) / v_mps
@@ -370,12 +369,12 @@ def generate_trace(
             level = 1.0 - DIAGONAL_DEPTH_SCALE * (1.0 - level)
         sigma = np.where((u >= 0.0) & (u <= 1.0), template.noise_std, idle_noise)
         level = level + rng.standard_normal(n) * sigma
-        streams[link - 1] = idle_dbm * level
+        streams[link - 1] = DEFAULT_IDLE_DBM * level
 
     truth = GroundTruth(template.label, v_mps, length_m, +1)
     return TraceBundle(
         rssi_dbm=streams,
-        idle_level_dbm=np.full(9, idle_dbm),
+        idle_level_dbm=np.full(9, DEFAULT_IDLE_DBM),
         sample_period_ms=params.sample_period_ms,
         truth=truth,
     )

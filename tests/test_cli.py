@@ -223,6 +223,17 @@ def test_threads_flag_is_gone(argv):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweetspot", "--features", "f.csv", "--n-trees", "3"],
+    ["train", "--features", "f.csv", "--out", "m.json", "--k", "3"],
+])
+def test_commands_refuse_flags_they_never_read(argv):
+    """sweetspot reads only --taxonomy and --k of the model flags; train reads no --k."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_full_flow_simulate_extract_train_evaluate(tmp_path, topo, params):
     traces = tmp_path / "traces"
     assert main(["simulate", "--classes", "binary", "--count", "30", "--seed", "9",
@@ -629,7 +640,7 @@ def test_file_driven_chain_matches_golden_digests(tmp_path, capsys):
          "--out-summary", str(tmp_path / "subset_summary.csv")] + model,
         ["confusion", "--features", str(feats), "--out", str(tmp_path / "confusion.csv")] + model,
         ["sweetspot", "--features", str(feats), "--tree-grid", "2,5", "--depth-grid", "2,4",
-         "--out", str(tmp_path / "grid.csv")] + model,
+         "--k", "3", "--out", str(tmp_path / "grid.csv")],
     ]
     for argv in runs:
         assert main(["--seed", "11"] + argv) == EXIT_OK, argv
