@@ -175,9 +175,8 @@ class EvaluationReport:
 
 
 def fold_summary(fold_accuracies: np.ndarray) -> tuple[float, float]:
-    mean = float(fold_accuracies.mean())
-    std = float(np.sqrt(max((fold_accuracies ** 2).mean() - mean ** 2, 0.0)))
-    return mean, std
+    """Mean and two-pass population std of the fold accuracies; 0 where all agree."""
+    return float(fold_accuracies.mean()), float(fold_accuracies.std())
 
 
 def cross_validate(

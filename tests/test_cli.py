@@ -494,7 +494,7 @@ def test_scaled_down_reproduce_is_deterministic(tmp_path):
 #: results were pinned on x86-64 with numpy 2.x and OpenBLAS.
 GOLDEN_REPRODUCE_SHA256 = {
     "accuracy_per_fold.csv": "5a331abb09a48c580265d336cc14f14ed3d72ff901024e2236b8ef27793e756e",
-    "accuracy_summary.csv": "6ec643358efeaa1abe3291af7851e0c53441fc4dcc2836fa2ca157c879fa3c33",
+    "accuracy_summary.csv": "3d2e6022b71cee3df55a92c9a8156c17efcc3562a8390c3625e12c21244c9184",
     "confusion_binary_rf.csv": "8a3b1e7e96eedfa63a707ed180ed898af1f053f2b23f8e178c993bafc2771f9c",
     "confusion_binary_svm.csv": "6784e7617737cc56475620c3250bf41591c7f2f5444135d11e885936c8918b4c",
     "confusion_body_style_rf.csv": "095965a91a9d8272bb5b95a0c1aa48f8b7de61a7730083d41025bf18243c9f62",
@@ -508,9 +508,9 @@ GOLDEN_REPRODUCE_SHA256 = {
     "infer_svm_body_style.c": "1e0e94bb063124d0001d1ee9193cc3e0f3cc9d84df2431dea3232b877aded2ae",
     "model_svm_body_style.json": "5f25e5905b5ecddc046db9c570fb8912823db8f662ef10a7775dbf88fcb758c0",
     "subset_per_fold.csv": "7db3a6d47b722a0f93615917275a21600760a3a0fec25475484f8b95db048d0b",
-    "subset_summary.csv": "93e7c0fd49dded8d84a32012d000709ab47b162b9600592f49ad0e064ddb671e",
+    "subset_summary.csv": "4705b981687e53b22270220e01c606a5c8c01c137784a641b5d7fe4db0af8df5",
     "sweetspot_best.csv": "dffd352463dd7edff5fd03f6214de5588ba80d819e315407719c58144171ae44",
-    "sweetspot_grid.csv": "57cb4d0e58cbddbf27b131d08fc46fb2b442952c45718aea546fb0b21a88cd38",
+    "sweetspot_grid.csv": "f5e2beb57bb58cb0a568dc736c7a2aca0f4d356bbbe20c5cbd2ab551872fdd9b",
 }
 
 
@@ -616,12 +616,12 @@ def test_importing_the_cli_loads_no_process_pool():
 GOLDEN_CHAIN_SHA256 = {
     "confusion.csv": "ef9a7a0ac447fcc03448a3b1e57a28dca75a897141739258558d338cf816106a",
     "features.csv": "2e9d59cf2c847a7b5abe3921b96591cfe56b2248be55d7621861b3704e53b71d",
-    "grid.csv": "e42380bba3efefa906499394babb32d9046b58393352e551b024b7482e866986",
+    "grid.csv": "3e2150a68bbcc2977524d3f819fb167b81f8d78642ff3fffed99df0fc09b3643",
     "results.csv": "27387f1534e6bd483562a8d30a653b87ea8a916b2e87501f3381c36ddbfb635b",
     "stdout": "b2b4e25f7b37a03183ff72172fe91ab986ba8da29b600fc54b68f7fa7ff388bb",
     "subset_results.csv": "6775eb23c15d8eb8fde9a8ca52a5d727628e4d68ca1e358168d66369ff344428",
-    "subset_summary.csv": "5e7849d0b92c2ed9e4ce9126d62ce9bfe87be677d0fb559bc2a475f5745e90cf",
-    "summary.csv": "741670034864d02a714fb2153a262bddbbf539fd714e3df0ebd7a9fe6e628866",
+    "subset_summary.csv": "0b666918a03b1530c8f3516bddb9443065cb5fb4d75f0af66dd8783a5d10b524",
+    "summary.csv": "60c99ed26811d2f40e9fa8328d3f7c4b2198be344055f0b29a8b17ceafba988a",
     "traces": "18cace9cac47a386a06b3b0059368752d5b17e3b1f88e4c1f05708dc3168d245",
 }
 

@@ -74,6 +74,13 @@ def test_fold_summary_fixed_list():
     assert std == pytest.approx(0.03, abs=1e-12)
 
 
+@pytest.mark.parametrize("acc, k", [(0.95, 10), (0.7, 3), (0.1, 7), (2 / 3, 5)])
+def test_fold_summary_of_equal_folds_has_no_spread(acc, k):
+    """Folds that all agree give a std of 0, not the rounding of mean(a^2) - mean^2."""
+    mean, std = fold_summary(np.full(k, acc))
+    assert abs(std) <= 1e-15
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(min_value=10, max_value=120),
