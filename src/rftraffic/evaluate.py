@@ -1,10 +1,10 @@
 """k-fold evaluation harness, quality measures and the link-subset study.
 
 Accuracy is the exact-match fraction; the k-fold summary reports the mean of
-the per-fold accuracies and their population standard deviation
-``sqrt(mean(acc^2) - mean(acc)^2)``.  Folds are stratified by class with a
-seeded shuffle and a rotating remainder offset, so fold sizes never differ by
-more than one sample while class proportions stay balanced.  One FoldPlan can
+the per-fold accuracies and their population standard deviation, taken in two
+passes as ``sqrt(mean((acc - mean(acc))^2))``.  Folds are stratified by class
+with a seeded shuffle and a rotating remainder offset, so fold sizes never
+differ by more than one sample while class proportions stay balanced.  One FoldPlan can
 be shared across model kinds and across all link subsets for fair comparison.
 
 Each fold is scaled once on all 92 columns and every link subset is a column

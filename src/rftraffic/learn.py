@@ -212,7 +212,10 @@ def train_svm_stack(
     array.  A fit sums its violators packed in batch order at the front of a
     block whose other rows are a padding slot of sign zero
     (``_violator_sums``), and it updates, projects and sums elementwise with
-    per-fit ``lam``, ``eta``, ``m`` and radius.  Why the bits hold:
+    per-fit ``lam``, ``eta``, ``m`` and radius.  Each problem's shuffles are
+    drawn for as many epochs at once as the run's buffer budget holds
+    (``_epoch_shuffles``), the rows and generator states that one shuffle per
+    epoch draws.  Why the bits hold:
 
     - a full-width margin is another rounding of the view's dot product (the
       other columns add exact zeros), and any two roundings of a dot product
@@ -294,14 +297,13 @@ def train_svm_stack(
         plan.append((active, rows, sign, hit, chunks))
 
     rngs = [np.random.default_rng(p.seed) for p in ordered]
+    block = max(1, min(epochs, budget // len(all_rows)))  # epochs of shuffles drawn at once
     norm = np.zeros((len(ordered), 1, len(views)))  # each fit's norm after its last update
     t = np.zeros((len(ordered), 1, 1))
-    for _ in range(epochs):
-        # shuffling arange(n) in place draws what permutation(n) draws
-        row_table.flat[dest] = np.arange(len(all_rows))
-        for rng, own, n_q in zip(rngs, row_table, n):
-            rng.shuffle(own[:n_q])
-        picks = row_table.flat[dest]
+    for epoch in range(epochs):
+        if epoch % block == 0:
+            shuffles = _epoch_shuffles(rngs, n, min(block, epochs - epoch))
+        picks = shuffles[epoch % block]
         row_table.flat[dest] = all_rows[picks]
         sign_table.flat[dest] = all_labels[picks]
         for j, (active, rows, sign, hit, chunks) in enumerate(plan):
@@ -335,6 +337,40 @@ def train_svm_stack(
         result[i] = [LinearSvm(beta=fit.running_sum[q, u], c=c, class_pair=ordered[q].class_pair)
                      for fit, u in slots]
     return result
+
+
+def _epoch_shuffles(rngs, n: np.ndarray, epochs: int, by_block: bool | None = None) -> np.ndarray:
+    """The next ``epochs`` shuffles of every problem, ``(epochs, n.sum())``: row
+    e holds, problem after problem, the problem's first place plus its e-th
+    shuffle of ``arange(n[q])`` (what ``permutation(n[q])`` draws).
+
+    One ``permuted`` call per problem shuffles the rows of its block as one
+    ``shuffle`` call per row would, rows and generator state alike, unless
+    numpy draws otherwise (``_block_shuffles_agree``).
+    """
+    if by_block is None:
+        by_block = _block_shuffles_agree()
+    shuffles = np.tile(np.arange(n.sum()), (epochs, 1))
+    for rng, first, n_q in zip(rngs, (np.cumsum(n) - n).tolist(), n.tolist()):
+        own = shuffles[:, first:first + n_q]
+        if by_block:
+            rng.permuted(own, axis=1, out=own)
+        else:
+            for row in own:
+                rng.shuffle(row)
+    return shuffles
+
+
+@functools.cache
+def _block_shuffles_agree() -> bool:
+    """Whether ``_epoch_shuffles`` draws the same by blocks as by rows with this
+    numpy, shuffles and generator end states; checked once per process."""
+    n = np.array([1, 2, 7, 40])
+    by_block, by_row = ([np.random.default_rng(m) for m in n.tolist()] for _ in range(2))
+    return (np.array_equal(_epoch_shuffles(by_block, n, 3, True),
+                           _epoch_shuffles(by_row, n, 3, False))
+            and all(a.bit_generator.state == b.bit_generator.state
+                    for a, b in zip(by_block, by_row)))
 
 
 def _step(fit: _Fits, j: int, pool, rows, sign, hit, norm, eta, buffer) -> None:

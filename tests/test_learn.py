@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 from itertools import combinations
@@ -485,6 +486,40 @@ def test_column_fits_do_not_depend_on_the_violator_blocks(monkeypatch, block_num
     assert max(blocks) > 1 if block_numbers == 0 else set(blocks) == {1}
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 60), min_size=1, max_size=5), st.integers(1, 40),
+       st.integers(0, 2**32 - 1))
+def test_epoch_shuffles_equal_one_shuffle_per_epoch(n, epochs, seed):
+    n = np.array(n)
+    rngs, alone = ([np.random.default_rng([seed, q]) for q in range(len(n))] for _ in range(2))
+    got = learn._epoch_shuffles(rngs, n, epochs)
+    firsts = np.cumsum(n) - n
+    for e in range(epochs):
+        for rng, first, n_q in zip(alone, firsts, n):
+            own = np.arange(n_q)
+            rng.shuffle(own)
+            assert np.array_equal(got[e, first:first + n_q], first + own)
+    for rng, other in zip(rngs, alone):
+        assert rng.bit_generator.state == other.bit_generator.state
+
+
+@pytest.mark.parametrize("epochs", [1, 13])
+def test_svm_fits_do_not_depend_on_the_shuffle_blocks(monkeypatch, epochs):
+    """Fits that draw their shuffles by blocks of epochs, with a shorter last
+    block at 13 epochs, equal those that draw one shuffle per epoch."""
+    matrices, problems, views = _violator_case_problems()
+    blocks = []
+    epoch_shuffles = learn._epoch_shuffles
+    monkeypatch.setattr(learn, "_epoch_shuffles",
+                        lambda *args: blocks.append(args[2]) or epoch_shuffles(*args))
+    expected = train_svm_stack(matrices, problems, views, c=10.0, epochs=epochs)
+    assert blocks == ([1] if epochs == 1 else [8, 5])  # the budget holds 8 epochs' shuffles
+    monkeypatch.setattr(learn, "_block_shuffles_agree", lambda: False)
+    got = train_svm_stack(matrices, problems, views, c=10.0, epochs=epochs)
+    assert [[f.beta.tobytes() for f in fits] for fits in got] == \
+        [[f.beta.tobytes() for f in fits] for fits in expected]
+
+
 def test_column_views_are_checked():
     problem = SvmProblem(0, np.arange(4), np.array([1.0, -1.0, 1.0, -1.0]))
     for views, message in (([np.array([0, 3])], "lie in"), ([np.array([1, 1])], "once"),
@@ -838,8 +873,14 @@ def _reference_grow_tree(x, y, n_classes, n_feats, rng, bootstrap):
 
 def _assert_batch_matches_reference(x, y, n_classes, idxs, feature_ids):
     """``_best_splits`` of a batch gives each node the oracle's split, bit for bit."""
-    cost, feature, threshold = _best_splits(x, _dense_ranks(x), y, n_classes, idxs,
-                                            np.asarray(feature_ids))
+    # every other node lists each of its rows once, weighted by its copies
+    held = [np.unique(idx, return_counts=True) if b % 2 else (idx, np.ones(len(idx), dtype=int))
+            for b, idx in enumerate(idxs)]
+    sizes = np.array([len(rows) for rows, _ in held])
+    cost, feature, threshold = _best_splits(
+        x, _dense_ranks(x), y, n_classes, np.concatenate([rows for rows, _ in held]),
+        np.concatenate([weights for _, weights in held]), np.cumsum(sizes) - sizes,
+        np.asarray(feature_ids))
     for b, idx in enumerate(idxs):
         expected = _reference_best_split(x, y, idx, n_classes, feature_ids[b])
         if expected is None:
@@ -949,6 +990,123 @@ def test_forest_does_not_depend_on_the_batch_budget(body_small, monkeypatch, bud
     monkeypatch.setattr(cart, "SPLIT_BATCH_ROWS", budget)
     _assert_same_trees(train_random_forest(x, y, BODY_STYLE.classes, n_trees=8,
                                            max_depth=20, seed=3), expected)
+
+
+class _Counting:
+    """A generator that counts its ``choice`` calls."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, 0
+
+    def choice(self, *args, **kwargs):
+        self.calls += 1
+        return self.rng.choice(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+def _assert_subsets_match_choice(rngs, alone, d, k, nodes, bounds):
+    """``_Subsets`` hands tree t ``nodes[t]`` subsets in lockstep, each the one
+    per-node ``choice`` draws, and leaves every generator where those calls do."""
+    subsets = cart._Subsets(rngs, d, k, bounds, bulk=True)
+    for step in range(max(nodes, default=0)):
+        trees = np.array([t for t, n_t in enumerate(nodes) if n_t > step])
+        got = subsets.take(trees)
+        want = np.array([alone[t].choice(d, k, replace=False) for t in trees])
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    subsets.close()
+    for rng, other in zip(rngs, alone):
+        assert rng.bit_generator.state == other.bit_generator.state
+
+
+@st.composite
+def subset_draws(draw):
+    d = draw(st.integers(1, 100))
+    k = draw(st.integers(1, d))
+    n_trees = draw(st.integers(1, 4))
+    trees = st.lists(st.integers(0, 8), min_size=n_trees, max_size=n_trees)
+    nodes, extra = draw(trees), draw(trees)
+    buffered = draw(st.lists(st.booleans(), min_size=n_trees, max_size=n_trees))
+    return d, k, nodes, np.array(nodes) + extra, buffered, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(subset_draws())
+def test_bulk_subsets_equal_per_node_choice(case):
+    d, k, nodes, bounds, buffered, seed = case
+
+    def generators():
+        rngs = [np.random.default_rng([seed, t]) for t in range(len(nodes))]
+        for rng, half in zip(rngs, buffered):
+            rng.integers(0, 9, size=int(half))  # one 32-bit number buffers the other half
+        return rngs
+
+    _assert_subsets_match_choice(generators(), generators(), d, k, nodes, bounds)
+
+
+def _rejecting_generators():
+    """Three generators; the second holds the buffered number 0, which the first
+    draw of ``choice(92, 10)``, in [0, 82], rejects (2^32 mod 83 is not 0)."""
+    rngs = [np.random.default_rng(s) for s in range(3)]
+    state = rngs[1].bit_generator.state
+    rngs[1].bit_generator.state = {**state, "has_uint32": 1, "uinteger": 0}
+    return rngs
+
+
+def test_a_rejected_draw_sends_only_its_tree_to_choice():
+    counted = [_Counting(rng) for rng in _rejecting_generators()]
+    _assert_subsets_match_choice(counted, _rejecting_generators(), 92, 10, [6, 6, 6], [6, 6, 6])
+    assert [rng.calls for rng in counted] == [0, 6, 0]
+
+
+def test_a_rejection_inside_a_queue_takes_choice_from_the_exact_state(monkeypatch):
+    real = cart._choices
+
+    def rejecting(numbers, d, k):
+        subsets, rejects = real(numbers, d, k)
+        return subsets, rejects | (np.arange(len(rejects)) == 2)  # each round's third row
+
+    monkeypatch.setattr(cart, "_choices", rejecting)
+    generators = lambda: [np.random.default_rng(s) for s in (5, 6)]  # noqa: E731
+    counted = [_Counting(rng) for rng in generators()]
+    # bounds of 16 make rounds of 4 (the square root); the first round's third
+    # row is the first tree's third node, the second round's the other tree's seventh
+    _assert_subsets_match_choice(counted, generators(), 92, 10, [7, 7], [16, 16])
+    assert [rng.calls for rng in counted] == [5, 1]
+
+
+def test_a_broken_canary_sends_every_draw_to_choice(monkeypatch, body_small):
+    monkeypatch.setattr(cart, "_choices", lambda numbers, d, k: (
+        np.zeros((numbers.shape[1], k), dtype=np.int64), np.zeros(numbers.shape[1], dtype=bool)))
+    monkeypatch.setattr(cart, "_bulk_draws_agree",
+                        functools.cache(cart._bulk_draws_agree.__wrapped__))
+    assert not cart._bulk_draws_agree()
+    x, labels = body_small
+    _assert_lockstep_matches_trees_grown_alone(x, BODY_STYLE.encode(labels),
+                                               len(BODY_STYLE.classes), 10, 3, 21)
+
+
+@pytest.mark.parametrize("pure", [False, True])
+def test_a_forest_steps_as_often_as_its_largest_tree_has_impure_nodes(body_small, monkeypatch,
+                                                                      pure):
+    x, labels = body_small
+    y = np.zeros(len(x), dtype=int) if pure else BODY_STYLE.encode(labels)
+    n_classes = len(BODY_STYLE.classes)
+    cart._bulk_draws_agree()  # its own draws are not the forest's steps
+    steps = []
+    take = cart._Subsets.take
+    monkeypatch.setattr(cart._Subsets, "take",
+                        lambda self, trees: steps.append(len(trees)) or take(self, trees))
+    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(5).spawn(12)]
+    bootstraps = [rng.integers(0, len(x), size=len(x)) for rng in rngs]
+    counted = [_Counting(np.random.default_rng(s)) for s in np.random.SeedSequence(5).spawn(12)]
+    for rng, bootstrap in zip(counted, bootstraps):
+        rng.integers(0, len(x), size=len(x))
+        _reference_grow_tree(x, y, n_classes, 10, rng, bootstrap)
+    _grow_trees(x, y, n_classes, 10, rngs, bootstraps)
+    assert len(steps) == max(rng.calls for rng in counted)
+    assert steps == sorted(steps, reverse=True)  # a tree steps until it is done
 
 
 @pytest.mark.parametrize("x_cell, y_cell, feature_subset", [
