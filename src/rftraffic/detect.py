@@ -1,13 +1,15 @@
 """Attenuation-phase detection and per-vehicle speed/length/direction estimation.
 
-Each link's raw RSSI stream is normalized to its idle level and smoothed with a
-moving average.  A two-state machine then segments the filtered series into
-attenuation phases: the phase starts once the value at lag ``w`` undercuts the
-start threshold (backdated by ``h`` samples to include the turning point), and
-ends once the value at lag ``w`` exceeds the end threshold while the mean of
+A bundle's nine raw RSSI streams stay one ``(9, n)`` array throughout: row i
+holds link i + 1.  Each row is normalized to its link's idle level and smoothed
+with a moving average.  A two-state machine then segments each filtered row
+into attenuation phases: the phase starts once the value at lag ``w`` undercuts
+the start threshold (backdated by ``h`` samples to include the turning point),
+and ends once the value at lag ``w`` exceeds the end threshold while the mean of
 the most recent ``w`` values clears the guard threshold.  The delayed, guarded
 release keeps multi-dip fingerprints (vehicles towing trailers) in a single
-phase.
+phase.  The threshold masks are built for all rows at once; only the walk over
+the phases is per link.
 
 Phases from all nine links are associated into per-vehicle observations by
 temporal overlap, and the straight links (1, 5, 9) yield the signed speed --
@@ -23,15 +25,14 @@ import numpy as np
 
 from .simulate import TraceBundle
 from .tables import write_table
-from .topology import LINK_IDS, STRAIGHT_LINKS, SystemParams, Topology, link_distance
+from .topology import STRAIGHT_LINKS, SystemParams, Topology, link_distance
 
 
 @dataclass(frozen=True)
 class FilteredSeries:
-    """Idle-normalized, moving-average filtered samples of one link."""
+    """Idle-normalized, moving-average filtered samples; row i holds link i + 1."""
 
-    link: int
-    values: np.ndarray
+    values: np.ndarray  # shape (links, n)
     t0_ms: float
     sample_period_ms: float
 
@@ -70,47 +71,36 @@ class VehicleObservation:
     low_confidence: bool = False
 
 
-def normalize_and_filter(
-    stream: np.ndarray,
-    idle_level_dbm: float,
-    filter_size_n: int,
-    link: int = 1,
-    t0_ms: float = 0.0,
-    sample_period_ms: float = 8.0,
-) -> FilteredSeries:
-    """Divide raw samples by the idle level and apply the moving average.
+def filter_bundle(bundle: TraceBundle, params: SystemParams) -> FilteredSeries:
+    """Divide each stream by its idle level and apply the moving average.
 
-    The first ``filter_size_n - 1`` outputs use a growing window over the
-    samples available so far, keeping output timestamps aligned with input.
-    An empty stream yields an empty series.
+    The first ``filter_size_n - 1`` outputs of a row use a growing window over
+    the samples available so far, keeping output timestamps aligned with input.
+    Each row's running sum is the sequential one of that row alone.  An empty
+    bundle yields empty rows.
     """
-    if filter_size_n < 1:
-        raise ValueError("filter size must be >= 1")
-    if idle_level_dbm == 0:
-        raise ValueError("idle level must be nonzero")
-    stream = np.asarray(stream, dtype=float)
-    if stream.size == 0:
-        return FilteredSeries(link, np.empty(0), t0_ms, sample_period_ms)
-    normalized = stream / idle_level_dbm
-    csum = np.cumsum(normalized)
-    n = filter_size_n
+    normalized = bundle.rssi_dbm / bundle.idle_level_dbm[:, None]
+    length = normalized.shape[1]
+    csum = np.cumsum(normalized, axis=1)
+    n = params.filter_size_n
     out = np.empty_like(normalized)
-    head = min(n, len(normalized))
-    out[:head] = csum[:head] / np.arange(1, head + 1)
-    if len(normalized) > n:
-        out[n:] = (csum[n:] - csum[:-n]) / n
-    return FilteredSeries(link, out, t0_ms, sample_period_ms)
+    head = min(n, length)
+    out[:, :head] = csum[:, :head] / np.arange(1, head + 1)
+    if length > n:
+        out[:, n:] = (csum[:, n:] - csum[:, :-n]) / n
+    return FilteredSeries(out, bundle.t0_ms, bundle.sample_period_ms)
 
 
 def detect_events(series: FilteredSeries, params: SystemParams) -> list[AttenuationEvent]:
-    """Run the two-state attenuation machine over one filtered series.
+    """Run the two-state attenuation machine over every row of a filtered series.
 
-    Returned phases are disjoint and time ordered.  A phase that has not been
-    released by the end of the series is discarded (the decision needs ``w``
-    trailing samples).
+    Row i's phases belong to link i + 1; the list holds them link by link, and
+    each link's phases are disjoint and time ordered.  A phase that has not
+    been released by the end of the series is discarded (the decision needs
+    ``w`` trailing samples).
     """
     v = series.values
-    n = len(v)
+    n = v.shape[1]
     w = params.guard_w
     h = params.start_offset_h
     if n < w + h:
@@ -118,39 +108,39 @@ def detect_events(series: FilteredSeries, params: SystemParams) -> list[Attenuat
         return []
 
     start_ok = v < params.theta_start
-    start_ok[n - w:] = False  # start decision needs w trailing samples
-    csum = np.concatenate([[0.0], np.cumsum(v)])
-    guard_mean = np.full(n, -np.inf)
+    start_ok[:, n - w:] = False  # start decision needs w trailing samples
+    csum = np.cumsum(v, axis=1)
+    guard_mean = np.full(v.shape, -np.inf)
     # mean of v[j+1 .. j+w] for j with a full guard window
-    guard_mean[: n - w] = (csum[w + 1: n + 1] - csum[1: n - w + 1]) / w
+    guard_mean[:, : n - w] = (csum[:, w:] - csum[:, : n - w]) / w
     end_ok = (v > params.theta_end) & (guard_mean >= params.theta_guard)
 
-    start_idx = np.flatnonzero(start_ok)
-    end_idx = np.flatnonzero(end_ok)
-
     events: list[AttenuationEvent] = []
-    pos = 0
-    prev_end = -1
-    while True:
-        si = np.searchsorted(start_idx, pos)
-        if si >= len(start_idx):
-            break
-        j_start = int(start_idx[si])
-        ei = np.searchsorted(end_idx, j_start + 1)
-        if ei >= len(end_idx):
-            break
-        j_end = int(end_idx[ei])
-        back = max(j_start - h, prev_end + 1, 0)
-        events.append(
-            AttenuationEvent(
-                link=series.link,
-                t_start_ms=series.timestamp(back),
-                t_end_ms=series.timestamp(j_end),
-                min_level=float(v[back: j_end + 1].min()),
+    for row, values in enumerate(v):
+        start_idx = np.flatnonzero(start_ok[row])
+        end_idx = np.flatnonzero(end_ok[row])
+        pos = 0
+        prev_end = -1
+        while True:
+            si = np.searchsorted(start_idx, pos)
+            if si >= len(start_idx):
+                break
+            j_start = int(start_idx[si])
+            ei = np.searchsorted(end_idx, j_start + 1)
+            if ei >= len(end_idx):
+                break
+            j_end = int(end_idx[ei])
+            back = max(j_start - h, prev_end + 1, 0)
+            events.append(
+                AttenuationEvent(
+                    link=row + 1,
+                    t_start_ms=series.timestamp(back),
+                    t_end_ms=series.timestamp(j_end),
+                    min_level=float(values[back: j_end + 1].min()),
+                )
             )
-        )
-        prev_end = j_end
-        pos = j_end + 1
+            prev_end = j_end
+            pos = j_end + 1
     return events
 
 
@@ -225,33 +215,19 @@ def estimate_length(obs: VehicleObservation, v_mps: float | None) -> float | Non
     return abs(v_mps) / 3.0 * tau_s
 
 
-def filter_bundle(bundle: TraceBundle, params: SystemParams) -> dict[int, FilteredSeries]:
-    """Normalize and filter all nine streams of a bundle."""
-    return {
-        link: normalize_and_filter(
-            bundle.link_stream(link),
-            bundle.link_idle(link),
-            params.filter_size_n,
-            link=link,
-            t0_ms=bundle.t0_ms,
-            sample_period_ms=bundle.sample_period_ms,
-        )
-        for link in LINK_IDS
-    }
-
-
 def process_bundle(
     bundle: TraceBundle,
     topology: Topology,
     params: SystemParams,
-) -> tuple[list[VehicleObservation], dict[int, FilteredSeries]]:
-    """Full detection chain: filter, segment, associate, estimate."""
+) -> tuple[list[VehicleObservation], FilteredSeries]:
+    """Full detection chain: filter, segment, associate, estimate.
+
+    Returns the observations and the one filtered series of the bundle, whose
+    row i holds link i + 1.
+    """
     filtered = filter_bundle(bundle, params)
-    all_events: list[AttenuationEvent] = []
-    for link in LINK_IDS:
-        all_events.extend(detect_events(filtered[link], params))
     guard_ms = params.guard_w * params.sample_period_ms
-    observations = associate_vehicles(all_events, guard_ms=guard_ms)
+    observations = associate_vehicles(detect_events(filtered, params), guard_ms=guard_ms)
     for obs in observations:
         v, low_conf = estimate_speed(obs, topology, params.sample_period_ms)
         obs.v_mps = v

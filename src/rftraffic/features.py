@@ -66,15 +66,15 @@ class FeatureVector:
 
 
 def segments_for_observation(
-    obs: VehicleObservation, filtered: dict[int, FilteredSeries]
+    obs: VehicleObservation, filtered: FilteredSeries
 ) -> dict[int, np.ndarray]:
     """Filtered values inside each detected phase of the observation."""
     segments: dict[int, np.ndarray] = {}
+    t0, period = filtered.t0_ms, filtered.sample_period_ms
     for link, event in obs.events.items():
-        series = filtered[link]
-        i0 = int(round((event.t_start_ms - series.t0_ms) / series.sample_period_ms))
-        i1 = int(round((event.t_end_ms - series.t0_ms) / series.sample_period_ms))
-        segments[link] = series.values[max(i0, 0): i1 + 1]
+        i0 = int(round((event.t_start_ms - t0) / period))
+        i1 = int(round((event.t_end_ms - t0) / period))
+        segments[link] = filtered.values[link - 1, max(i0, 0): i1 + 1]
     return segments
 
 
@@ -105,18 +105,6 @@ def extract_features(
     return FeatureVector(values, tuple(missing), globals_missing)
 
 
-def featurize_bundle(
-    bundle: TraceBundle, topology: Topology, params: SystemParams
-) -> list[FeatureVector]:
-    """Detection chain plus feature extraction; one vector per observed vehicle."""
-    observations, filtered = process_bundle(bundle, topology, params)
-    out = []
-    for obs in observations:
-        segments = segments_for_observation(obs, filtered)
-        out.append(extract_features(obs, segments))
-    return out
-
-
 def dataset_features(
     dataset: Iterable[tuple[TraceBundle, str]],
     topology: Topology | None = None,
@@ -131,9 +119,10 @@ def dataset_features(
     rows = []
     labels = []
     for bundle, label in dataset:
-        vecs = featurize_bundle(bundle, topology, params)
-        for vec in vecs:
-            rows.append(vec.values)
+        observations, filtered = process_bundle(bundle, topology, params)
+        for obs in observations:
+            segments = segments_for_observation(obs, filtered)
+            rows.append(extract_features(obs, segments).values)
             labels.append(label)
     if not rows:
         return np.empty((0, N_FEATURES)), []

@@ -49,6 +49,8 @@ IDLE_NOISE_DB = 0.5
 GAP_RECOVERY_LEVEL = 0.96
 #: depth of a diagonal link's dip as a fraction of a straight link's
 DIAGONAL_DEPTH_SCALE = 0.8
+#: bundle rows of the links that cross the lane diagonally
+_DIAGONAL_ROWS = [link - 1 for link in LINK_IDS if link not in STRAIGHT_LINKS]
 
 #: shortest vehicle the length draw may produce; anything at least this long
 #: keeps adjacent link phases overlapping at any legal speed, so association
@@ -90,12 +92,6 @@ class TraceBundle:
             raise ValueError("idle levels must be finite negative dBm")
         if self.sample_period_ms <= 0:
             raise ValueError("sample period must be positive")
-
-    def link_stream(self, link: int) -> np.ndarray:
-        return self.rssi_dbm[link - 1]
-
-    def link_idle(self, link: int) -> float:
-        return float(self.idle_level_dbm[link - 1])
 
 
 @dataclass(frozen=True)
@@ -328,7 +324,9 @@ def generate_trace(
     The same (template, seed) pair always yields a bit-identical bundle.  The
     per-link lobes share one profile, shifted by the link crossing position
     divided by the drawn speed, so straight-link onset differences encode the
-    speed exactly.
+    speed exactly.  The nine rows are evaluated as one ``(9, n)`` array, and
+    their noise is one ``(9, n)`` draw, which takes the same numbers from the
+    stream as nine draws of ``n``, row by row.
     """
     rng = np.random.default_rng(seed)
     ts = params.sample_period_ms / 1000.0
@@ -352,24 +350,24 @@ def generate_trace(
         profile = _LobeProfile(_double_lobe_segments(plateau, floor, GAP_RECOVERY_LEVEL))
 
     lead = _LEAD_S + rng.uniform(0.0, ts)  # randomized grid phase
-    last_mid = max(topology.link_midpoint_m(link) for link in LINK_IDS)
-    total_s = lead + last_mid / v_mps + 2.5 * duration_s + _TAIL_S
+    midpoints = np.array([topology.link_midpoint_m(link) for link in LINK_IDS])
+    total_s = lead + midpoints.max() / v_mps + 2.5 * duration_s + _TAIL_S
     n = int(math.ceil(total_s / ts))
     grid = np.arange(n) * ts
 
     span, start0 = _calibrate_lobe(profile, lead, duration_s, params, grid)
 
     idle_noise = IDLE_NOISE_DB / abs(DEFAULT_IDLE_DBM)
-    streams = np.empty((9, n))
-    for link in LINK_IDS:
-        start = start0 + topology.link_midpoint_m(link) / v_mps
-        u = (grid - start) / span
-        level = profile(u)
-        if link not in STRAIGHT_LINKS:
-            level = 1.0 - DIAGONAL_DEPTH_SCALE * (1.0 - level)
-        sigma = np.where((u >= 0.0) & (u <= 1.0), template.noise_std, idle_noise)
-        level = level + rng.standard_normal(n) * sigma
-        streams[link - 1] = DEFAULT_IDLE_DBM * level
+    # build the streams in the noise array, made before the temporaries: a
+    # kept array made after them sits above their freed space and grows the heap
+    streams = rng.standard_normal((9, n))
+    starts = start0 + midpoints / v_mps
+    u = (grid - starts[:, None]) / span
+    level = profile(u)
+    level[_DIAGONAL_ROWS] = 1.0 - DIAGONAL_DEPTH_SCALE * (1.0 - level[_DIAGONAL_ROWS])
+    streams *= np.where((u >= 0.0) & (u <= 1.0), template.noise_std, idle_noise)
+    streams += level
+    streams *= DEFAULT_IDLE_DBM
 
     truth = GroundTruth(template.label, v_mps, length_m, +1)
     return TraceBundle(

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from rftraffic import simulate
 from rftraffic.detect import (
     AttenuationEvent,
     FilteredSeries,
@@ -14,10 +15,11 @@ from rftraffic.detect import (
     detect_events,
     estimate_length,
     estimate_speed,
-    normalize_and_filter,
+    filter_bundle,
     process_bundle,
 )
 from rftraffic.simulate import (
+    BINARY_TEMPLATES,
     BODY_STYLE_TEMPLATES,
     CAR_LIKE,
     TRUCK_LIKE,
@@ -29,9 +31,19 @@ from rftraffic.simulate import (
 from rftraffic.topology import SystemParams, Topology
 
 
-def series(values, period=8.0, link=1):
-    return FilteredSeries(link=link, values=np.asarray(values, dtype=float),
+def series(values, period=8.0):
+    """A one-row filtered series: its phases belong to link 1."""
+    return FilteredSeries(values=np.asarray(values, dtype=float)[None, :],
                           t0_ms=0.0, sample_period_ms=period)
+
+
+def filtered_rows(stream, idle_dbm, filter_size_n):
+    """``filter_bundle`` of a nine-row bundle whose every link carries ``stream``."""
+    bundle = TraceBundle(np.tile(np.asarray(stream, dtype=float), (9, 1)),
+                         np.full(9, idle_dbm), 8.0)
+    out = filter_bundle(bundle, SystemParams(filter_size_n=filter_size_n))
+    assert out.values.shape == bundle.rssi_dbm.shape
+    return out.values
 
 
 def make_obs(onsets_ms, duration_ms=500.0):
@@ -47,34 +59,58 @@ def make_obs(onsets_ms, duration_ms=500.0):
 
 
 def test_constant_idle_normalizes_to_one():
-    out = normalize_and_filter(np.full(50, -60.0), -60.0, 10)
+    # each row divides by its own link's idle level
+    idle = np.linspace(-80.0, -40.0, 9)
+    bundle = TraceBundle(np.repeat(idle[:, None], 50, axis=1), idle, 8.0)
+    out = filter_bundle(bundle, SystemParams(filter_size_n=10))
+    assert out.values.shape == (9, 50)
     assert np.allclose(out.values, 1.0)
 
 
 def test_two_point_window_mean():
     idle = -60.0
-    raw = np.array([idle, idle, 0.8 * idle])
-    out = normalize_and_filter(raw, idle, 2)
-    assert out.values[2] == pytest.approx((1.0 + 0.8) / 2)
+    rows = filtered_rows([idle, idle, 0.8 * idle], idle, 2)
+    assert rows[:, 2] == pytest.approx(np.full(9, (1.0 + 0.8) / 2))
 
 
 def test_growing_window_start():
     idle = -50.0
-    raw = np.array([0.6, 0.8, 1.0, 1.0]) * idle
-    out = normalize_and_filter(raw, idle, 3)
-    assert out.values[0] == pytest.approx(0.6)
-    assert out.values[1] == pytest.approx(0.7)
-    assert out.values[2] == pytest.approx(0.8)
+    rows = filtered_rows(np.array([0.6, 0.8, 1.0, 1.0]) * idle, idle, 3)
+    assert rows[:, 0] == pytest.approx(np.full(9, 0.6))
+    assert rows[:, 1] == pytest.approx(np.full(9, 0.7))
+    assert rows[:, 2] == pytest.approx(np.full(9, 0.8))
 
 
 def test_empty_stream():
-    out = normalize_and_filter(np.empty(0), -60.0, 10)
-    assert len(out.values) == 0
+    assert filtered_rows(np.empty(0), -60.0, 10).shape == (9, 0)
 
 
-def test_zero_idle_rejected():
+@pytest.mark.parametrize("rssi_rows,idle_at_link_5", [
+    (9, 0.0), (9, 3.0), (9, np.nan), (8, -60.0),
+], ids=["zero-idle", "positive-idle", "nan-idle", "eight-rows"])
+def test_bundle_rejects_what_the_filter_cannot_use(rssi_rows, idle_at_link_5):
+    # the filter divides by the idle levels unchecked: the bundle guards them
+    idle = np.full(9, -60.0)
+    idle[4] = idle_at_link_5
     with pytest.raises(ValueError):
-        normalize_and_filter(np.zeros(5), 0.0, 10)
+        TraceBundle(np.full((rssi_rows, 5), -60.0), idle, 8.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    template=st.sampled_from(BINARY_TEMPLATES + BODY_STYLE_TEMPLATES),
+    spacing_m=st.sampled_from([5.0, 3.5]),
+    seed=st.integers(0, 2**63 - 1),
+    filter_size_n=st.sampled_from([1, 2, 10, 25]),
+)
+def test_each_filtered_row_equals_the_growing_mean_of_its_link(template, spacing_m, seed,
+                                                                 filter_size_n):
+    params = SystemParams(filter_size_n=filter_size_n)
+    bundle = generate_trace(template, Topology(longitudinal_spacing_m=spacing_m), params, seed)
+    filtered = filter_bundle(bundle, params)
+    for stream, idle, row in zip(bundle.rssi_dbm, bundle.idle_level_dbm, filtered.values):
+        oracle = simulate._growing_mean(stream / idle, filter_size_n)
+        assert row.tobytes() == oracle.tobytes()
 
 
 def test_filtered_min_matches_template_floor(topo, params):
@@ -82,7 +118,7 @@ def test_filtered_min_matches_template_floor(topo, params):
     tpl = ClassTemplate("car", 40.47, 0.0, 5.22, 0.0, 0.72, 0.0, 0.86, 0.0, CAR_LIKE.noise_std)
     bundle = generate_trace(tpl, topo, params, seed=21)
     _, filtered = process_bundle(bundle, topo, params)
-    assert abs(filtered[1].values.min() - 0.72) <= 0.02
+    assert abs(filtered.values[0].min() - 0.72) <= 0.02
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +182,26 @@ def test_fsm_soundness_on_arbitrary_series(values):
         assert ev.min_level < params.theta_start
     for first, second in zip(events, events[1:]):
         assert first.t_end_ms < second.t_start_ms
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    template=st.sampled_from(BINARY_TEMPLATES + BODY_STYLE_TEMPLATES),
+    spacing_m=st.sampled_from([5.0, 3.5]),
+    seed=st.integers(0, 2**63 - 1),
+    inverted=st.booleans(),
+)
+def test_detection_over_all_rows_equals_each_row_alone(params, template, spacing_m, seed,
+                                                       inverted):
+    bundle = generate_trace(template, Topology(longitudinal_spacing_m=spacing_m), params, seed)
+    if inverted:
+        bundle = invert_direction(bundle)
+    filtered = filter_bundle(replace(bundle, t0_ms=1234.5), params)
+    events = detect_events(filtered, params)
+    row_by_row = [replace(ev, link=row + 1)
+                  for row, values in enumerate(filtered.values)
+                  for ev in detect_events(replace(filtered, values=values[None, :]), params)]
+    assert events and events == row_by_row
 
 
 def test_no_chatter_on_monotone_recovery(params):

@@ -29,7 +29,7 @@ from rftraffic.simulate import (
     write_trace_csv,
 )
 from rftraffic.tables import read_table
-from rftraffic.topology import LINK_IDS, SystemParams, Topology
+from rftraffic.topology import LINK_IDS, STRAIGHT_LINKS, SystemParams, Topology
 
 
 def noise_free(label="t", v_kmh=36.0, l_m=5.0, n_lobes=1):
@@ -555,4 +555,64 @@ def test_trailer_template_keeps_single_phase(topo, params):
     obs, filtered = process_bundle(bundle, topo, params)
     assert len(obs) == 1
     assert len(obs[0].events) == 9
-    assert filtered[1].values.min() < 0.75
+    assert filtered.values[0].min() < 0.75
+
+
+def generate_streams_per_link(template, topology, params, seed):
+    """The generator's streams made link by link: the oracle of ``generate_trace``.
+
+    Each link evaluates its own lobe, depth scale and noise draw of ``n``.
+    """
+    rng = np.random.default_rng(seed)
+    ts = params.sample_period_ms / 1000.0
+    v_kmh = simulate._draw_trunc(rng, template.speed_kmh_mean, template.speed_kmh_std, lo=1.0)
+    v_mps = v_kmh * simulate.KMH_TO_MPS
+    speed_mean_mps = template.speed_kmh_mean * simulate.KMH_TO_MPS
+    dur_mean = template.length_m_mean / speed_mean_mps
+    dur_std = template.length_m_std / speed_mean_mps
+    duration_s = simulate._draw_trunc(rng, dur_mean, dur_std,
+                                      lo=max(6 * ts, simulate.MIN_LENGTH_M / v_mps))
+    floor = simulate._draw_trunc(rng, template.min_depth_mean, template.min_depth_std,
+                                 lo=0.30, hi=0.88)
+    mean_level = simulate._draw_trunc(rng, template.mean_level_mean, template.mean_level_std,
+                                      lo=floor + 0.05, hi=0.95)
+    plateau = simulate._plateau_for_mean(mean_level, floor, template.n_lobes)
+    if template.n_lobes == 1:
+        segments = simulate._single_lobe_segments(plateau, floor)
+    else:
+        segments = simulate._double_lobe_segments(plateau, floor, simulate.GAP_RECOVERY_LEVEL)
+    profile = simulate._LobeProfile(segments)
+
+    lead = simulate._LEAD_S + rng.uniform(0.0, ts)
+    last_mid = max(topology.link_midpoint_m(link) for link in LINK_IDS)
+    total_s = lead + last_mid / v_mps + 2.5 * duration_s + simulate._TAIL_S
+    n = int(math.ceil(total_s / ts))
+    grid = np.arange(n) * ts
+    span, start0 = simulate._calibrate_lobe(profile, lead, duration_s, params, grid)
+
+    idle_noise = simulate.IDLE_NOISE_DB / abs(simulate.DEFAULT_IDLE_DBM)
+    streams = np.empty((9, n))
+    for link in LINK_IDS:
+        start = start0 + topology.link_midpoint_m(link) / v_mps
+        u = (grid - start) / span
+        level = profile(u)
+        if link not in STRAIGHT_LINKS:
+            level = 1.0 - simulate.DIAGONAL_DEPTH_SCALE * (1.0 - level)
+        sigma = np.where((u >= 0.0) & (u <= 1.0), template.noise_std, idle_noise)
+        level = level + rng.standard_normal(n) * sigma
+        streams[link - 1] = simulate.DEFAULT_IDLE_DBM * level
+    return streams
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    template=st.sampled_from(BINARY_TEMPLATES + BODY_STYLE_TEMPLATES),
+    spacing_m=st.sampled_from([5.0, 3.5]),
+    seed=st.integers(0, 2**63 - 1),
+)
+def test_one_array_generation_equals_the_per_link_loop(params, template, spacing_m, seed):
+    topology = Topology(longitudinal_spacing_m=spacing_m)
+    bundle = generate_trace(template, topology, params, seed)
+    oracle = generate_streams_per_link(template, topology, params, seed)
+    assert bundle.rssi_dbm.shape == oracle.shape
+    assert bundle.rssi_dbm.tobytes() == oracle.tobytes()
