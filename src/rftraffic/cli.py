@@ -75,6 +75,14 @@ def _model_spec(args: argparse.Namespace) -> evaluate.ModelSpec:
     )
 
 
+def _read_features(path: str) -> tuple[np.ndarray, list[str]]:
+    """The feature file's matrix and labels; a file without rows is an input error."""
+    x, labels = features.read_features_csv(path)
+    if not labels:
+        raise TraceFormatError(f"{path}: no feature rows")
+    return x, labels
+
+
 # ---------------------------------------------------------------------------
 # stage implementations
 
@@ -127,7 +135,7 @@ def _run_extract(args: argparse.Namespace) -> int:
 
 
 def _run_train(args: argparse.Namespace) -> int:
-    x, labels = features.read_features_csv(args.features_path)
+    x, labels = _read_features(args.features_path)
     taxonomy = get_taxonomy(args.taxonomy)
     y_idx = taxonomy.encode(labels)
     scaling = features.fit_scaling(x)
@@ -148,7 +156,7 @@ def _cross_validate_file(
 
     Subset A keeps every column, so the default is the plain k-fold run.
     """
-    x, labels = features.read_features_csv(args.features_path)
+    x, labels = _read_features(args.features_path)
     taxonomy = get_taxonomy(args.taxonomy)
     spec = _model_spec(args)
     subsets = [evaluate.subset_by_id(sid) for sid in subset_ids]
@@ -219,7 +227,7 @@ def _run_export(args: argparse.Namespace) -> int:
 
 
 def _run_sweetspot(args: argparse.Namespace) -> int:
-    x, labels = features.read_features_csv(args.features_path)
+    x, labels = _read_features(args.features_path)
     profile = export.platform_by_name(args.platform)
     grid = export.grid_search(
         x, labels, get_taxonomy(args.taxonomy),
@@ -228,12 +236,12 @@ def _run_sweetspot(args: argparse.Namespace) -> int:
     )
     if args.out:
         _write_grid_csv(args.out, grid)
-    result = export.best_fitting(grid, profile)
-    if not result.found:
+    best = export.best_fitting(grid, profile)
+    if best is None:
         raise NoFitError(f"no grid configuration fits platform {profile.name}")
     print(
-        f"sweet spot on {profile.name}: {result.n_trees} trees, depth {result.max_depth}, "
-        f"ACC {result.acc_mean:.4f}, {result.code_bytes} B"
+        f"sweet spot on {profile.name}: {best['n_trees']} trees, depth {best['max_depth']}, "
+        f"ACC {best['acc_mean']:.4f}, {best['code_bytes']} B"
     )
     return EXIT_OK
 
@@ -392,12 +400,12 @@ def _run_reproduce(args: argparse.Namespace) -> int:
 
     best_rows = []
     for profile in export.PLATFORMS:
-        result = export.best_fitting(grid, profile)
-        best_rows.append([profile.name, int(result.found), result.n_trees,
-                          result.max_depth, result.acc_mean, result.code_bytes])
+        best = export.best_fitting(grid, profile) or {}
+        best_rows.append([profile.name, int(bool(best))] + [
+            best.get(key) for key in ("n_trees", "max_depth", "acc_mean", "code_bytes")])
         status = (
-            f"{result.n_trees} trees depth {result.max_depth} ACC {result.acc_mean:.4f}"
-            if result.found else "no fit"
+            f"{best['n_trees']} trees depth {best['max_depth']} ACC {best['acc_mean']:.4f}"
+            if best else "no fit"
         )
         print(f"sweet spot {profile.name}: {status}")
     _write_grid_csv(os.path.join(out, "sweetspot_grid.csv"), grid)

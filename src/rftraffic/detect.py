@@ -19,7 +19,7 @@ negative for wrong-way drivers -- and the length estimate.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,19 +36,15 @@ class FilteredSeries:
     t0_ms: float
     sample_period_ms: float
 
-    def timestamp(self, index: int) -> float:
-        return self.t0_ms + index * self.sample_period_ms
-
 
 @dataclass(frozen=True)
 class AttenuationEvent:
-    """One detected attenuation phase on one link."""
+    """One detected attenuation phase on one link; the observation holding it is its vehicle."""
 
     link: int
     t_start_ms: float
     t_end_ms: float
     min_level: float
-    vehicle_id: int = -1
 
     def __post_init__(self):
         if not self.t_end_ms > self.t_start_ms:
@@ -67,8 +63,12 @@ class VehicleObservation:
     events: dict[int, AttenuationEvent]
     v_mps: float | None = None
     l_m: float | None = None
-    direction: str | None = None  # "forward" | "wrong_way"
     low_confidence: bool = False
+
+    @property
+    def direction(self) -> str | None:
+        """Derived from the speed's sign: "wrong_way" below zero, else "forward"."""
+        return None if self.v_mps is None else ("wrong_way" if self.v_mps < 0 else "forward")
 
 
 def filter_bundle(bundle: TraceBundle, params: SystemParams) -> FilteredSeries:
@@ -134,8 +134,8 @@ def detect_events(series: FilteredSeries, params: SystemParams) -> list[Attenuat
             events.append(
                 AttenuationEvent(
                     link=row + 1,
-                    t_start_ms=series.timestamp(back),
-                    t_end_ms=series.timestamp(j_end),
+                    t_start_ms=series.t0_ms + back * series.sample_period_ms,
+                    t_end_ms=series.t0_ms + j_end * series.sample_period_ms,
                     min_level=float(values[back: j_end + 1].min()),
                 )
             )
@@ -164,17 +164,12 @@ def associate_vehicles(
             current.setdefault(event.link, event)
         else:
             if current:
-                observations.append(_close_group(current, len(observations)))
+                observations.append(VehicleObservation(len(observations), current))
             current = {event.link: event}
             group_end = event.t_end_ms
     if current:
-        observations.append(_close_group(current, len(observations)))
+        observations.append(VehicleObservation(len(observations), current))
     return observations
-
-
-def _close_group(group: dict[int, AttenuationEvent], vehicle_id: int) -> VehicleObservation:
-    tagged = {link: replace(ev, vehicle_id=vehicle_id) for link, ev in group.items()}
-    return VehicleObservation(vehicle_id=vehicle_id, events=tagged)
 
 
 def estimate_speed(
@@ -233,7 +228,6 @@ def process_bundle(
         obs.v_mps = v
         obs.low_confidence = low_conf
         obs.l_m = estimate_length(obs, v)
-        obs.direction = None if v is None else ("wrong_way" if v < 0 else "forward")
     return observations, filtered
 
 

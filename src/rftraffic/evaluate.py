@@ -159,11 +159,6 @@ def scaled_folds(x: np.ndarray, y_idx: np.ndarray, fold_plan: FoldPlan, seed):
         )
 
 
-def fold_accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
-    """Exact-match fraction of one test split; an empty split scores 1."""
-    return float((pred == truth).mean()) if len(truth) else 1.0
-
-
 @dataclass
 class EvaluationReport:
     taxonomy: str
@@ -241,7 +236,7 @@ def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
     for fold, models in zip(folds, _fold_models(folds, views, taxonomy.classes, model_spec)):
         for i, model in enumerate(models):
             pred = np.atleast_1d(model.predict(_column_view(fold.x_test, views[i])))
-            fold_acc[i, fold.index] = fold_accuracy(pred, fold.y_test)
+            fold_acc[i, fold.index] = accuracy(pred, fold.y_test)
             np.add.at(counts[i], (fold.y_test, pred), 1)
     sums = counts.sum(axis=2, keepdims=True)
     confusion = np.divide(counts, sums, out=np.zeros_like(counts), where=sums > 0)

@@ -10,8 +10,8 @@ Program-memory footprints are estimated with one declared cost model, the
 module constants ``BYTES_PER_WEIGHT``, ``BYTES_PER_NODE`` and
 ``OVERHEAD_BYTES``, and checked against the built-in microcontroller profiles.
 The sweet-spot search scores a forest parameter grid once (``grid_search``)
-and picks, per profile, the most accurate configuration whose estimate fits
-it (``best_fitting``).
+and picks, per profile, the most accurate grid cell whose estimate fits it,
+or ``None`` when no cell fits (``best_fitting``).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .evaluate import FoldPlan, build_fold_plan, fold_accuracy, fold_summary, scaled_folds
+from .evaluate import FoldPlan, accuracy, build_fold_plan, fold_summary, scaled_folds
 from .features import N_FEATURES, fit_scaling
 from .learn import RandomForest, SvmEnsemble, train_random_forest, vote_counts
 from .topology import Taxonomy
@@ -218,17 +218,6 @@ def emit_inference_source(model: SvmEnsemble | RandomForest) -> str:
 # sweet-spot search
 
 
-@dataclass
-class SweetSpotResult:
-    found: bool
-    platform: str
-    n_trees: int | None = None
-    max_depth: int | None = None
-    acc_mean: float | None = None
-    acc_std: float | None = None
-    code_bytes: int | None = None
-
-
 def check_grid(tree_counts: tuple[int, ...], depths: tuple[int, ...]) -> None:
     """Reject an empty grid, a tree count below 1 or a depth below 0."""
     if not tree_counts or not depths:
@@ -277,7 +266,7 @@ def grid_search(
             voted = forest.tree_classes(fold.x_test, depth)
             for i, n_trees in enumerate(counts):
                 votes = vote_counts(voted[:, :n_trees], n_classes)
-                fold_acc[i, j, fold.index] = fold_accuracy(votes.argmax(axis=1), fold.y_test)
+                fold_acc[i, j, fold.index] = accuracy(votes.argmax(axis=1), fold.y_test)
 
     x_scaled = fit_scaling(x).apply(x)
     deploy_seed = np.random.SeedSequence([int(seed), 0xDE9107]).spawn(1)[0]
@@ -303,21 +292,11 @@ def grid_search(
     return grid
 
 
-def best_fitting(grid: list[dict], platform: PlatformProfile) -> SweetSpotResult:
-    """Pick the best grid cell under a platform budget.
+def best_fitting(grid: list[dict], platform: PlatformProfile) -> dict | None:
+    """The best grid cell under a platform budget, or None when no cell fits.
 
     Highest accuracy wins; ties break by smaller memory, then lower depth.
     """
     fitting = [cell for cell in grid if cell["code_bytes"] <= platform.program_memory_bytes]
-    if not fitting:
-        return SweetSpotResult(found=False, platform=platform.name)
-    best = min(fitting, key=lambda c: (-c["acc_mean"], c["code_bytes"], c["max_depth"]))
-    return SweetSpotResult(
-        found=True,
-        platform=platform.name,
-        n_trees=best["n_trees"],
-        max_depth=best["max_depth"],
-        acc_mean=best["acc_mean"],
-        acc_std=best["acc_std"],
-        code_bytes=best["code_bytes"],
-    )
+    return min(fitting, key=lambda c: (-c["acc_mean"], c["code_bytes"], c["max_depth"]),
+               default=None)

@@ -41,9 +41,6 @@ from .topology import LINK_IDS, STRAIGHT_LINKS, SystemParams, Topology
 
 KMH_TO_MPS = 1.0 / 3.6
 
-#: stream row permutation that makes a vehicle appear to drive the other way
-LINK_REVERSAL = {1: 9, 2: 8, 3: 7, 4: 6, 5: 5, 6: 4, 7: 3, 8: 2, 9: 1}
-
 DEFAULT_IDLE_DBM = -60.0
 IDLE_NOISE_DB = 0.5
 GAP_RECOVERY_LEVEL = 0.96
@@ -447,14 +444,13 @@ def proportional_counts(total: int, proportions: dict[str, float] | None = None)
 
 
 def invert_direction(trace: TraceBundle) -> TraceBundle:
-    """Swap the link streams as if the post order were reversed."""
-    perm = np.array([LINK_REVERSAL[link] - 1 for link in LINK_IDS])
+    """Reverse the link rows (link i becomes link 10 - i), as if the post order were reversed."""
     truth = trace.truth
     if truth is not None:
         truth = replace(truth, direction=-truth.direction)
     return TraceBundle(
-        rssi_dbm=trace.rssi_dbm[perm],
-        idle_level_dbm=trace.idle_level_dbm[perm],
+        rssi_dbm=trace.rssi_dbm[::-1].copy(),
+        idle_level_dbm=trace.idle_level_dbm[::-1].copy(),
         sample_period_ms=trace.sample_period_ms,
         t0_ms=trace.t0_ms,
         truth=truth,

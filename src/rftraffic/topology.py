@@ -151,27 +151,19 @@ def get_taxonomy(name: str) -> Taxonomy:
         raise ConfigError(f"unknown taxonomy {name!r}") from None
 
 
-def coarsen_label(label: str, target: Taxonomy) -> str:
-    """Map a body-style class onto a coarser taxonomy (identity at body-style level)."""
-    if label not in BODY_STYLE_CLASSES:
-        raise KeyError(f"unknown body-style label {label!r}")
-    if target.name == "body_style":
-        return label
-    if target.name == "binary":
-        return _TO_BINARY[label]
-    if target.name == "size_based":
-        return _TO_SIZE[label]
-    raise ConfigError(f"unknown taxonomy {target.name!r}")
+#: body-style label to coarser label, per taxonomy name
+_COARSENING = {"binary": _TO_BINARY, "size_based": _TO_SIZE}
 
 
 def labels_for_taxonomy(labels: list[str], taxonomy: Taxonomy) -> list[str]:
     """Translate dataset labels into `taxonomy`, coarsening body-style labels."""
+    coarsen = _COARSENING.get(taxonomy.name, {})
     out = []
     for lab in labels:
         if lab in taxonomy.classes:
             out.append(lab)
-        elif lab in BODY_STYLE_CLASSES:
-            out.append(coarsen_label(lab, taxonomy))
+        elif lab in coarsen:
+            out.append(coarsen[lab])
         else:
             raise KeyError(f"label {lab!r} cannot be mapped onto taxonomy {taxonomy.name!r}")
     return out

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from rftraffic import cli, simulate
+from rftraffic import cli, export, simulate
 from rftraffic.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -154,6 +154,16 @@ def test_train_non_finite_feature_cell_exit_code(tmp_path, binary_small, cell):
     out = tmp_path / "m.json"
     assert main(["train", "--features", str(path), "--out", str(out)]) == EXIT_INPUT
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "confusion", "sweetspot"])
+def test_feature_file_without_rows_exits_input_in_one_line(tmp_path, capsys, command):
+    path = tmp_path / "features.csv"
+    write_features_csv(str(path), np.empty((0, 92)), [])
+    outs = {"train": ["--out", str(tmp_path / "m.json")],
+            "confusion": ["--out", str(tmp_path / "c.csv")]}
+    assert main([command, "--features", str(path), *outs.get(command, [])]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {path}: no feature rows\n"
 
 
 @pytest.mark.parametrize("flags", [
@@ -522,6 +532,17 @@ def test_small_reproduce_matches_golden_digests(tmp_path):
                  "--depth-grid", "2,6,10", "--out", str(out)]) == EXIT_OK
     digests = {rel: hashlib.sha256(data).hexdigest() for rel, data in _tree_bytes(out).items()}
     assert digests == GOLDEN_REPRODUCE_SHA256
+
+
+def test_reproduce_writes_a_no_fit_row_for_a_platform_nothing_fits(tmp_path, monkeypatch, capsys):
+    dust = export.PlatformProfile("dust", 0, 0)
+    monkeypatch.setattr(export, "PLATFORMS", export.PLATFORMS + (dust,))
+    out = tmp_path / "golden"
+    assert main(["reproduce", "--count", "40", "--seed", "93", "--k", "3", "--epochs", "10",
+                 "--n-trees", "5", "--max-depth", "4", "--tree-grid", "2,5",
+                 "--depth-grid", "2,6,10", "--out", str(out)]) == EXIT_OK
+    assert (out / "sweetspot_best.csv").read_bytes().endswith(b"\r\ndust,0,,,,\r\n")
+    assert "sweet spot dust: no fit\n" in capsys.readouterr().out
 
 
 #: sha256 of what the golden reproduce run prints, its --out path replaced by "<out>"

@@ -309,6 +309,11 @@ def test_noise_free_truck_length_within_two_percent(topo, params):
     assert obs[0].l_m == pytest.approx(16.53, rel=0.02)
 
 
+@pytest.mark.parametrize("v, direction", [(None, None), (-12.5, "wrong_way"), (8.0, "forward")])
+def test_direction_is_derived_from_the_speed_sign(v, direction):
+    assert VehicleObservation(0, {}, v_mps=v).direction == direction
+
+
 def test_direction_antisymmetry_noise_free(topo, params):
     tpl = ClassTemplate("t", 40.0, 0.0, 6.0, 0.0, 0.7, 0.0, 0.85, 0.0, 0.0)
     bundle = generate_trace(tpl, topo, params, seed=3)

@@ -153,8 +153,8 @@ def test_sweet_spot_unlimited_budget_is_grid_best(binary_small):
     unlimited = PlatformProfile("lab", 10**12, 10**9)
     grid = grid_search(x, labels, BINARY, tree_counts=(2, 5), depths=(2, 4), k=3, seed=4)
     result = best_fitting(grid, unlimited)
-    assert result.found
-    assert result.acc_mean == max(cell["acc_mean"] for cell in grid)
+    assert result is not None
+    assert result["acc_mean"] == max(cell["acc_mean"] for cell in grid)
 
 
 def test_sweet_spot_zero_budget_is_no_fit(binary_small):
@@ -163,9 +163,7 @@ def test_sweet_spot_zero_budget_is_no_fit(binary_small):
 
     none = PlatformProfile("dust", 0, 0)
     grid = grid_search(x, labels, BINARY, tree_counts=(2,), depths=(2,), k=3, seed=4)
-    result = best_fitting(grid, none)
-    assert not result.found
-    assert result.n_trees is None
+    assert best_fitting(grid, none) is None
 
 
 def test_sweet_spot_dominance_and_tiebreak(binary_small):
@@ -174,11 +172,11 @@ def test_sweet_spot_dominance_and_tiebreak(binary_small):
                        k=3, seed=4)
     platform = platform_by_name("msp")
     result = best_fitting(grid, platform)
-    assert result.found
+    assert result is not None
     fitting = [c for c in grid if c["code_bytes"] <= platform.program_memory_bytes]
-    assert all(result.acc_mean >= c["acc_mean"] for c in fitting)
-    ties = [c for c in fitting if c["acc_mean"] == result.acc_mean]
-    assert result.code_bytes == min(c["code_bytes"] for c in ties)
+    assert all(result["acc_mean"] >= c["acc_mean"] for c in fitting)
+    ties = [c for c in fitting if c["acc_mean"] == result["acc_mean"]]
+    assert result["code_bytes"] == min(c["code_bytes"] for c in ties)
 
 
 def test_grid_cell_does_not_depend_on_other_cells(binary_small):

@@ -11,7 +11,6 @@ from rftraffic.topology import (
     STRAIGHT_LINKS,
     SystemParams,
     Topology,
-    coarsen_label,
     get_taxonomy,
     labels_for_taxonomy,
     link_distance,
@@ -108,21 +107,21 @@ def test_taxonomy_shapes():
 
 
 def test_coarsen_examples():
-    assert coarsen_label("van", BINARY) == "car-like"
-    assert coarsen_label("semitruck", SIZE_BASED) == "large"
-    assert coarsen_label("truck", BODY_STYLE) == "truck"
+    assert labels_for_taxonomy(["van"], BINARY) == ["car-like"]
+    assert labels_for_taxonomy(["semitruck"], SIZE_BASED) == ["large"]
+    assert labels_for_taxonomy(["truck"], BODY_STYLE) == ["truck"]
 
 
 def test_coarsen_total_and_idempotent():
     for label in BODY_STYLE_CLASSES:
-        assert coarsen_label(label, BINARY) in BINARY.classes
-        assert coarsen_label(label, SIZE_BASED) in SIZE_BASED.classes
-        assert coarsen_label(label, BODY_STYLE) == label
+        assert labels_for_taxonomy([label], BINARY)[0] in BINARY.classes
+        assert labels_for_taxonomy([label], SIZE_BASED)[0] in SIZE_BASED.classes
+        assert labels_for_taxonomy([label], BODY_STYLE) == [label]
 
 
 def test_coarsen_unknown_label():
     with pytest.raises(KeyError):
-        coarsen_label("bicycle", BINARY)
+        labels_for_taxonomy(["bicycle"], BINARY)
     with pytest.raises(KeyError):
         labels_for_taxonomy(["car-like"], SIZE_BASED)
 
