@@ -38,7 +38,9 @@ import numpy as np
 
 from . import detect, evaluate, export, features, importance, learn, simulate
 from .tables import TraceFormatError, write_table
-from .topology import ConfigError, Topology, SystemParams, get_taxonomy, load_system_config
+from .topology import (
+    BODY_STYLE, TAXONOMIES, ConfigError, SystemParams, Topology, get_taxonomy, load_system_config,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -89,7 +91,7 @@ def _read_features(path: str) -> tuple[np.ndarray, list[str]]:
 
 def _run_simulate(args: argparse.Namespace) -> int:
     topology, params = _load_params(args)
-    templates = simulate.templates_for(args.classes)
+    templates = simulate.TEMPLATE_SETS[args.classes]
     # a binary corpus splits evenly, the odd trace going to the first template
     shares = None if args.classes == "body_style" else {t.label: 0.5 for t in templates}
     counts = simulate.proportional_counts(args.count, shares)
@@ -207,22 +209,20 @@ def _run_importance(args: argparse.Namespace) -> int:
 
 def _run_export(args: argparse.Namespace) -> int:
     bundle = learn.load_model(args.model_path)
-    estimate = export.estimate_memory(bundle.model)
+    code_bytes = export.estimate_memory(bundle.model)
     if args.platform is not None:
         profile = export.platform_by_name(args.platform)
-        if not estimate.fits[profile.name]:
+        if not profile.fits(code_bytes):
             raise NoFitError(
-                f"model needs {estimate.code_bytes} B, exceeding the "
+                f"model needs {code_bytes} B, exceeding the "
                 f"{profile.program_memory_bytes} B budget of {profile.name}"
             )
     source = export.emit_inference_source(bundle.model)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(source)
     ops = export.count_operations(bundle.model)
-    print(
-        f"wrote {args.out}: {estimate.code_bytes} B estimated, "
-        f"{ops} ops/prediction, fits: {estimate.fits}"
-    )
+    fits = {p.name: p.fits(code_bytes) for p in export.PLATFORMS}
+    print(f"wrote {args.out}: {code_bytes} B estimated, {ops} ops/prediction, fits: {fits}")
     return EXIT_OK
 
 
@@ -247,16 +247,12 @@ def _run_sweetspot(args: argparse.Namespace) -> int:
 
 
 def _write_grid_csv(path: str, grid: list[dict]) -> None:
+    """The grid cells' own columns, then one 0/1 fit column per platform."""
     write_table(
         path,
-        ["n_trees", "max_depth", "acc_mean", "acc_std", "code_bytes", "op_count"]
-        + [f"fits_{p.name}" for p in export.PLATFORMS],
-        (
-            [cell["n_trees"], cell["max_depth"], cell["acc_mean"], cell["acc_std"],
-             cell["code_bytes"], cell["op_count"]]
-            + [int(cell["code_bytes"] <= p.program_memory_bytes) for p in export.PLATFORMS]
-            for cell in grid
-        ),
+        list(grid[0]) + [f"fits_{p.name}" for p in export.PLATFORMS],
+        (list(cell.values()) + [int(p.fits(cell["code_bytes"])) for p in export.PLATFORMS]
+         for cell in grid),
     )
 
 
@@ -324,8 +320,7 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     counts = simulate.proportional_counts(args.count)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    taxonomies = [get_taxonomy(name) for name in ("binary", "size_based", "body_style")]
-    body = taxonomies[2]
+    taxonomies = list(TAXONOMIES.values())
 
     x, labels = features.dataset_features(
         simulate.stream_dataset(simulate.BODY_STYLE_TEMPLATES, counts,
@@ -358,7 +353,7 @@ def _run_reproduce(args: argparse.Namespace) -> int:
         for taxonomy in taxonomies
     ] + [
         # forest parameter grid against all platform budgets
-        functools.partial(export.grid_search, x, labels, body,
+        functools.partial(export.grid_search, x, labels, BODY_STYLE,
                           tree_counts=args.tree_grid, depths=args.depth_grid,
                           k=min(args.k, 5), seed=sweet_seed),
     ]
@@ -382,7 +377,7 @@ def _run_reproduce(args: argparse.Namespace) -> int:
             importance.write_importance_csv(
                 os.path.join(out, f"importance_{taxonomy.name}.csv"), matrix
             )
-            if taxonomy is body:
+            if taxonomy is BODY_STYLE:
                 learn.save_model(
                     os.path.join(out, "model_svm_body_style.json"),
                     learn.ModelBundle(taxonomy, scaling, ensemble),
@@ -439,7 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rftraffic",
         description="radio-fingerprint vehicle detection and classification pipeline",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="master seed (default 7)")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                        help=f"master seed (default {DEFAULT_SEED})")
     # accepted before or after the subcommand; the subparser copy only
     # overrides when given explicitly
     common = argparse.ArgumentParser(add_help=False)
@@ -453,19 +449,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the flag groups, each command taking those it reads
     taxonomy = argparse.ArgumentParser(add_help=False)
-    taxonomy.add_argument("--taxonomy", choices=("binary", "size_based", "body_style"),
-                          default="binary")
+    taxonomy.add_argument("--taxonomy", choices=tuple(TAXONOMIES), default="binary")
     folds = argparse.ArgumentParser(add_help=False)
     folds.add_argument("--k", type=int, default=10)
     model = argparse.ArgumentParser(add_help=False)
-    model.add_argument("--model", dest="model_kind", choices=("svm", "rf"), default="svm")
+    model.add_argument("--model", dest="model_kind", choices=evaluate.MODEL_KINDS, default="svm")
     model.add_argument("--C", dest="c", type=float, default=1.0)
     model.add_argument("--epochs", type=int, default=50)
     model.add_argument("--n-trees", dest="n_trees", type=int, default=100)
     model.add_argument("--max-depth", dest="max_depth", type=int, default=10)
+    # read when the parser is built, so a profile added to the table is a choice
+    platforms = tuple(p.name for p in export.PLATFORMS)
 
     p = command("simulate", _run_simulate, "generate labeled synthetic traces")
-    p.add_argument("--classes", choices=("binary", "body_style"), default="body_style")
+    p.add_argument("--classes", choices=tuple(simulate.TEMPLATE_SETS), default="body_style")
     p.add_argument("--count", type=int, default=100)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--params", dest="params_path", default="default")
@@ -505,12 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("export", _run_export, "emit standalone C inference source")
     p.add_argument("--model", dest="model_path", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--platform", choices=("msp", "atmega", "esp"))
+    p.add_argument("--platform", choices=platforms)
 
     p = command("sweetspot", _run_sweetspot, "forest grid search under a memory budget",
                 taxonomy, folds)
     p.add_argument("--features", dest="features_path", required=True)
-    p.add_argument("--platform", choices=("msp", "atmega", "esp"), default="msp")
+    p.add_argument("--platform", choices=platforms, default="msp")
     p.add_argument("--tree-grid", dest="tree_grid", type=_int_tuple, default=(10, 25, 50, 100))
     p.add_argument("--depth-grid", dest="depth_grid", type=_int_tuple, default=(4, 8, 12, 16))
     p.add_argument("--out", help="grid CSV output path")
@@ -542,7 +539,9 @@ def main(argv=None) -> int:
         print(f"no fit: {exc}", file=sys.stderr)
         return EXIT_NOFIT
     except (ConfigError, KeyError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"configuration error: {message}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -75,18 +75,22 @@ def accuracy(predictions, labels) -> float:
     return hits / len(labels)
 
 
+#: the model families a ModelSpec may name
+MODEL_KINDS = ("svm", "rf")
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """Training recipe shared by the harness, the subset study and the CLI."""
 
-    kind: str  # "svm" | "rf"
+    kind: str  # one of MODEL_KINDS
     c: float = 1.0
     epochs: int = 50
     n_trees: int = 100
     max_depth: int = 10
 
     def __post_init__(self):
-        if self.kind not in ("svm", "rf"):
+        if self.kind not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {self.kind!r}")
         if not (math.isfinite(self.c) and self.c > 0):
             raise ValueError(f"C must be finite and positive, got {self.c}")

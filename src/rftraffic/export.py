@@ -8,7 +8,8 @@ targets.
 
 Program-memory footprints are estimated with one declared cost model, the
 module constants ``BYTES_PER_WEIGHT``, ``BYTES_PER_NODE`` and
-``OVERHEAD_BYTES``, and checked against the built-in microcontroller profiles.
+``OVERHEAD_BYTES``, and checked against the built-in microcontroller profiles
+by ``PlatformProfile.fits``.
 The sweet-spot search scores a forest parameter grid once (``grid_search``)
 and picks, per profile, the most accurate grid cell whose estimate fits it,
 or ``None`` when no cell fits (``best_fitting``).
@@ -33,6 +34,10 @@ class PlatformProfile:
     program_memory_bytes: int
     ram_bytes: int
 
+    def fits(self, code_bytes: int) -> bool:
+        """Whether code of this many bytes fits the program memory."""
+        return code_bytes <= self.program_memory_bytes
+
 
 #: built-in microcontroller targets (program memory / RAM, decimal kB)
 PLATFORMS: tuple[PlatformProfile, ...] = (
@@ -46,7 +51,8 @@ def platform_by_name(name: str) -> PlatformProfile:
     for profile in PLATFORMS:
         if profile.name == name:
             return profile
-    raise KeyError(f"unknown platform {name!r} (expected msp, atmega or esp)")
+    *rest, last = (p.name for p in PLATFORMS)
+    raise KeyError(f"unknown platform {name!r} (expected {', '.join(rest)} or {last})")
 
 
 #: declared byte costs of the emitted tables
@@ -55,21 +61,13 @@ BYTES_PER_NODE = 8
 OVERHEAD_BYTES = 512
 
 
-@dataclass(frozen=True)
-class MemoryEstimate:
-    code_bytes: int
-    fits: dict[str, bool]
-
-
-def estimate_memory(model: SvmEnsemble | RandomForest) -> MemoryEstimate:
-    """Deterministic cost-model estimate plus a fit verdict per platform."""
+def estimate_memory(model: SvmEnsemble | RandomForest) -> int:
+    """Deterministic cost-model estimate of the emitted code's bytes."""
     if isinstance(model, SvmEnsemble):
         tables = BYTES_PER_WEIGHT * sum(len(svm.beta) for svm in model.svms)
     else:
         tables = BYTES_PER_NODE * model.n_nodes
-    code_bytes = OVERHEAD_BYTES + tables
-    fits = {p.name: code_bytes <= p.program_memory_bytes for p in PLATFORMS}
-    return MemoryEstimate(code_bytes=code_bytes, fits=fits)
+    return OVERHEAD_BYTES + tables
 
 
 def count_operations(model: SvmEnsemble | RandomForest) -> int:
@@ -285,7 +283,7 @@ def grid_search(
                     "max_depth": depth,
                     "acc_mean": acc_mean,
                     "acc_std": acc_std,
-                    "code_bytes": estimate_memory(deployed).code_bytes,
+                    "code_bytes": estimate_memory(deployed),
                     "op_count": count_operations(deployed),
                 }
             )
@@ -297,6 +295,6 @@ def best_fitting(grid: list[dict], platform: PlatformProfile) -> dict | None:
 
     Highest accuracy wins; ties break by smaller memory, then lower depth.
     """
-    fitting = [cell for cell in grid if cell["code_bytes"] <= platform.program_memory_bytes]
+    fitting = [cell for cell in grid if platform.fits(cell["code_bytes"])]
     return min(fitting, key=lambda c: (-c["acc_mean"], c["code_bytes"], c["max_depth"]),
                default=None)

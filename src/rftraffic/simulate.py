@@ -148,12 +148,11 @@ BODY_STYLE_PROPORTIONS = {
 }
 
 
-def templates_for(class_set: str) -> tuple[ClassTemplate, ...]:
-    if class_set == "binary":
-        return BINARY_TEMPLATES
-    if class_set == "body_style":
-        return BODY_STYLE_TEMPLATES
-    raise ValueError(f"unknown class set {class_set!r} (expected 'binary' or 'body_style')")
+#: the template sets a corpus may be drawn from, by class-set name
+TEMPLATE_SETS: dict[str, tuple[ClassTemplate, ...]] = {
+    "binary": BINARY_TEMPLATES,
+    "body_style": BODY_STYLE_TEMPLATES,
+}
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ and the post spacing is its one setting (``Topology``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -42,6 +43,8 @@ class Topology:
     def __post_init__(self):
         if self.longitudinal_spacing_m <= 0:
             raise ConfigError("longitudinal spacing must be positive")
+        if not math.isfinite(self.longitudinal_spacing_m):
+            raise ConfigError(f"longitudinal_spacing_m must be finite, got {self.longitudinal_spacing_m}")
 
     def link_midpoint_m(self, link: int) -> float:
         """Longitudinal coordinate of the point where a link crosses the lane."""
@@ -84,6 +87,8 @@ class SystemParams:
             raise ConfigError("filter size and guard must be >= 1, start offset >= 0")
         if self.sample_period_ms <= 0:
             raise ConfigError("sample period must be positive")
+        if not math.isfinite(self.sample_period_ms):
+            raise ConfigError(f"sample_period_ms must be finite, got {self.sample_period_ms}")
 
 
 BINARY_CLASSES = ("car-like", "truck-like")
@@ -169,25 +174,16 @@ def labels_for_taxonomy(labels: list[str], taxonomy: Taxonomy) -> list[str]:
     return out
 
 
-_CONFIG_KEYS = {
-    "longitudinal_spacing_m": float,
-    "sample_period_ms": float,
-    "filter_size_n": int,
-    "guard_w": int,
-    "start_offset_h": int,
-    "theta_start": float,
-    "theta_end": float,
-    "theta_guard": float,
-}
-
-
 def load_system_config(path: str) -> tuple[Topology, SystemParams]:
     """Read a `key = value` configuration file; unknown keys are rejected.
 
-    Omitted keys fall back to the deployed defaults, so an empty file yields
-    the default Topology/SystemParams pair.
+    The keys are the ``Topology`` and ``SystemParams`` fields, each parsed as
+    the type of its default.  Omitted keys keep those defaults, so an empty
+    file yields the default Topology/SystemParams pair.
     """
-    values: dict[str, float | int] = {}
+    owners = {f.name: (cls, type(f.default)) for cls in (Topology, SystemParams)
+              for f in fields(cls)}
+    values: dict[type, dict[str, float | int]] = {Topology: {}, SystemParams: {}}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -197,13 +193,11 @@ def load_system_config(path: str) -> tuple[Topology, SystemParams]:
                 raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in owners:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            cls, kind = owners[key]
             try:
-                values[key] = _CONFIG_KEYS[key](val.strip())
+                values[cls][key] = kind(val.strip())
             except ValueError:
                 raise ConfigError(f"{path}:{lineno}: invalid value for {key!r}: {val.strip()!r}")
-    spacing = values.pop("longitudinal_spacing_m", 5.0)
-    topology = Topology(longitudinal_spacing_m=float(spacing))
-    params = SystemParams(**values)
-    return topology, params
+    return Topology(**values[Topology]), SystemParams(**values[SystemParams])

@@ -263,7 +263,7 @@ def test_criterion_09_export_oracle_and_memory(body_corpus, body_ensemble):
             trained = learn.train_random_forest(
                 scaled, y, BODY_STYLE.classes, n_trees=n_trees, max_depth=depth, seed=7
             )
-            sizes.append(export.estimate_memory(trained).code_bytes)
+            sizes.append(export.estimate_memory(trained))
         assert sizes == sorted(sizes)  # monotone in depth, then tree count
 
         grid = export.grid_search(

@@ -304,7 +304,7 @@ def test_degenerate_grid_flags_exit_config(tmp_path, binary_small, command, flag
     ([], ["A"]),
     (["--subsets", "A,Z"], None),
 ], ids=["pair", "spaced", "all", "no-flag", "unknown"])
-def test_subset_evaluate_flags(tmp_path, binary_small, flags, subsets):
+def test_subset_evaluate_flags(tmp_path, capsys, binary_small, flags, subsets):
     x, labels = binary_small
     feats = tmp_path / "features.csv"
     write_features_csv(str(feats), x, labels)
@@ -314,11 +314,24 @@ def test_subset_evaluate_flags(tmp_path, binary_small, flags, subsets):
                "--out-results", str(tmp_path / "r.csv"), "--out-summary", str(summary)] + flags)
     if subsets is None:
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == "configuration error: unknown subset id 'Z'\n"
         assert not summary.exists()
         return
     assert rc == EXIT_OK
     lines = summary.read_text().splitlines()
     assert [line.split(",")[2] for line in lines[1:]] == subsets
+
+
+def test_unmappable_label_prints_its_message_without_quotes(tmp_path, capsys, binary_small):
+    x, labels = binary_small
+    trucks = [i for i, label in enumerate(labels) if label == "truck-like"][:4]
+    feats = tmp_path / "features.csv"
+    write_features_csv(str(feats), x[trucks], [labels[i] for i in trucks])
+    rc = main(["train", "--features", str(feats), "--taxonomy", "size_based",
+               "--out", str(tmp_path / "m.json")])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: label 'truck-like' cannot be mapped onto taxonomy 'size_based'\n")
 
 
 def test_importance_rejects_forest_models(tmp_path, binary_small):
@@ -458,6 +471,18 @@ def test_custom_params_file(tmp_path):
     assert rc == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["longitudinal_spacing_m", "sample_period_ms"])
+def test_non_finite_site_parameter_exits_config_naming_the_key(tmp_path, capsys, key, value):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    rc = main(["simulate", "--count", "8", "--out", str(tmp_path / "traces"),
+               "--params", str(cfg)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == f"configuration error: {key} must be finite, got {value}\n"
+    assert not (tmp_path / "traces").exists()
+
+
 def _tree_bytes(root):
     out = {}
     for dirpath, _, filenames in os.walk(root):
@@ -543,6 +568,30 @@ def test_reproduce_writes_a_no_fit_row_for_a_platform_nothing_fits(tmp_path, mon
                  "--depth-grid", "2,6,10", "--out", str(out)]) == EXIT_OK
     assert (out / "sweetspot_best.csv").read_bytes().endswith(b"\r\ndust,0,,,,\r\n")
     assert "sweet spot dust: no fit\n" in capsys.readouterr().out
+
+
+def test_a_platform_added_to_the_table_is_a_choice_and_a_grid_column(
+        tmp_path, monkeypatch, capsys, binary_small):
+    roomy = export.PlatformProfile("roomy", 10**9, 10**9)
+    monkeypatch.setattr(export, "PLATFORMS", export.PLATFORMS + (roomy,))
+    x, labels = binary_small
+    feats = tmp_path / "features.csv"
+    write_features_csv(str(feats), x, labels)
+    grid = tmp_path / "grid.csv"
+    assert main(["sweetspot", "--features", str(feats), "--k", "3", "--tree-grid", "2",
+                 "--depth-grid", "2", "--platform", "roomy", "--out", str(grid)]) == EXIT_OK
+    header, row = grid.read_text().splitlines()
+    assert header.endswith(",fits_esp,fits_roomy") and row.endswith(",1")
+    assert capsys.readouterr().out.startswith("sweet spot on roomy: 2 trees, depth 2")
+
+    scaling = fit_scaling(x)
+    forest = train_random_forest(scaling.apply(x), BINARY.encode(labels), BINARY.classes,
+                                 n_trees=2, max_depth=2, seed=0)
+    model = tmp_path / "rf.json"
+    save_model(str(model), ModelBundle(BINARY, scaling, forest))
+    assert main(["export", "--model", str(model), "--out", str(tmp_path / "infer.c"),
+                 "--platform", "roomy"]) == EXIT_OK
+    assert "'esp': True, 'roomy': True}" in capsys.readouterr().out
 
 
 #: sha256 of what the golden reproduce run prints, its --out path replaced by "<out>"

@@ -46,8 +46,14 @@ def test_platform_profiles():
         "esp": (4_000_000, 532_000),
     }
     assert platform_by_name("atmega").ram_bytes == 2000
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match=r"'cortex' \(expected msp, atmega or esp\)"):
         platform_by_name("cortex")
+
+
+def test_a_budget_admits_code_of_exactly_its_size():
+    for p in PLATFORMS:
+        assert p.fits(p.program_memory_bytes)
+        assert not p.fits(p.program_memory_bytes + 1)
 
 
 def _empty_forest(classes):
@@ -59,9 +65,9 @@ def _empty_forest(classes):
 
 def test_empty_model_costs_overhead_only():
     empty = SvmEnsemble(svms=[], classes=("a", "b"))
-    assert estimate_memory(empty).code_bytes == OVERHEAD_BYTES
+    assert estimate_memory(empty) == OVERHEAD_BYTES
     empty_forest = _empty_forest(("a", "b"))
-    assert estimate_memory(empty_forest).code_bytes == OVERHEAD_BYTES
+    assert estimate_memory(empty_forest) == OVERHEAD_BYTES
     assert count_operations(empty_forest) == 0
 
 
@@ -71,9 +77,9 @@ def test_memory_monotone_in_trees_and_depth(binary_small):
     shallow = train_random_forest(x, y, BINARY.classes, n_trees=20, max_depth=4, seed=3)
     deep = train_random_forest(x, y, BINARY.classes, n_trees=20, max_depth=12, seed=3)
     more = train_random_forest(x, y, BINARY.classes, n_trees=40, max_depth=12, seed=3)
-    e_shallow = estimate_memory(shallow).code_bytes
-    e_deep = estimate_memory(deep).code_bytes
-    e_more = estimate_memory(more).code_bytes
+    e_shallow = estimate_memory(shallow)
+    e_deep = estimate_memory(deep)
+    e_more = estimate_memory(more)
     assert e_shallow <= e_deep <= e_more
 
 
@@ -81,9 +87,9 @@ def test_deep_wide_forest_straddles_budgets(body_small):
     x, labels = body_small
     y = np.array([BODY_STYLE.index(l) for l in labels])
     forest = train_random_forest(x, y, BODY_STYLE.classes, n_trees=100, max_depth=20, seed=1)
-    estimate = estimate_memory(forest)
-    assert not estimate.fits["msp"]
-    assert estimate.fits["esp"]
+    code_bytes = estimate_memory(forest)
+    assert not platform_by_name("msp").fits(code_bytes)
+    assert platform_by_name("esp").fits(code_bytes)
 
 
 def test_operation_count_scales_with_pairs(trained):
@@ -213,7 +219,7 @@ def test_grid_cells_equal_per_cell_training(binary_small):
         assert (cell["acc_mean"], cell["acc_std"]) == (report.acc_mean, report.acc_std)
         deployed = train_random_forest(x_scaled, y, BINARY.classes, n_trees=cell["n_trees"],
                                        max_depth=cell["max_depth"], seed=deploy_seed)
-        assert cell["code_bytes"] == estimate_memory(deployed).code_bytes
+        assert cell["code_bytes"] == estimate_memory(deployed)
         assert cell["op_count"] == count_operations(deployed)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,35 @@ def test_config_file_defaults_and_overrides(tmp_path):
     assert params.filter_size_n == 8
     assert params.theta_start == 0.9
     assert params.guard_w == 10  # untouched default
+
+
+def test_every_site_parameter_round_trips_through_a_config_file(tmp_path):
+    values = {
+        "longitudinal_spacing_m": 3.5,
+        "sample_period_ms": 4.25,
+        "filter_size_n": 7,
+        "guard_w": 6,
+        "start_offset_h": 3,
+        "theta_start": 0.91,
+        "theta_end": 0.97,
+        "theta_guard": 0.94,
+    }
+    assert set(values) == {f.name for cls in (Topology, SystemParams) for f in fields(cls)}
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text("".join(f"{key} = {value!r}\n" for key, value in values.items()))
+    topo, params = load_system_config(str(cfg))
+    assert topo == Topology(values.pop("longitudinal_spacing_m"))
+    assert params == SystemParams(**values)
+    assert params != SystemParams()
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize("key", ["longitudinal_spacing_m", "sample_period_ms"])
+def test_config_rejects_a_non_finite_site_parameter(tmp_path, key, value):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"^{key} must be finite, got {value}$"):
+        load_system_config(str(cfg))
 
 
 def test_config_file_rejects_unknown_and_malformed(tmp_path):
