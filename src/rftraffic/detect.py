@@ -145,7 +145,7 @@ def detect_events(series: FilteredSeries, params: SystemParams) -> list[Attenuat
 
 
 def associate_vehicles(
-    events: list[AttenuationEvent], guard_ms: float = 80.0
+    events: list[AttenuationEvent], guard_ms: float
 ) -> list[VehicleObservation]:
     """Group phases into vehicles by overlap of guard-padded intervals.
 
@@ -175,7 +175,7 @@ def associate_vehicles(
 def estimate_speed(
     obs: VehicleObservation,
     topology: Topology,
-    sample_period_ms: float = 8.0,
+    sample_period_ms: float,
 ) -> tuple[float | None, bool]:
     """Signed average speed from straight-link onset differences.
 

@@ -64,7 +64,7 @@ OVERHEAD_BYTES = 512
 def estimate_memory(model: SvmEnsemble | RandomForest) -> int:
     """Deterministic cost-model estimate of the emitted code's bytes."""
     if isinstance(model, SvmEnsemble):
-        tables = BYTES_PER_WEIGHT * sum(len(svm.beta) for svm in model.svms)
+        tables = BYTES_PER_WEIGHT * model.weights.size
     else:
         tables = BYTES_PER_NODE * model.n_nodes
     return OVERHEAD_BYTES + tables
@@ -73,7 +73,7 @@ def estimate_memory(model: SvmEnsemble | RandomForest) -> int:
 def count_operations(model: SvmEnsemble | RandomForest) -> int:
     """Worst-case per-prediction operation count (multiply-adds or compares)."""
     if isinstance(model, SvmEnsemble):
-        return sum(len(svm.beta) for svm in model.svms)
+        return model.weights.size
     return int(np.maximum.reduceat(model.node_depth, model.trees).sum())
 
 
@@ -119,19 +119,17 @@ def _emit_vote_tail(n_classes: int) -> list[str]:
 
 
 def _emit_svm(model: SvmEnsemble) -> str:
-    n_pairs = len(model.svms)
-    dim = len(model.svms[0].beta) - 1
+    n_pairs, width = model.weights.shape
+    dim = width - 1
     y = model.n_classes
     lines = _emit_header("svm_ensemble")
-    rows = []
-    for svm in model.svms:
-        rows.append("{ " + ", ".join(_c_float(v) for v in svm.beta) + " }")
-    lines.append(f"static const double pair_weights[{n_pairs}][{dim + 1}] = {{")
+    rows = ["{ " + ", ".join(_c_float(v) for v in row) + " }" for row in model.weights.tolist()]
+    lines.append(f"static const double pair_weights[{n_pairs}][{width}] = {{")
     for i, row in enumerate(rows):
         lines.append("    " + row + ("," if i < n_pairs - 1 else ""))
     lines.append("};")
-    lines.append(_c_int_table("pair_neg", [svm.class_pair[0] for svm in model.svms]))
-    lines.append(_c_int_table("pair_pos", [svm.class_pair[1] for svm in model.svms]))
+    lines.append(_c_int_table("pair_neg", model.pairs[:, 0].tolist()))
+    lines.append(_c_int_table("pair_pos", model.pairs[:, 1].tolist()))
     lines.extend(
         [
             "",
@@ -204,7 +202,7 @@ def _emit_forest(model: RandomForest) -> str:
 def emit_inference_source(model: SvmEnsemble | RandomForest) -> str:
     """One self-contained C89 source file mapping a feature array to a class index."""
     if isinstance(model, SvmEnsemble):
-        if not model.svms:
+        if not len(model.weights):
             raise ValueError("cannot emit source for an empty ensemble")
         return _emit_svm(model)
     if len(model.trees) == 0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .features import feature_groups
-from .learn import LinearSvm, SvmEnsemble
+from .learn import SvmEnsemble
 from .tables import write_table
 
 
@@ -39,20 +39,6 @@ def _group_slices(group_of_feature: list[str]) -> list[tuple[str, np.ndarray]]:
     return [(g, np.flatnonzero(tags == g)) for g in order]
 
 
-def importance_binary(
-    svm: LinearSvm,
-    group_of_feature: list[str] | None = None,
-    class_names: tuple[str, str] | None = None,
-) -> ImportanceMatrix:
-    """Group importance of a single pairwise SVM: ``importance_multiclass`` of one pair.
-
-    Column order is (negative-sign class, positive-sign class).  Groups whose
-    weights are all zero are reported as the uniform row and flagged.
-    """
-    pair = SvmEnsemble([LinearSvm(svm.beta, svm.c, (0, 1))], class_names or ("-1", "+1"))
-    return importance_multiclass(pair, group_of_feature)
-
-
 def importance_multiclass(
     ensemble: SvmEnsemble,
     group_of_feature: list[str] | None = None,
@@ -63,7 +49,7 @@ def importance_multiclass(
     the pair-to-class mapping; normalization is per group over all pairs.
     """
     groups = group_of_feature if group_of_feature is not None else feature_groups()
-    if any(len(svm.beta) - 1 != len(groups) for svm in ensemble.svms):  # bias carries no group
+    if ensemble.weights.shape[1] - 1 != len(groups):  # bias carries no group
         raise ValueError("group tags must cover exactly the non-bias weights")
     n_classes = ensemble.n_classes
     slices = _group_slices(groups)
@@ -72,11 +58,10 @@ def importance_multiclass(
     for row, (name, idx) in enumerate(slices):
         mass = np.zeros(n_classes)
         z = 0.0
-        for svm in ensemble.svms:
-            w = svm.beta[:-1][idx]
+        for beta, (neg, pos) in zip(ensemble.weights, ensemble.pairs.tolist()):
+            w = beta[idx]
             absw = np.abs(w)
             z += absw.sum()
-            neg, pos = svm.class_pair
             mass[neg] += absw[w < 0].sum()
             mass[pos] += absw[w > 0].sum()
         if z == 0.0:

@@ -15,8 +15,9 @@ each fit's violators are packed in batch order and summed in blocks of fits
 with like violator counts, and each fit keeps its state at its view's own
 width, so every fit comes out bit for bit as its view fitted alone; one fit
 is the one-problem, one-view case.
-Multi-class problems are composed one-vs-one: one SVM per class pair plus a
-mapping from (pair, sign) to class, combined by majority vote.
+Multi-class problems are composed one-vs-one: one weight row per class pair
+and the class each sign of it votes for, combined by majority vote.  An
+ensemble is that weight table, the layout of the emitted C file.
 
 The random forest grows bootstrapped CART trees with Gini-impurity splits over
 a fresh random feature subset per node; prediction is the majority vote over
@@ -70,15 +71,6 @@ def augment(x: np.ndarray) -> np.ndarray:
     return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
-@dataclass(slots=True)
-class LinearSvm:
-    """Pairwise linear decision rule; ``beta`` includes the trailing bias weight."""
-
-    beta: np.ndarray
-    c: float
-    class_pair: tuple[int, int]  # (class index for sign -1, class index for sign +1)
-
-
 #: a margin within this many rounding bounds ``D * eps * |row| * |beta|`` of 1.0
 #: is recomputed in the shape a fit alone computes it (see ``train_svm_stack``)
 MARGIN_GUARD = 4.0
@@ -106,7 +98,6 @@ class SvmProblem(NamedTuple):
     rows: np.ndarray
     labels: np.ndarray
     seed: object = 0
-    class_pair: tuple[int, int] = (0, 1)
 
 
 def _view_columns(columns, d: int) -> np.ndarray:
@@ -186,8 +177,9 @@ def train_svm_stack(
     c: float = 1.0,
     epochs: int = 50,
     batch_size: int = 32,
-) -> list[list[LinearSvm]]:
-    """Fit every view of every problem in one lockstep run; per problem, one fit per view.
+) -> list[list[np.ndarray]]:
+    """Fit every view of every problem in one lockstep run; per problem, one
+    weight vector per view, the bias weight last.
 
     ``matrices`` is an iterable of ``(N_i, D)`` arrays, read once, and each
     problem names one of them.  Each entry of ``views`` is the indices of the
@@ -334,8 +326,7 @@ def train_svm_stack(
             fit.running_sum /= epochs * k[:, None, None].astype(float)
     result = [None] * len(problems)
     for q, i in enumerate(order):
-        result[i] = [LinearSvm(beta=fit.running_sum[q, u], c=c, class_pair=ordered[q].class_pair)
-                     for fit, u in slots]
+        result[i] = [fit.running_sum[q, u] for fit, u in slots]
     return result
 
 
@@ -447,9 +438,16 @@ def vote_counts(classes: np.ndarray, n_classes: int) -> np.ndarray:
 
 @dataclass
 class SvmEnsemble:
-    """One-vs-one composition of pairwise SVMs over an ordered class list."""
+    """One-vs-one linear SVMs over an ordered class list, as one weight table.
 
-    svms: list[LinearSvm]
+    Row k of ``weights`` is pair k's weights, the bias weight last, and
+    ``pairs[k]`` holds the class its sign -1 votes for, then the class of
+    sign +1.  Every pair was trained with the one regularization ``c``.
+    """
+
+    weights: np.ndarray
+    pairs: np.ndarray
+    c: float
     classes: tuple[str, ...]
 
     @property
@@ -461,23 +459,29 @@ class SvmEnsemble:
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         x_aug = augment(x if not single else x[None, :])
-        voted = np.empty((len(x_aug), len(self.svms)), dtype=int)
-        for k, svm in enumerate(self.svms):
-            neg, pos = svm.class_pair
-            voted[:, k] = np.where(x_aug @ svm.beta >= 0.0, pos, neg)
+        # one product per pair, as the C file computes it: another summation
+        # order could flip the sign of a margin near zero
+        scores = np.empty((len(x_aug), len(self.weights)))
+        for k, row in enumerate(self.weights):
+            scores[:, k] = x_aug @ row
+        voted = np.where(scores >= 0.0, self.pairs[:, 1], self.pairs[:, 0])
         pred = vote_counts(voted, self.n_classes).argmax(axis=1)
         return pred[0] if single else pred
 
 
-def _pair_problems(matrix: int, y_idx: np.ndarray, n_classes: int, seed):
-    """An ``SvmProblem`` on ``matrix`` for each class pair present in ``y_idx``."""
+def _pair_problems(matrix: int, y_idx: np.ndarray, n_classes: int,
+                   seed) -> tuple[np.ndarray, list[SvmProblem]]:
+    """The class pairs present in ``y_idx``, ``(P, 2)``, and an ``SvmProblem``
+    on ``matrix`` for each."""
     present = set(np.unique(y_idx).tolist())
     pairs = [p for p in combinations(range(n_classes), 2) if p[0] in present and p[1] in present]
     if not pairs:
         raise ValueError(f"an SVM needs training rows of at least two classes, not {len(present)}")
+    problems = []
     for (a, b), child in zip(pairs, spawn_seeds(seed, len(pairs))):
         rows = np.flatnonzero((y_idx == a) | (y_idx == b))
-        yield SvmProblem(matrix, rows, np.where(y_idx[rows] == b, 1.0, -1.0), child, (a, b))
+        problems.append(SvmProblem(matrix, rows, np.where(y_idx[rows] == b, 1.0, -1.0), child))
+    return np.array(pairs), problems
 
 
 def train_svm_ensembles(
@@ -496,12 +500,12 @@ def train_svm_ensembles(
     ensembles, one per view, comes back per matrix.  Labels of fewer than
     two classes are a ValueError, raised before ``matrices`` is read.
     """
-    problems = [[*_pair_problems(i, np.asarray(y_idx, dtype=int), len(classes), seed)]
-                for i, (y_idx, seed) in enumerate(labels)]
-    fits = iter(train_svm_stack(matrices, [p for own in problems for p in own], views,
+    runs = [_pair_problems(i, np.asarray(y_idx, dtype=int), len(classes), seed)
+            for i, (y_idx, seed) in enumerate(labels)]
+    fits = iter(train_svm_stack(matrices, [p for _, own in runs for p in own], views,
                                 c=c, epochs=epochs))
-    return [[SvmEnsemble(svms=list(svms), classes=tuple(classes))
-             for svms in zip(*[next(fits) for _ in own])] for own in problems]
+    return [[SvmEnsemble(np.stack(rows), pairs, c, tuple(classes))
+             for rows in zip(*[next(fits) for _ in own])] for pairs, own in runs]
 
 
 def train_svm_ensemble(
@@ -701,16 +705,12 @@ def save_model(path: str, bundle: ModelBundle) -> None:
         "model_kind": bundle.kind,
     }
     if isinstance(bundle.model, SvmEnsemble):
+        ensemble = bundle.model
         doc["model"] = {
-            "classes": list(bundle.model.classes),
+            "classes": list(ensemble.classes),
             "pairs": [
-                {
-                    "neg": svm.class_pair[0],
-                    "pos": svm.class_pair[1],
-                    "c": svm.c,
-                    "weights": svm.beta.tolist(),
-                }
-                for svm in bundle.model.svms
+                {"neg": neg, "pos": pos, "c": ensemble.c, "weights": weights}
+                for (neg, pos), weights in zip(ensemble.pairs.tolist(), ensemble.weights.tolist())
             ],
         }
     else:
@@ -733,17 +733,26 @@ def save_model(path: str, bundle: ModelBundle) -> None:
         json.dump(doc, fh, allow_nan=False)
 
 
-def _check_svms(svms: list[LinearSvm], n_classes: int) -> None:
-    """Reject loaded pairwise SVMs that would read outside their inputs."""
-    for k, svm in enumerate(svms):
-        if svm.beta.shape != (N_FEATURES + 1,) or not np.isfinite(svm.beta).all():
+def _svm_table(pairs: list, n_classes: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """A model file's SVM pairs as ``(weights, pairs, c)``; pairs that would read
+    outside their inputs, or that no training run writes, are a ValueError."""
+    if not pairs:
+        raise ValueError("model file: an svm ensemble needs at least one pair")
+    rows = [(_array(p, "weights", float), _entry(p, "c", (int, float)),
+             (p.get("neg"), p.get("pos"))) for p in pairs]
+    for k, (beta, _, pair) in enumerate(rows):
+        if beta.shape != (N_FEATURES + 1,) or not np.isfinite(beta).all():
             raise ValueError(f"svm pair {k}: need {N_FEATURES + 1} finite weights "
                              f"({N_FEATURES} features and the bias)")
         # an exact type test: JSON true and false are ints to isinstance
-        if not (all(type(i) is int and 0 <= i < n_classes for i in svm.class_pair)
-                and svm.class_pair[0] != svm.class_pair[1]):
-            raise ValueError(f"svm pair {k}: class pair {svm.class_pair} is not two "
+        if not (all(type(i) is int and 0 <= i < n_classes for i in pair) and pair[0] != pair[1]):
+            raise ValueError(f"svm pair {k}: class pair {pair} is not two "
                              f"of the {n_classes} classes")
+    cs = {c for _, c, _ in rows}
+    if len(cs) != 1:
+        raise ValueError(f"model file: the svm pairs carry {len(cs)} values of c, not one")
+    return (np.stack([beta for beta, _, _ in rows]), np.array([pair for _, _, pair in rows]),
+            rows[0][1])
 
 
 def _check_tree(t: int, feature, threshold, left, right, klass, n_classes: int) -> None:
@@ -817,16 +826,8 @@ def load_model(path: str) -> ModelBundle:
     kind = _entry(doc, "model_kind", str)
     n_classes = len(taxonomy.classes)
     if kind == "svm_ensemble":
-        svms = [
-            LinearSvm(
-                beta=_array(p, "weights", float),
-                c=_entry(p, "c", (int, float)),
-                class_pair=(p.get("neg"), p.get("pos")),
-            )
-            for p in _entry(spec, "pairs", list)
-        ]
-        _check_svms(svms, n_classes)
-        model: SvmEnsemble | RandomForest = SvmEnsemble(svms=svms, classes=taxonomy.classes)
+        model: SvmEnsemble | RandomForest = SvmEnsemble(
+            *_svm_table(_entry(spec, "pairs", list), n_classes), classes=taxonomy.classes)
     elif kind == "random_forest":
         trees = [[_array(t, key, dtype) for _, key, dtype in _NODE_KEYS]
                  for t in _entry(spec, "trees", list)]

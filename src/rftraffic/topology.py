@@ -175,7 +175,7 @@ def labels_for_taxonomy(labels: list[str], taxonomy: Taxonomy) -> list[str]:
 
 
 def load_system_config(path: str) -> tuple[Topology, SystemParams]:
-    """Read a `key = value` configuration file; unknown keys are rejected.
+    """Read a `key = value` configuration file; unknown and repeated keys are rejected.
 
     The keys are the ``Topology`` and ``SystemParams`` fields, each parsed as
     the type of its default.  Omitted keys keep those defaults, so an empty
@@ -184,6 +184,7 @@ def load_system_config(path: str) -> tuple[Topology, SystemParams]:
     owners = {f.name: (cls, type(f.default)) for cls in (Topology, SystemParams)
               for f in fields(cls)}
     values: dict[type, dict[str, float | int]] = {Topology: {}, SystemParams: {}}
+    first_line: dict[str, int] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -195,6 +196,10 @@ def load_system_config(path: str) -> tuple[Topology, SystemParams]:
             key = key.strip()
             if key not in owners:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            if key in first_line:
+                raise ConfigError(f"{path}:{lineno}: key {key!r} is already set "
+                                  f"on line {first_line[key]}")
+            first_line[key] = lineno
             cls, kind = owners[key]
             try:
                 values[cls][key] = kind(val.strip())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from rftraffic import features, simulate
+from rftraffic.importance import ImportanceMatrix, _group_slices
 from rftraffic.topology import SystemParams, Topology
 
 
@@ -75,3 +76,25 @@ def compile_and_predict(source: str, vectors: np.ndarray) -> np.ndarray:
         out = subprocess.run([exe], input=stream, capture_output=True, text=True)
         assert out.returncode == 0
         return np.array([int(tok) for tok in out.stdout.split()])
+
+
+def reference_importance_binary(beta, group_of_feature, class_names) -> ImportanceMatrix:
+    """The group importance of one pair's weights ``beta`` (the bias last) written
+    out, columns (sign -1 class, sign +1 class); the oracle for the one-pair
+    case of ``importance_multiclass``."""
+    weights = np.asarray(beta)[:-1]
+    slices = _group_slices(group_of_feature)
+    values = np.zeros((len(slices), 2))
+    degenerate = []
+    for row, (name, idx) in enumerate(slices):
+        w = weights[idx]
+        absw = np.abs(w)
+        z = absw.sum()
+        if z == 0.0:
+            values[row] = 0.5
+            degenerate.append(name)
+            continue
+        values[row, 0] = absw[w < 0].sum() / z
+        values[row, 1] = absw[w > 0].sum() / z
+    return ImportanceMatrix(groups=tuple(name for name, _ in slices), classes=tuple(class_names),
+                            values=values, degenerate=tuple(degenerate))

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import compile_and_predict
+from conftest import compile_and_predict, reference_importance_binary
 from rftraffic import cli, evaluate, export, features, importance, learn, simulate
 from rftraffic.detect import process_bundle
 from rftraffic.evaluate import ModelSpec, build_fold_plan, cross_validate, fold_summary, subset_by_id
@@ -199,15 +199,13 @@ def test_criterion_07_importance_laws(binary_corpus, body_ensemble):
         for ensemble in (binary_ens, body_ens):
             matrix = importance.importance_multiclass(ensemble)
             assert np.all(np.abs(matrix.values.sum(axis=1) - 1.0) <= 1e-9)
-            boosted = learn.SvmEnsemble(
-                svms=[learn.LinearSvm(svm.beta * 64.0, svm.c, svm.class_pair)
-                      for svm in ensemble.svms],
-                classes=ensemble.classes,
-            )
+            boosted = learn.SvmEnsemble(ensemble.weights * 64.0, ensemble.pairs, ensemble.c,
+                                        ensemble.classes)
             assert np.array_equal(matrix.values, importance.importance_multiclass(boosted).values)
         # the two-class multi-class path reduces to the binary formula exactly
         multi = importance.importance_multiclass(binary_ens)
-        single = importance.importance_binary(binary_ens.svms[0], class_names=BINARY.classes)
+        single = reference_importance_binary(binary_ens.weights[0], features.feature_groups(),
+                                             BINARY.classes)
         assert np.array_equal(multi.values, single.values)
 
 

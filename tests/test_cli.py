@@ -423,6 +423,30 @@ def test_export_rejects_boolean_class_indices(tmp_path, capsys, binary_small):
     assert not out.exists()
 
 
+def _no_pairs(pairs):
+    pairs.clear()
+
+
+def _two_values_of_c(pairs):
+    pairs.append(dict(pairs[0], neg=pairs[0]["pos"], pos=pairs[0]["neg"], c=2 * pairs[0]["c"]))
+
+
+@pytest.mark.parametrize("corrupt,message", [(_no_pairs, "at least one pair"),
+                                             (_two_values_of_c, "2 values of c")])
+def test_importance_refuses_an_ensemble_no_training_writes(tmp_path, capsys, binary_small,
+                                                          corrupt, message):
+    """An ensemble of no pairs would vote class 0 for every row and weigh every
+    group 0.5/0.5; every pair of one ensemble is trained with one ``c``."""
+    path, doc = _saved_svm_doc(tmp_path, binary_small)
+    corrupt(doc["model"]["pairs"])
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "imp.csv"
+    assert main(["importance", "--model", str(path), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
 def test_importance_rejects_a_nan_scaling_bound(tmp_path, capsys, binary_small):
     """A NaN lower bound would silently map its column to 0.0."""
     path, doc = _saved_svm_doc(tmp_path, binary_small)
@@ -480,6 +504,17 @@ def test_non_finite_site_parameter_exits_config_naming_the_key(tmp_path, capsys,
                "--params", str(cfg)])
     assert rc == EXIT_CONFIG
     assert capsys.readouterr().err == f"configuration error: {key} must be finite, got {value}\n"
+    assert not (tmp_path / "traces").exists()
+
+
+def test_a_repeated_site_parameter_exits_config_naming_both_lines(tmp_path, capsys):
+    cfg = tmp_path / "sys.cfg"
+    cfg.write_text("guard_w = 3\nguard_w = 12\n")
+    rc = main(["simulate", "--count", "8", "--out", str(tmp_path / "traces"),
+               "--params", str(cfg)])
+    assert rc == EXIT_CONFIG
+    assert capsys.readouterr().err == (f"configuration error: {cfg}:2: key 'guard_w' "
+                                       f"is already set on line 1\n")
     assert not (tmp_path / "traces").exists()
 
 

@@ -30,6 +30,10 @@ from rftraffic.simulate import (
 )
 from rftraffic.topology import SystemParams, Topology
 
+#: the default site's sample period and association guard
+SAMPLE_MS = SystemParams().sample_period_ms
+GUARD_MS = SystemParams().guard_w * SAMPLE_MS
+
 
 def series(values, period=8.0):
     """A one-row filtered series: its phases belong to link 1."""
@@ -219,7 +223,7 @@ def test_no_chatter_on_monotone_recovery(params):
 def test_overlapping_events_form_one_vehicle():
     events = [AttenuationEvent(link, 100.0 + 10 * link, 600.0 + 10 * link, 0.7)
               for link in range(1, 10)]
-    obs = associate_vehicles(events)
+    obs = associate_vehicles(events, GUARD_MS)
     assert len(obs) == 1
     assert sorted(obs[0].events) == list(range(1, 10))
     assert obs[0].vehicle_id == 0
@@ -228,7 +232,7 @@ def test_overlapping_events_form_one_vehicle():
 def test_separated_clusters_form_two_vehicles():
     first = [AttenuationEvent(link, 0.0, 400.0, 0.7) for link in range(1, 10)]
     second = [AttenuationEvent(link, 3000.0, 3400.0, 0.7) for link in range(1, 10)]
-    obs = associate_vehicles(first + second)
+    obs = associate_vehicles(first + second, GUARD_MS)
     assert [o.vehicle_id for o in obs] == [0, 1]
     assert all(len(o.events) == 9 for o in obs)
 
@@ -241,7 +245,7 @@ def test_sequential_vehicles_counted_exactly():
             AttenuationEvent(link, base + 50 * link, base + 450 + 50 * link, 0.7)
             for link in range(1, 10)
         )
-    obs = associate_vehicles(events)
+    obs = associate_vehicles(events, GUARD_MS)
     assert len(obs) == 100
 
 
@@ -249,7 +253,7 @@ def test_chain_overlap_merges_transitively():
     # adjacent links overlap pairwise even though the first and last do not
     events = [AttenuationEvent(link, 200.0 * link, 200.0 * link + 350.0, 0.7)
               for link in range(1, 10)]
-    obs = associate_vehicles(events)
+    obs = associate_vehicles(events, GUARD_MS)
     assert len(obs) == 1
 
 
@@ -259,31 +263,31 @@ def test_chain_overlap_merges_transitively():
 
 def test_speed_uniform_motion(topo):
     obs = make_obs({1: 0.0, 5: 500.0, 9: 1000.0})
-    v, low = estimate_speed(obs, topo)
+    v, low = estimate_speed(obs, topo, SAMPLE_MS)
     assert v == pytest.approx(10.0)
     assert not low
 
 
 def test_speed_sign_reversal(topo):
     obs = make_obs({1: 1000.0, 5: 500.0, 9: 0.0})
-    v, _ = estimate_speed(obs, topo)
+    v, _ = estimate_speed(obs, topo, SAMPLE_MS)
     assert v == pytest.approx(-10.0)
 
 
 def test_speed_missing_straight_link(topo):
     obs = make_obs({1: 0.0, 5: 500.0})
-    assert estimate_speed(obs, topo) == (None, False)
+    assert estimate_speed(obs, topo, SAMPLE_MS) == (None, False)
 
 
 def test_speed_simultaneous_onsets_undefined(topo):
     obs = make_obs({1: 0.0, 5: 0.0, 9: 500.0})
-    assert estimate_speed(obs, topo)[0] is None
+    assert estimate_speed(obs, topo, SAMPLE_MS)[0] is None
 
 
 def test_speed_mixed_ordering_majority_sign(topo):
     # link 5 reported before link 1; the two forward terms out-vote it
     obs = make_obs({1: 100.0, 5: 50.0, 9: 1100.0})
-    v, low = estimate_speed(obs, topo)
+    v, low = estimate_speed(obs, topo, SAMPLE_MS)
     assert low
     assert v is not None and v > 0
 

@@ -17,7 +17,6 @@ from rftraffic.export import (
 )
 from rftraffic.features import fit_scaling
 from rftraffic.learn import (
-    LinearSvm,
     RandomForest,
     SvmEnsemble,
     train_random_forest,
@@ -56,6 +55,11 @@ def test_a_budget_admits_code_of_exactly_its_size():
         assert not p.fits(p.program_memory_bytes + 1)
 
 
+def _empty_ensemble(classes):
+    """An ensemble of no pairs: an empty weight table."""
+    return SvmEnsemble(np.empty((0, 93)), np.empty((0, 2), dtype=int), 1.0, classes)
+
+
 def _empty_forest(classes):
     """A forest of no trees: an empty node table."""
     none = np.empty(0, dtype=int)
@@ -64,8 +68,7 @@ def _empty_forest(classes):
 
 
 def test_empty_model_costs_overhead_only():
-    empty = SvmEnsemble(svms=[], classes=("a", "b"))
-    assert estimate_memory(empty) == OVERHEAD_BYTES
+    assert estimate_memory(_empty_ensemble(("a", "b"))) == OVERHEAD_BYTES
     empty_forest = _empty_forest(("a", "b"))
     assert estimate_memory(empty_forest) == OVERHEAD_BYTES
     assert count_operations(empty_forest) == 0
@@ -143,7 +146,7 @@ def test_stump_forest_emits_single_branch(binary_small):
 
 def test_emit_rejects_empty_models():
     with pytest.raises(ValueError):
-        emit_inference_source(SvmEnsemble(svms=[], classes=("a", "b")))
+        emit_inference_source(_empty_ensemble(("a", "b")))
     with pytest.raises(ValueError):
         emit_inference_source(_empty_forest(("a",)))
 

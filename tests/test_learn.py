@@ -16,7 +16,6 @@ from rftraffic.features import ScalingTransform, fit_scaling, link_block_slice
 from rftraffic.learn import (
     ZERO_COLUMN,
     _pruned,
-    LinearSvm,
     ModelBundle,
     RandomForest,
     SvmEnsemble,
@@ -44,17 +43,18 @@ def scaled_binary(binary_small):
 # binary SVM
 
 
-def train_svm_binary(x, y, c=1.0, epochs=50, batch_size=32, seed=0, class_pair=(0, 1)):
-    """Fit one binary SVM on +/-1 labels: ``train_svm_stack`` of one problem and one view."""
-    problem = SvmProblem(0, np.arange(len(x)), y, seed, class_pair)
+def train_svm_binary(x, y, c=1.0, epochs=50, batch_size=32, seed=0):
+    """Fit one binary SVM on +/-1 labels, its weights with the bias last:
+    ``train_svm_stack`` of one problem and one view."""
+    problem = SvmProblem(0, np.arange(len(x)), y, seed)
     return train_svm_stack([x], [problem], c=c, epochs=epochs, batch_size=batch_size)[0][0]
 
 
 def test_separable_two_points():
     x = np.array([[-1.0], [1.0]])
     y = np.array([-1.0, 1.0])
-    svm = train_svm_binary(x, y, c=1.0, epochs=40, seed=0)
-    pred = np.sign(augment(x) @ svm.beta)
+    beta = train_svm_binary(x, y, c=1.0, epochs=40, seed=0)
+    pred = np.sign(augment(x) @ beta)
     assert np.array_equal(pred, y)
 
 
@@ -67,24 +67,24 @@ def test_identical_points_mixed_labels_hit_hinge_floor():
     x = np.zeros((2, 1))
     y = np.array([-1.0, 1.0])
     c = 1.0
-    svm = train_svm_binary(x, y, c=c, epochs=60, seed=1)
+    beta = train_svm_binary(x, y, c=c, epochs=60, seed=1)
     # both hinges cannot be below 1 simultaneously, so the floor is 2 C
-    assert svm_objective(svm.beta, augment(x), y, c) == pytest.approx(2.0 * c, rel=0.05)
-    pred = np.where(augment(x) @ svm.beta >= 0, 1.0, -1.0)
+    assert svm_objective(beta, augment(x), y, c) == pytest.approx(2.0 * c, rel=0.05)
+    pred = np.where(augment(x) @ beta >= 0, 1.0, -1.0)
     assert (pred == y).mean() == 0.5  # majority fraction of a 50/50 set
 
 
 def test_objective_no_worse_than_zero_vector(binary_small):
     x, y, _ = scaled_binary(binary_small)
-    svm = train_svm_binary(x, y, c=1.0, epochs=30, seed=3)
-    assert svm_objective(svm.beta, augment(x), y, 1.0) <= 1.0 * len(x)
+    beta = train_svm_binary(x, y, c=1.0, epochs=30, seed=3)
+    assert svm_objective(beta, augment(x), y, 1.0) <= 1.0 * len(x)
 
 
 def test_epoch_objectives_non_increasing_within_tolerance(binary_small):
     # a run's shuffles and running sum up to epoch e do not depend on the
     # epochs that follow, so the fit of e epochs is the average after epoch e
     x, y, _ = scaled_binary(binary_small)
-    averages = np.stack([train_svm_binary(x, y, c=1.0, epochs=e, seed=3).beta
+    averages = np.stack([train_svm_binary(x, y, c=1.0, epochs=e, seed=3)
                          for e in range(1, 31)])
     objectives = svm_objective(averages, augment(x), y, 1.0)
     for earlier, later in zip(objectives, objectives[1:]):
@@ -95,7 +95,7 @@ def test_training_is_deterministic(binary_small):
     x, y, _ = scaled_binary(binary_small)
     a = train_svm_binary(x, y, seed=11, epochs=10)
     b = train_svm_binary(x, y, seed=11, epochs=10)
-    assert np.array_equal(a.beta, b.beta)
+    assert np.array_equal(a, b)
 
 
 def test_synthetic_binary_heldout_accuracy(binary_small):
@@ -105,8 +105,8 @@ def test_synthetic_binary_heldout_accuracy(binary_small):
     rng = np.random.default_rng(0)
     order = rng.permutation(len(x))
     train, test = order[:150], order[150:]
-    svm = train_svm_binary(x[train], y[train], epochs=50, seed=2)
-    pred = np.where(augment(x[test]) @ svm.beta >= 0, 1.0, -1.0)
+    beta = train_svm_binary(x[train], y[train], epochs=50, seed=2)
+    pred = np.where(augment(x[test]) @ beta >= 0, 1.0, -1.0)
     assert (pred == y[test]).mean() >= 0.98
 
 
@@ -163,9 +163,8 @@ def _reference_train_svm_binary(x, y, c=1.0, epochs=50, batch_size=32, seed=0):
 
 
 def _assert_matches_reference(x, y, **kwargs):
-    svm = train_svm_binary(x, y, **kwargs)
-    beta = _reference_train_svm_binary(x, y, **kwargs)
-    assert svm.beta.tobytes() == beta.tobytes()
+    beta = train_svm_binary(x, y, **kwargs)
+    assert beta.tobytes() == _reference_train_svm_binary(x, y, **kwargs).tobytes()
 
 
 @st.composite
@@ -278,13 +277,12 @@ def _assert_fits_match_single_fits(matrices, problems, views=None, **kwargs):
         for columns, fit in zip(every, got):
             alone = _single_fit_train_svm_binary(_view_alone(matrix, columns)[problem.rows],
                                                  problem.labels, seed=problem.seed, **kwargs)
-            assert [float.hex(v) for v in fit.beta] == [float.hex(v) for v in alone]
-            assert fit.class_pair == problem.class_pair
+            assert [float.hex(v) for v in fit] == [float.hex(v) for v in alone]
 
 
 def _assert_slices_match_single_fits(x, y, seed, **kwargs):
     matrix, views = _side_by_side(x)
-    problem = SvmProblem(0, np.arange(len(y)), y, seed, (2, 5))
+    problem = SvmProblem(0, np.arange(len(y)), y, seed)
     _assert_fits_match_single_fits([matrix], [problem], views, **kwargs)
 
 
@@ -331,7 +329,7 @@ def ragged_problems(draw):
         labels = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n)))
         labels[:2] = (1.0, -1.0)
         problems.append(SvmProblem(len(matrices) - 1, rows, labels,
-                                   draw(st.integers(0, 2**32 - 1)), (q % 3, q % 3 + 1)))
+                                   draw(st.integers(0, 2**32 - 1))))
     return matrices, problems, views
 
 
@@ -357,13 +355,13 @@ def test_forced_exact_margins_give_the_same_bits(monkeypatch):
                                          seed=40 + q)
         matrix, views = _side_by_side(stack)
         matrices.append(matrix)
-        problems.append(SvmProblem(q, np.arange(lo, n), labels[lo:], q, (0, 1)))
+        problems.append(SvmProblem(q, np.arange(lo, n), labels[lo:], q))
     views += [np.array([ZERO_COLUMN, ZERO_COLUMN, 7, 2]), np.array([38, 0, 5])]
     normal = train_svm_stack(matrices, problems, views, c=10.0, epochs=6, batch_size=32)
     monkeypatch.setattr(learn, "MARGIN_GUARD", 1e200)
     forced = train_svm_stack(matrices, problems, views, c=10.0, epochs=6, batch_size=32)
     for got, want in zip(forced, normal):
-        assert [f.beta.tobytes() for f in got] == [f.beta.tobytes() for f in want]
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
     _assert_fits_match_single_fits(matrices, problems, views, c=10.0, epochs=6, batch_size=32)
 
 
@@ -401,7 +399,7 @@ def column_problems(draw):
             matrices.append(matrices[-1].copy())
             matrices[-1][rows, 0] = 50.0 * labels
         problems.append(SvmProblem(len(matrices) - 1, rows, labels,
-                                   draw(st.integers(0, 2**32 - 1)), (q % 3, q % 3 + 1)))
+                                   draw(st.integers(0, 2**32 - 1))))
     return matrices, problems, views
 
 
@@ -427,9 +425,9 @@ def _violator_case_problems():
     separable[:, 0] = 50.0 * labels
     views = [np.arange(9), np.array([ZERO_COLUMN, ZERO_COLUMN, 3]), np.array([8, 1]),
              np.array([2, 5, 4, 6])]
-    return [matrix, separable], [SvmProblem(0, np.arange(0, 300), labels, 1, (0, 1)),
-                                 SvmProblem(0, np.arange(0, 45), labels[:45], 2, (0, 2)),
-                                 SvmProblem(1, np.arange(10, 61), labels[10:61], 3, (1, 2))], views
+    return [matrix, separable], [SvmProblem(0, np.arange(0, 300), labels, 1),
+                                 SvmProblem(0, np.arange(0, 45), labels[:45], 2),
+                                 SvmProblem(1, np.arange(10, 61), labels[10:61], 3)], views
 
 
 def test_column_views_cover_every_violator_case(monkeypatch):
@@ -481,8 +479,8 @@ def test_column_fits_do_not_depend_on_the_violator_blocks(monkeypatch, block_num
     monkeypatch.setattr(learn, "_violator_sums", counting_violator_sums)
     monkeypatch.setattr(learn, "_block_sum", counting_block_sum)
     got = train_svm_stack(matrices, problems, views, c=10.0, epochs=8)
-    assert [[f.beta.tobytes() for f in fits] for fits in got] == \
-        [[f.beta.tobytes() for f in fits] for fits in expected]
+    assert [[f.tobytes() for f in fits] for fits in got] == \
+        [[f.tobytes() for f in fits] for fits in expected]
     assert max(blocks) > 1 if block_numbers == 0 else set(blocks) == {1}
 
 
@@ -516,8 +514,8 @@ def test_svm_fits_do_not_depend_on_the_shuffle_blocks(monkeypatch, epochs):
     assert blocks == ([1] if epochs == 1 else [8, 5])  # the budget holds 8 epochs' shuffles
     monkeypatch.setattr(learn, "_block_shuffles_agree", lambda: False)
     got = train_svm_stack(matrices, problems, views, c=10.0, epochs=epochs)
-    assert [[f.beta.tobytes() for f in fits] for fits in got] == \
-        [[f.beta.tobytes() for f in fits] for fits in expected]
+    assert [[f.tobytes() for f in fits] for fits in got] == \
+        [[f.tobytes() for f in fits] for fits in expected]
 
 
 def test_column_views_are_checked():
@@ -550,7 +548,7 @@ def test_matrices_are_checked():
 def test_matrices_may_be_a_one_shot_generator():
     """Each matrix is read once, as the run's pool is made."""
     stack, labels = _fold_like_stack(3, 40, 5, exact_fraction=0.2, zero_columns=(), seed=9)
-    problems = [SvmProblem(i, np.arange(i, 40), labels[i:], i, (0, 1)) for i in (2, 0, 1)]
+    problems = [SvmProblem(i, np.arange(i, 40), labels[i:], i) for i in (2, 0, 1)]
     read = []
 
     def matrices():
@@ -561,21 +559,21 @@ def test_matrices_may_be_a_one_shot_generator():
     got = train_svm_stack(matrices(), problems, c=10.0, epochs=4)
     assert read == [0, 1, 2]
     want = train_svm_stack(list(stack), problems, c=10.0, epochs=4)
-    assert [[f.beta.tobytes() for f in fits] for fits in got] == \
-        [[f.beta.tobytes() for f in fits] for fits in want]
+    assert [[f.tobytes() for f in fits] for fits in got] == \
+        [[f.tobytes() for f in fits] for fits in want]
     _assert_fits_match_single_fits(list(stack), problems, c=10.0, epochs=4)
 
 
 def test_zero_epochs_give_zero_weights():
     stack, labels = _fold_like_stack(2, 9, 4, exact_fraction=0.0, zero_columns=(), seed=3)
     matrix, views = _side_by_side(stack)
-    fits = train_svm_stack([matrix], [SvmProblem(0, np.arange(9), labels, 1, (0, 1))], views,
+    fits = train_svm_stack([matrix], [SvmProblem(0, np.arange(9), labels, 1)], views,
                            epochs=0)
     assert len(fits[0]) == 2
     for fit in fits[0]:
-        assert fit.beta.tobytes() == np.zeros(5).tobytes()
+        assert fit.tobytes() == np.zeros(5).tobytes()
     alone = train_svm_binary(stack[0], labels, epochs=0)
-    assert alone.beta.tobytes() == np.zeros(5).tobytes()
+    assert alone.tobytes() == np.zeros(5).tobytes()
 
 
 def test_stacked_ensembles_equal_one_ensemble_per_slice(body_small):
@@ -593,11 +591,10 @@ def test_stacked_ensembles_equal_one_ensemble_per_slice(body_small):
         for columns, ensemble in zip(views, ensembles):
             alone = train_svm_ensemble(matrix[:, columns], y_idx, BODY_STYLE.classes, epochs=4,
                                        seed=seed)
-            assert [s.class_pair for s in ensemble.svms] == [s.class_pair for s in alone.svms]
-            for got, want in zip(ensemble.svms, alone.svms):
-                assert got.beta.tobytes() == want.beta.tobytes()
+            assert np.array_equal(ensemble.pairs, alone.pairs)
+            assert ensemble.weights.tobytes() == alone.weights.tobytes()
     present = len(np.unique(y[half]))
-    assert len(stacked[1][0].svms) == present * (present - 1) // 2 < 21  # fewer pairs
+    assert len(stacked[1][0].pairs) == present * (present - 1) // 2 < 21  # fewer pairs
 
 
 def test_ensembles_need_two_classes_in_every_matrix():
@@ -634,13 +631,14 @@ def test_pair_count_formula(binary_small, body_small):
     scaled = fit_scaling(x).apply(x)
     y = np.array([BINARY.index(l) for l in labels])
     ens = train_svm_ensemble(scaled, y, BINARY.classes, epochs=5, seed=1)
-    assert len(ens.svms) == 1  # Y=2 -> a single comparison
+    assert ens.weights.shape == (1, 93) and ens.pairs.tolist() == [[0, 1]]  # Y=2 -> one
 
     x7, labels7 = body_small
     scaled7 = fit_scaling(x7).apply(x7)
     y7 = np.array([BODY_STYLE.index(l) for l in labels7])
     ens7 = train_svm_ensemble(scaled7, y7, BODY_STYLE.classes, epochs=3, seed=1)
-    assert len(ens7.svms) == 21  # Y=7 -> Y(Y-1)/2 pairwise comparisons
+    assert ens7.weights.shape == (21, 93)  # Y=7 -> Y(Y-1)/2 pairwise comparisons
+    assert ens7.pairs.tolist() == [list(p) for p in combinations(range(7), 2)]
 
 
 def test_ensemble_prediction_equals_independent_vote_tally(body_small):
@@ -653,9 +651,9 @@ def test_ensemble_prediction_equals_independent_vote_tally(body_small):
     # brute-force recount, one decision at a time
     for row, p in zip(sample, pred):
         tally = [0] * 7
-        for svm in ens.svms:
-            score = float(np.dot(row, svm.beta[:-1]) + svm.beta[-1])
-            tally[svm.class_pair[1] if score >= 0 else svm.class_pair[0]] += 1
+        for beta, (neg, pos) in zip(ens.weights, ens.pairs):
+            score = float(np.dot(row, beta[:-1]) + beta[-1])
+            tally[pos if score >= 0 else neg] += 1
         best = max(range(7), key=lambda i: (tally[i], -i))
         assert p == best
 
@@ -665,10 +663,7 @@ def test_prediction_invariant_under_positive_rescaling(body_small):
     scaled = fit_scaling(x).apply(x)
     y = np.array([BODY_STYLE.index(l) for l in labels])
     ens = train_svm_ensemble(scaled, y, BODY_STYLE.classes, epochs=5, seed=4)
-    boosted = SvmEnsemble(
-        svms=[LinearSvm(svm.beta * 37.5, svm.c, svm.class_pair) for svm in ens.svms],
-        classes=ens.classes,
-    )
+    boosted = SvmEnsemble(ens.weights * 37.5, ens.pairs, ens.c, ens.classes)
     assert np.array_equal(ens.predict(scaled), boosted.predict(scaled))
 
 
@@ -679,10 +674,9 @@ def _reference_svm_predict(ensemble, x):
     x_aug = augment(x if not single else x[None, :])
     votes = np.zeros((x_aug.shape[0], ensemble.n_classes), dtype=int)
     rows = np.arange(x_aug.shape[0])
-    for svm in ensemble.svms:
-        scores = x_aug @ svm.beta
+    for beta, (neg, pos) in zip(ensemble.weights, ensemble.pairs):
+        scores = x_aug @ beta
         signs = np.where(scores >= 0.0, 1, -1)
-        neg, pos = svm.class_pair
         votes[rows, np.where(signs > 0, pos, neg)] += 1
     pred = votes.argmax(axis=1)
     return pred[0] if single else pred
@@ -697,10 +691,11 @@ def ensembles_and_rows(draw):
     values = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
     pairs = draw(st.lists(st.permutations(range(n_classes)).map(lambda p: (p[0], p[1])),
                           max_size=8))
-    svms = [LinearSvm(np.array(draw(st.lists(values, min_size=d + 1, max_size=d + 1))), 1.0,
-                      pair) for pair in pairs]
+    weights = np.array([draw(st.lists(values, min_size=d + 1, max_size=d + 1)) for _ in pairs])
     x = np.array(draw(st.lists(st.lists(values, min_size=d, max_size=d), max_size=12)))
-    return SvmEnsemble(svms, tuple(f"c{i}" for i in range(n_classes))), x.reshape(-1, d)
+    ensemble = SvmEnsemble(weights.reshape(-1, d + 1), np.array(pairs, dtype=int).reshape(-1, 2),
+                           1.0, tuple(f"c{i}" for i in range(n_classes)))
+    return ensemble, x.reshape(-1, d)
 
 
 @settings(max_examples=300, deadline=None)
@@ -717,10 +712,10 @@ def test_vote_counts_predict_matches_per_pair_tally(problem):
 def test_vote_tie_breaks_to_lowest_class_index():
     # two artificial one-weight SVMs voting for classes 1 and 0 respectively
     ens = SvmEnsemble(
-        svms=[
-            LinearSvm(np.array([0.0, 1.0]), 1.0, (0, 1)),   # bias +1 -> votes class 1
-            LinearSvm(np.array([0.0, 1.0]), 1.0, (2, 0)),   # bias +1 -> votes class 0
-        ],
+        weights=np.array([[0.0, 1.0],    # bias +1 -> votes class 1
+                          [0.0, 1.0]]),  # bias +1 -> votes class 0
+        pairs=np.array([[0, 1], [2, 0]]),
+        c=1.0,
         classes=("a", "b", "c"),
     )
     assert ens.predict(np.zeros(1)) == 0
@@ -1330,9 +1325,8 @@ def test_model_json_roundtrip_svm(tmp_path, binary_small):
     assert back.taxonomy == BINARY
     assert np.array_equal(back.scaling.lo, scaling.lo)
     assert np.array_equal(back.scaling.hi, scaling.hi)
-    for orig, re in zip(ens.svms, back.model.svms):
-        assert np.array_equal(orig.beta, re.beta)  # bit-exact weights
-        assert orig.class_pair == re.class_pair
+    assert back.model.weights.tobytes() == ens.weights.tobytes()  # bit-exact weights
+    assert np.array_equal(back.model.pairs, ens.pairs) and back.model.c == ens.c
     rows = x[:5]
     assert np.array_equal(back.model.predict(back.scaling.apply(rows)),
                           ens.predict(scaling.apply(rows)))
@@ -1388,7 +1382,7 @@ def test_reloaded_models_predict_identically(saved_and_loaded, picks, noise, far
 
 def test_model_json_refuses_non_finite_values(tmp_path):
     scaling = ScalingTransform(lo=np.array([np.nan, 0.0]), hi=np.array([1.0, 1.0]))
-    ens = SvmEnsemble(svms=[LinearSvm(np.zeros(3), 1.0, (0, 1))], classes=BINARY.classes)
+    ens = SvmEnsemble(np.zeros((1, 3)), np.array([[0, 1]]), 1.0, BINARY.classes)
     with pytest.raises(ValueError):
         save_model(str(tmp_path / "nan.json"), ModelBundle(BINARY, scaling, ens))
 
@@ -1492,6 +1486,21 @@ def test_load_model_rejects_malformed_svms(tmp_path, model_docs, field, value, m
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=match):
+        load_model(str(path))
+
+
+def test_load_model_stacks_pairs_of_one_c_only(tmp_path, model_docs):
+    doc = json.loads(json.dumps(model_docs["svm"]))
+    first = doc["model"]["pairs"][0]
+    doc["model"]["pairs"].append(dict(first, neg=first["pos"], pos=first["neg"]))
+    path = tmp_path / "two.json"
+    path.write_text(json.dumps(doc))
+    ensemble = load_model(str(path)).model
+    assert ensemble.pairs.tolist() == [[0, 1], [1, 0]] and ensemble.c == first["c"]
+    assert np.array_equal(ensemble.weights, [first["weights"]] * 2)
+    doc["model"]["pairs"][1]["c"] = first["c"] / 2
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="2 values of c"):
         load_model(str(path))
 
 
@@ -1617,6 +1626,6 @@ def test_rows_outside_a_problem_never_reach_its_fits():
     labels[1:3] = (1.0, -1.0)
     labels[50:52] = (1.0, -1.0)
     # sizes 60, 45, 20 and 12 share chunks, so the shorter batches are padded
-    problems = [SvmProblem(0, np.arange(lo, lo + n), labels[lo: lo + n], seed, (0, 1))
+    problems = [SvmProblem(0, np.arange(lo, lo + n), labels[lo: lo + n], seed)
                 for lo, n, seed in ((1, 60, 5), (1, 45, 6), (1, 20, 7), (50, 12, 8))]
     _assert_fits_match_single_fits([matrix], problems, c=1.0, epochs=3, batch_size=32)

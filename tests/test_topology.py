@@ -200,6 +200,13 @@ def test_config_rejects_a_non_finite_site_parameter(tmp_path, key, value):
         load_system_config(str(cfg))
 
 
+def test_config_file_rejects_a_repeated_key(tmp_path):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("guard_w = 3\n# later edit\ntheta_start = 0.9\nguard_w = 12\n")
+    with pytest.raises(ConfigError, match=f"^{cfg}:4: key 'guard_w' is already set on line 1$"):
+        load_system_config(str(cfg))
+
+
 def test_config_file_rejects_unknown_and_malformed(tmp_path):
     bad_key = tmp_path / "bad.cfg"
     bad_key.write_text("spacing = 4\n")
