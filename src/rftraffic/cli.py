@@ -291,14 +291,6 @@ def _results_in_order(tasks: list, first: tuple[int, ...]):
         pool.shutdown(cancel_futures=True)
 
 
-def _fit_importance(x_scaled: np.ndarray, labels: list[str], taxonomy, c: float,
-                    epochs: int, seed: int):
-    """SVM ensemble on the full scaled corpus, and its importance matrix."""
-    ensemble = learn.train_svm_ensemble(x_scaled, taxonomy.encode(labels), taxonomy.classes,
-                                        c=c, epochs=epochs, seed=seed)
-    return ensemble, importance.importance_multiclass(ensemble)
-
-
 #: reproduce's tasks by their inline time at --count 90, longest first, so that
 #: no worker is left with a long one at the end: the body_style subset study,
 #: forest CV body_style, forest CV size_based, SVM CV body_style, the
@@ -342,9 +334,9 @@ def _run_reproduce(args: argparse.Namespace) -> int:
                           k=args.k, seed=eval_seed)
         for taxonomy in taxonomies for spec in (svm_spec, rf_spec)
     ] + [
-        # per-taxonomy importance from ensembles trained on the full corpus
-        functools.partial(_fit_importance, x_scaled, labels, taxonomy,
-                          args.c, args.epochs, train_seed)
+        # per-taxonomy SVM ensembles on the full corpus, for the importance files
+        functools.partial(learn.train_svm_ensemble, x_scaled, taxonomy.encode(labels),
+                          taxonomy.classes, c=args.c, epochs=args.epochs, seed=train_seed)
         for taxonomy in taxonomies
     ] + [
         # 20-subset study, all taxonomies, shared folds per taxonomy
@@ -373,9 +365,10 @@ def _run_reproduce(args: argparse.Namespace) -> int:
                          os.path.join(out, "accuracy_summary.csv"), cells)
 
         for taxonomy in taxonomies:
-            ensemble, matrix = next(results)
+            ensemble = next(results)
             importance.write_importance_csv(
-                os.path.join(out, f"importance_{taxonomy.name}.csv"), matrix
+                os.path.join(out, f"importance_{taxonomy.name}.csv"),
+                importance.importance_multiclass(ensemble),
             )
             if taxonomy is BODY_STYLE:
                 learn.save_model(

@@ -238,8 +238,9 @@ def _cross_validate_views(x, labels, taxonomy, model_spec, views, k, seed,
     fold_acc = np.empty((len(views), fold_plan.k))
     folds = list(scaled_folds(x, y_idx, fold_plan, seed))
     for fold, models in zip(folds, _fold_models(folds, views, taxonomy.classes, model_spec)):
+        x_test = fold.x_test  # a property that scales on every read
         for i, model in enumerate(models):
-            pred = np.atleast_1d(model.predict(_column_view(fold.x_test, views[i])))
+            pred = np.atleast_1d(model.predict(_column_view(x_test, views[i])))
             fold_acc[i, fold.index] = accuracy(pred, fold.y_test)
             np.add.at(counts[i], (fold.y_test, pred), 1)
     sums = counts.sum(axis=2, keepdims=True)

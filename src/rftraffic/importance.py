@@ -26,9 +26,6 @@ class ImportanceMatrix:
     values: np.ndarray  # (n_groups, n_classes), rows sum to 1
     degenerate: tuple[str, ...] = ()  # groups with zero weight mass, reported uniform
 
-    def row(self, group: str) -> np.ndarray:
-        return self.values[self.groups.index(group)]
-
 
 def _group_slices(group_of_feature: list[str]) -> list[tuple[str, np.ndarray]]:
     order: list[str] = []

@@ -119,8 +119,9 @@ def _pool(matrices) -> tuple[np.ndarray, np.ndarray]:
     after the other in one array, and the first pool row of each matrix
     (and one past the last).
 
-    The matrices themselves are dropped once copied, so a caller that builds
-    them as they are read holds no second copy.
+    Every matrix is listed before any is copied, so the call holds all the
+    matrices and the pool at once, even when ``matrices`` makes them one at a
+    time; the list is dropped on return.
     """
     blocks = [np.asarray(x, dtype=float) for x in matrices]
     if any(b.ndim != 2 for b in blocks) or len({b.shape[1] for b in blocks}) != 1:

@@ -60,7 +60,6 @@ _TAIL_S = 0.6
 
 @dataclass(frozen=True)
 class GroundTruth:
-    label: str
     speed_mps: float
     length_m: float
     direction: int  # +1 forward, -1 reversed
@@ -365,7 +364,7 @@ def generate_trace(
     streams += level
     streams *= DEFAULT_IDLE_DBM
 
-    truth = GroundTruth(template.label, v_mps, length_m, +1)
+    truth = GroundTruth(v_mps, length_m, +1)
     return TraceBundle(
         rssi_dbm=streams,
         idle_level_dbm=np.full(9, DEFAULT_IDLE_DBM),
@@ -481,7 +480,10 @@ def read_trace_csv(path: str) -> TraceBundle:
     finite, and the link-1 timestamps must be evenly spaced: a missing epoch
     would otherwise stretch every time difference after it.  Of the rows that
     break the order or name a link outside 1..9, the first in the file is
-    reported.
+    reported.  The file must then be whole epochs, each nine rows naming links
+    1..9 in order, so that epoch k is sample k of every stream; the first row
+    that breaks the cycle is reported.  The timestamps may rise inside an
+    epoch.
     """
     rows = read_numeric_table(path, TRACE_HEADER, TRACE_DTYPE)
     if len(rows) == 0:
@@ -499,16 +501,17 @@ def read_trace_csv(path: str) -> TraceBundle:
         if bad_link[i]:
             raise TraceFormatError(f"{path}: link {int(link[i])} out of range 1..9")
         raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
-    lengths = np.bincount(link - 1, minlength=9)
-    if lengths.min() != lengths.max():
-        raise TraceFormatError(f"{path}: unequal stream lengths {sorted(set(lengths.tolist()))}")
+    off_cycle = np.flatnonzero(link != np.arange(len(rows)) % 9 + 1)
+    if off_cycle.size or len(rows) % 9:  # a short last epoch breaks at the row after the file
+        r = int(off_cycle[0]) if off_cycle.size else len(rows)
+        raise TraceFormatError(f"{path}: not whole epochs of links 1..9: "
+                               f"data row {r + 1} should be link {r % 9 + 1}")
     if not math.isfinite(t[-1]):  # rows rise strictly, so only the last can be +inf
         raise TraceFormatError(f"{path}: t_ms must be finite")
-    # a stable sort by link keeps each stream in file order
-    streams = rows["rssi_dbm"][np.argsort(link, kind="stable")].reshape(9, -1)
+    streams = np.ascontiguousarray(rows["rssi_dbm"].reshape(-1, 9).T)
     if not (np.isfinite(streams).all() and (streams < 0).all()):
         raise TraceFormatError(f"{path}: rssi_dbm must be finite negative dBm")
-    times = t[link == 1]
+    times = t[::9]
     if len(times) >= 2:
         period = float(times[1] - times[0])
         if np.abs(np.diff(times) - period).max() > 1e-6 * period:

@@ -99,6 +99,17 @@ def test_detect_dropped_epoch_exit_code(tmp_path):
     assert rc == EXIT_INPUT
 
 
+def test_detect_links_shifted_in_time_exit_code(tmp_path, capsys):
+    # every link keeps its row count, but links 6-9 run three epochs late
+    rows = sorted((8.0 * (k + 3 * (link >= 6)), link) for link in range(1, 10) for k in range(300))
+    trace = tmp_path / "shifted.csv"
+    trace.write_text("t_ms,link,rssi_dbm\n" + "".join(f"{t},{link},-60.0\n" for t, link in rows))
+    rc = main(["detect", "--in", str(trace), "--out-events", str(tmp_path / "e.csv"),
+               "--out-observations", str(tmp_path / "o.csv")])
+    assert rc == EXIT_INPUT
+    assert "not whole epochs of links 1..9: data row 6 should be link 6" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["detect", "export"])
 def test_input_that_is_a_directory_exits_input_in_one_line(tmp_path, capsys, command):
     flags = {"detect": ["--in", str(tmp_path)],

@@ -43,8 +43,8 @@ def test_degenerate_group_uniform_and_flagged():
     matrix = importance_multiclass(pair_with_weights([0.0, 0.0, 1.0]),
                                    group_of_feature=["dead", "dead", "live"])
     assert matrix.degenerate == ("dead",)
-    assert np.array_equal(matrix.row("dead"), [0.5, 0.5])
-    assert np.array_equal(matrix.row("live"), [0.0, 1.0])
+    assert matrix.groups == ("dead", "live")
+    assert np.array_equal(matrix.values, [[0.5, 0.5], [0.0, 1.0]])
 
 
 def test_group_tag_length_mismatch():

@@ -218,8 +218,7 @@ def test_invert_direction_is_involution(topo, params):
     idle=hnp.arrays(float, 9, elements=st.floats(-100.0, -1.0)),
     t0_ms=st.floats(-1e6, 1e6),
     truth=st.one_of(st.none(), st.builds(
-        GroundTruth, label=st.sampled_from(["car-like", "truck-like"]),
-        speed_mps=st.floats(0.5, 40.0), length_m=st.floats(1.0, 20.0),
+        GroundTruth, speed_mps=st.floats(0.5, 40.0), length_m=st.floats(1.0, 20.0),
         direction=st.sampled_from([-1, 1]))),
 )
 def test_invert_direction_twice_is_the_identity(rssi, idle, t0_ms, truth):
@@ -331,7 +330,7 @@ def test_trace_csv_accepts_offset_start(tmp_path):
 def read_trace_rowwise(path):
     """Row-by-row trace reader through ``read_table``: the oracle of ``read_trace_csv``."""
     per_link = {link: [] for link in LINK_IDS}
-    times = []
+    links, times = [], []
     prev_t, prev_link = -math.inf, math.inf
     for row in read_table(path, simulate.TRACE_HEADER):
         try:
@@ -347,13 +346,16 @@ def read_trace_rowwise(path):
             raise TraceFormatError(f"{path}: rows must be sorted by t_ms then link")
         prev_t, prev_link = t, link
         stream.append(rssi)
+        links.append(link)
         if link == 1:
             times.append(t)
-    lengths = {len(v) for v in per_link.values()}
-    if lengths == {0}:
+    if not links:
         raise TraceFormatError(f"{path}: empty trace")
-    if len(lengths) != 1:
-        raise TraceFormatError(f"{path}: unequal stream lengths {sorted(lengths)}")
+    # whole epochs: row r (from 0) names link r % 9 + 1, to the end of the last epoch
+    for r in range(-(-len(links) // 9) * 9):
+        if r == len(links) or links[r] != r % 9 + 1:
+            raise TraceFormatError(f"{path}: not whole epochs of links 1..9: "
+                                   f"data row {r + 1} should be link {r % 9 + 1}")
     if not math.isfinite(prev_t):
         raise TraceFormatError(f"{path}: t_ms must be finite")
     streams = np.array([per_link[link] for link in LINK_IDS])
@@ -367,7 +369,7 @@ def read_trace_rowwise(path):
         period = SystemParams().sample_period_ms
     idle = streams[:, : min(25, streams.shape[1])].mean(axis=1)
     return TraceBundle(rssi_dbm=streams, idle_level_dbm=idle, sample_period_ms=period,
-                       t0_ms=times[0] if times else 0.0)
+                       t0_ms=times[0])
 
 
 def assert_same_trace(got, want):
@@ -385,6 +387,26 @@ def _trace_text(epochs=4, t0=0.0, period=8.0, line_end="\n", cell=repr):
         for link in LINK_IDS:
             rows.append(",".join([cell(t0 + k * period), cell(link), cell(-60.0 - link - k / 7)]))
     return line_end.join(rows) + line_end
+
+
+def _rising_stamps_text():
+    """Whole 8 ms epochs whose link-l row is stamped ``(l - 1) / 2`` ms after the epoch's link-1 row."""
+    lines = _trace_text().splitlines(keepends=True)
+    for r in range(1, len(lines)):
+        lines[r] = _set_time(lines[r], repr((r - 1) // 9 * 8.0 + (r - 1) % 9 / 2))
+    return "".join(lines)
+
+
+def _shifted_links_text():
+    """A generated trace (body-style template 0, seed 5) with links 6-9 stamped
+    three epochs late, rows sorted by time then link: every link keeps its
+    row count, but the epochs at both ends are not whole."""
+    bundle = generate_trace(BODY_STYLE_TEMPLATES[0], Topology(), SystemParams(), seed=5)
+    period = bundle.sample_period_ms
+    rows = sorted((bundle.t0_ms + (k + 3 * (link >= 6)) * period, link, rssi)
+                  for link, stream in zip(LINK_IDS, bundle.rssi_dbm.tolist())
+                  for k, rssi in enumerate(stream))
+    return "t_ms,link,rssi_dbm\n" + "".join(f"{t!r},{link},{rssi!r}\n" for t, link, rssi in rows)
 
 
 def _swap_rows(text, i, j):
@@ -413,10 +435,7 @@ ACCEPTED = {
     "one epoch": _trace_text(epochs=1),
     "offset start": _trace_text(t0=1.0e9 + 0.1, period=12.5),
     "quoted header": _trace_text().replace("t_ms,link", '"t_ms",link', 1),
-    # equal stream lengths without whole epochs: links 1-5 at 0 ms, 1-9 at 8 ms, 6-9 at 16 ms
-    "ragged epochs": "t_ms,link,rssi_dbm\n" + "".join(
-        f"{t},{link},-6{link}.5\n" for t, links in ((0.0, range(1, 6)), (8.0, LINK_IDS),
-                                                   (16.0, range(6, 10))) for link in links),
+    "stamps rising inside epochs": _rising_stamps_text(),
 }
 
 
@@ -489,7 +508,17 @@ REJECTED = {
                                  "link 12 out of range"),
     "disorder before bad link": (_edit_row(_swap_rows(_trace_text(), 3, 12), 20, 1, "12"),
                                  "sorted"),
-    "short link stream": ("\n".join(_LINES[:-2]) + "\n", "unequal stream lengths \\[3, 4\\]"),
+    "short link stream": ("\n".join(_LINES[:-2]) + "\n",
+                          "not whole epochs of links 1..9: data row 36 should be link 9"),
+    # equal stream lengths without whole epochs: links 1-5 at 0 ms, 1-9 at 8 ms, 6-9 at 16 ms
+    "ragged epochs": ("t_ms,link,rssi_dbm\n" + "".join(
+        f"{t},{link},-6{link}.5\n" for t, links in ((0.0, range(1, 6)), (8.0, LINK_IDS),
+                                                   (16.0, range(6, 10))) for link in links),
+                      "not whole epochs of links 1..9: data row 6 should be link 6"),
+    "links 6-9 three epochs late": (_shifted_links_text(),
+                                    "not whole epochs of links 1..9: data row 6 should be link 6"),
+    "link missing mid-file": (_trace_text().replace(_LINES[14] + "\n", ""),
+                              "not whole epochs of links 1..9: data row 14 should be link 5"),
     "nan rssi": (_edit_row(_trace_text(), 7, 2, "nan"), "finite negative"),
     "zero rssi": (_edit_row(_trace_text(), 7, 2, "0.0"), "finite negative"),
     "positive rssi": (_edit_row(_trace_text(), 7, 2, "4"), "finite negative"),
