@@ -43,7 +43,6 @@ from .topology import (
 )
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_CONFIG = 4
 EXIT_NOFIT = 5
@@ -307,9 +306,9 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     # a lighter training budget keeps the 60 subset cells tractable
     subset_spec = evaluate.ModelSpec(kind="svm", c=args.c, epochs=min(args.epochs, 40))
     export.check_grid(args.tree_grid, args.depth_grid)
-    if args.k < 2:
-        raise ConfigError(f"fold count {args.k} must be at least 2")
     counts = simulate.proportional_counts(args.count)
+    if not 2 <= args.k <= args.count:
+        raise ConfigError(f"fold count {args.k} must be in [2, {args.count}]")
     out = args.out
     os.makedirs(out, exist_ok=True)
     taxonomies = list(TAXONOMIES.values())

@@ -63,7 +63,6 @@ class VehicleObservation:
     events: dict[int, AttenuationEvent]
     v_mps: float | None = None
     l_m: float | None = None
-    low_confidence: bool = False
 
     @property
     def direction(self) -> str | None:
@@ -176,28 +175,27 @@ def estimate_speed(
     obs: VehicleObservation,
     topology: Topology,
     sample_period_ms: float,
-) -> tuple[float | None, bool]:
-    """Signed average speed from straight-link onset differences.
+) -> float | None:
+    """Signed average speed from straight-link onset differences, in m/s.
 
-    Returns ``(speed_mps, low_confidence)``.  Speed is None when a straight
-    link is missing or an onset difference is below one sample period.  With
-    mixed onset orderings the majority sign wins and the estimate is flagged
-    low-confidence.
+    None when a straight link is missing or an onset difference is below one
+    sample period.  With mixed onset orderings the majority sign wins and the
+    speed is the mean of the majority's terms.
     """
     if any(link not in obs.events for link in STRAIGHT_LINKS):
-        return None, False
+        return None
     starts = {link: obs.events[link].t_start_ms for link in STRAIGHT_LINKS}
     terms = []
     for i, j in ((1, 5), (1, 9), (5, 9)):
         dt_ms = starts[j] - starts[i]
         if abs(dt_ms) < sample_period_ms:
-            return None, False
+            return None
         terms.append(link_distance(topology, i, j) / (dt_ms / 1000.0))
     positive = sum(1 for t in terms if t > 0)
     if positive in (0, 3):
-        return float(np.mean(terms)), False
+        return float(np.mean(terms))
     majority = [t for t in terms if (t > 0) == (positive >= 2)]
-    return float(np.mean(majority)), True
+    return float(np.mean(majority))
 
 
 def estimate_length(obs: VehicleObservation, v_mps: float | None) -> float | None:
@@ -217,17 +215,16 @@ def process_bundle(
 ) -> tuple[list[VehicleObservation], FilteredSeries]:
     """Full detection chain: filter, segment, associate, estimate.
 
-    Returns the observations and the one filtered series of the bundle, whose
-    row i holds link i + 1.
+    Returns the observations, each with its signed speed and its length (None
+    where ``estimate_speed`` or ``estimate_length`` gives none), and the one
+    filtered series of the bundle, whose row i holds link i + 1.
     """
     filtered = filter_bundle(bundle, params)
     guard_ms = params.guard_w * params.sample_period_ms
     observations = associate_vehicles(detect_events(filtered, params), guard_ms=guard_ms)
     for obs in observations:
-        v, low_conf = estimate_speed(obs, topology, params.sample_period_ms)
-        obs.v_mps = v
-        obs.low_confidence = low_conf
-        obs.l_m = estimate_length(obs, v)
+        obs.v_mps = estimate_speed(obs, topology, params.sample_period_ms)
+        obs.l_m = estimate_length(obs, obs.v_mps)
     return observations, filtered
 
 

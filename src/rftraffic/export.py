@@ -32,18 +32,17 @@ from .topology import Taxonomy
 class PlatformProfile:
     name: str
     program_memory_bytes: int
-    ram_bytes: int
 
     def fits(self, code_bytes: int) -> bool:
         """Whether code of this many bytes fits the program memory."""
         return code_bytes <= self.program_memory_bytes
 
 
-#: built-in microcontroller targets (program memory / RAM, decimal kB)
+#: built-in microcontroller targets and their program-memory budget in bytes
 PLATFORMS: tuple[PlatformProfile, ...] = (
-    PlatformProfile("msp", 16_320, 512),
-    PlatformProfile("atmega", 32_000, 2_000),
-    PlatformProfile("esp", 4_000_000, 532_000),
+    PlatformProfile("msp", 16_320),
+    PlatformProfile("atmega", 32_000),
+    PlatformProfile("esp", 4_000_000),
 )
 
 
@@ -258,8 +257,9 @@ def grid_search(
             fold.x_train, fold.y_train, taxonomy.classes,
             n_trees=counts[-1], max_depth=caps[-1], seed=fold.model_seed,
         )
+        x_test = fold.x_test
         for j, depth in enumerate(caps):
-            voted = forest.tree_classes(fold.x_test, depth)
+            voted = forest.tree_classes(x_test, depth)
             for i, n_trees in enumerate(counts):
                 votes = vote_counts(voted[:, :n_trees], n_classes)
                 fold_acc[i, j, fold.index] = accuracy(votes.argmax(axis=1), fold.y_test)

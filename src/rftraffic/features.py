@@ -54,11 +54,9 @@ def link_block_slice(link: int) -> slice:
 
 @dataclass(frozen=True)
 class FeatureVector:
-    """Feature values plus flags for parts that had to be zero-filled."""
+    """The 92 feature values of one vehicle; an unmeasured part reads 0."""
 
     values: np.ndarray
-    missing_links: tuple[int, ...] = ()
-    globals_missing: bool = False
 
     def __post_init__(self):
         if self.values.shape != (N_FEATURES,):
@@ -83,17 +81,14 @@ def extract_features(
 ) -> FeatureVector:
     """Build the 92-entry descriptor for one vehicle observation."""
     values = np.zeros(N_FEATURES)
-    globals_missing = obs.v_mps is None or obs.l_m is None
     if obs.v_mps is not None:
         values[0] = abs(obs.v_mps) * 3.6
     if obs.l_m is not None:
         values[1] = obs.l_m
-    missing = []
     for link in LINK_IDS:
         event = obs.events.get(link)
         segment = segments.get(link)
         if event is None or segment is None or len(segment) == 0:
-            missing.append(link)
             continue
         block = values[link_block_slice(link)]
         block[0] = event.duration_ms / 1000.0
@@ -102,7 +97,7 @@ def extract_features(
         block[3] = float(segment.std())  # population convention
         hist, _ = np.histogram(np.clip(segment, HIST_EDGES[0], HIST_EDGES[-1]), bins=HIST_EDGES)
         block[4:] = hist / len(segment)
-    return FeatureVector(values, tuple(missing), globals_missing)
+    return FeatureVector(values)
 
 
 def dataset_features(

@@ -24,7 +24,6 @@ class ImportanceMatrix:
     groups: tuple[str, ...]
     classes: tuple[str, ...]
     values: np.ndarray  # (n_groups, n_classes), rows sum to 1
-    degenerate: tuple[str, ...] = ()  # groups with zero weight mass, reported uniform
 
 
 def _group_slices(group_of_feature: list[str]) -> list[tuple[str, np.ndarray]]:
@@ -43,7 +42,8 @@ def importance_multiclass(
     """Group importance aggregated over all pairwise SVMs of the ensemble.
 
     Each weight's magnitude is credited to the class its sign votes for via
-    the pair-to-class mapping; normalization is per group over all pairs.
+    the pair-to-class mapping; normalization is per group over all pairs.  A
+    group whose weights are all zero gets the uniform row.
     """
     groups = group_of_feature if group_of_feature is not None else feature_groups()
     if ensemble.weights.shape[1] - 1 != len(groups):  # bias carries no group
@@ -51,8 +51,7 @@ def importance_multiclass(
     n_classes = ensemble.n_classes
     slices = _group_slices(groups)
     values = np.zeros((len(slices), n_classes))
-    degenerate = []
-    for row, (name, idx) in enumerate(slices):
+    for row, (_, idx) in enumerate(slices):
         mass = np.zeros(n_classes)
         z = 0.0
         for beta, (neg, pos) in zip(ensemble.weights, ensemble.pairs.tolist()):
@@ -63,14 +62,12 @@ def importance_multiclass(
             mass[pos] += absw[w > 0].sum()
         if z == 0.0:
             values[row] = 1.0 / n_classes
-            degenerate.append(name)
             continue
         values[row] = mass / z
     return ImportanceMatrix(
         groups=tuple(name for name, _ in slices),
         classes=tuple(ensemble.classes),
         values=values,
-        degenerate=tuple(degenerate),
     )
 
 

@@ -85,16 +85,14 @@ def reference_importance_binary(beta, group_of_feature, class_names) -> Importan
     weights = np.asarray(beta)[:-1]
     slices = _group_slices(group_of_feature)
     values = np.zeros((len(slices), 2))
-    degenerate = []
-    for row, (name, idx) in enumerate(slices):
+    for row, (_, idx) in enumerate(slices):
         w = weights[idx]
         absw = np.abs(w)
         z = absw.sum()
         if z == 0.0:
             values[row] = 0.5
-            degenerate.append(name)
             continue
         values[row, 0] = absw[w < 0].sum() / z
         values[row, 1] = absw[w > 0].sum() / z
     return ImportanceMatrix(groups=tuple(name for name, _ in slices), classes=tuple(class_names),
-                            values=values, degenerate=tuple(degenerate))
+                            values=values)

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from rftraffic import cli, export, simulate
+from rftraffic import cli, evaluate, export, simulate
 from rftraffic.cli import (
     EXIT_CONFIG,
     EXIT_INPUT,
@@ -227,7 +227,7 @@ def test_corpus_smaller_than_class_count_is_config_error(tmp_path, argv):
 
 
 @pytest.mark.parametrize("flags", [["--epochs", "0"], ["--n-trees", "0"], ["--C", "0"],
-                                   ["--k", "1"]])
+                                   ["--k", "1"], ["--k", "31"]])
 def test_reproduce_checks_model_flags_before_writing(tmp_path, flags):
     out = tmp_path / "out"
     assert main(["reproduce", "--count", "30", "--k", "3", "--out", str(out)] + flags) == EXIT_CONFIG
@@ -606,7 +606,7 @@ def test_small_reproduce_matches_golden_digests(tmp_path):
 
 
 def test_reproduce_writes_a_no_fit_row_for_a_platform_nothing_fits(tmp_path, monkeypatch, capsys):
-    dust = export.PlatformProfile("dust", 0, 0)
+    dust = export.PlatformProfile("dust", 0)
     monkeypatch.setattr(export, "PLATFORMS", export.PLATFORMS + (dust,))
     out = tmp_path / "golden"
     assert main(["reproduce", "--count", "40", "--seed", "93", "--k", "3", "--epochs", "10",
@@ -618,7 +618,7 @@ def test_reproduce_writes_a_no_fit_row_for_a_platform_nothing_fits(tmp_path, mon
 
 def test_a_platform_added_to_the_table_is_a_choice_and_a_grid_column(
         tmp_path, monkeypatch, capsys, binary_small):
-    roomy = export.PlatformProfile("roomy", 10**9, 10**9)
+    roomy = export.PlatformProfile("roomy", 10**9)
     monkeypatch.setattr(export, "PLATFORMS", export.PLATFORMS + (roomy,))
     x, labels = binary_small
     feats = tmp_path / "features.csv"
@@ -663,12 +663,19 @@ def test_reproduce_bytes_do_not_depend_on_cpu_count(tmp_path, monkeypatch, capsy
     assert worked_in_children == (cpus > 1)
 
 
+def _failing_cross_validation(*args, **kwargs):
+    raise ValueError("this cross-validation fails")
+
+
 @pytest.mark.parametrize("cpus", [1, 2], ids=["inline", "pool"])
-def test_reproduce_task_failure_writes_what_the_inline_path_writes(tmp_path, monkeypatch, cpus):
-    """--k 40 on 30 vehicles fails in the first cross-validation, after features.csv."""
+def test_reproduce_task_failure_writes_what_the_inline_path_writes(tmp_path, monkeypatch, capsys,
+                                                                  cpus):
+    """A cross-validation that fails in its task, after features.csv, ends the run there."""
     monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(evaluate, "cross_validate", _failing_cross_validation)
     out = tmp_path / "out"
-    assert main(["reproduce", "--count", "30", "--k", "40", "--out", str(out)]) == EXIT_CONFIG
+    assert main(["reproduce", "--count", "30", "--out", str(out)]) == EXIT_CONFIG
+    assert "this cross-validation fails" in capsys.readouterr().err
     assert sorted(os.listdir(out)) == ["features.csv"]
     assert multiprocessing.active_children() == []
 

@@ -38,13 +38,9 @@ def trained(body_small):
 
 
 def test_platform_profiles():
-    budgets = {p.name: (p.program_memory_bytes, p.ram_bytes) for p in PLATFORMS}
-    assert budgets == {
-        "msp": (16_320, 512),
-        "atmega": (32_000, 2_000),
-        "esp": (4_000_000, 532_000),
-    }
-    assert platform_by_name("atmega").ram_bytes == 2000
+    budgets = {p.name: p.program_memory_bytes for p in PLATFORMS}
+    assert budgets == {"msp": 16_320, "atmega": 32_000, "esp": 4_000_000}
+    assert platform_by_name("atmega").program_memory_bytes == 32_000
     with pytest.raises(KeyError, match=r"'cortex' \(expected msp, atmega or esp\)"):
         platform_by_name("cortex")
 
@@ -159,7 +155,7 @@ def test_sweet_spot_unlimited_budget_is_grid_best(binary_small):
     x, labels = binary_small
     from rftraffic.export import PlatformProfile
 
-    unlimited = PlatformProfile("lab", 10**12, 10**9)
+    unlimited = PlatformProfile("lab", 10**12)
     grid = grid_search(x, labels, BINARY, tree_counts=(2, 5), depths=(2, 4), k=3, seed=4)
     result = best_fitting(grid, unlimited)
     assert result is not None
@@ -170,7 +166,7 @@ def test_sweet_spot_zero_budget_is_no_fit(binary_small):
     x, labels = binary_small
     from rftraffic.export import PlatformProfile
 
-    none = PlatformProfile("dust", 0, 0)
+    none = PlatformProfile("dust", 0)
     grid = grid_search(x, labels, BINARY, tree_counts=(2,), depths=(2,), k=3, seed=4)
     assert best_fitting(grid, none) is None
 

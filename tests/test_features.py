@@ -56,13 +56,16 @@ def test_constant_segment_block():
     assert list(block[4:10]) == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0]  # bin [0.8, 0.9)
 
 
-def test_missing_links_zero_blocks_and_flags():
+def test_missing_links_zero_blocks():
     obs = one_link_obs(links=(1, 5))
     segments = {1: np.full(30, 0.8), 5: np.full(30, 0.75)}
     vec = extract_features(obs, segments)
-    assert vec.missing_links == (2, 3, 4, 6, 7, 8, 9)
-    for link in vec.missing_links:
-        assert np.all(vec.values[link_block_slice(link)] == 0.0)
+    for link in LINK_IDS:
+        block = vec.values[link_block_slice(link)]
+        if link in (1, 5):
+            assert block[0] > 0.0  # the duration column
+        else:
+            assert np.all(block == 0.0)
 
 
 def test_globals_from_estimates():
@@ -73,7 +76,6 @@ def test_globals_from_estimates():
 
     obs_unavailable = one_link_obs(v=None, l=None)
     vec = extract_features(obs_unavailable, {1: np.full(10, 0.8)})
-    assert vec.globals_missing
     assert vec.values[0] == vec.values[1] == 0.0
 
 

@@ -39,10 +39,9 @@ def test_bias_excluded_from_groups():
     assert np.array_equal(a.values, b.values)
 
 
-def test_degenerate_group_uniform_and_flagged():
+def test_degenerate_group_uniform():
     matrix = importance_multiclass(pair_with_weights([0.0, 0.0, 1.0]),
                                    group_of_feature=["dead", "dead", "live"])
-    assert matrix.degenerate == ("dead",)
     assert matrix.groups == ("dead", "live")
     assert np.array_equal(matrix.values, [[0.5, 0.5], [0.0, 1.0]])
 
@@ -71,8 +70,7 @@ def test_binary_importance_matches_its_written_out_form(problem):
     got = importance_multiclass(SvmEnsemble(beta[None, :], np.array([[0, 1]]), 1.0, names),
                                 group_of_feature=tags)
     expected = reference_importance_binary(beta, tags, names)
-    assert (got.groups, got.classes, got.degenerate) == (
-        expected.groups, expected.classes, expected.degenerate)
+    assert (got.groups, got.classes) == (expected.groups, expected.classes)
     assert got.values.tobytes() == expected.values.tobytes()  # bit for bit
 
 
