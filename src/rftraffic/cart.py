@@ -374,8 +374,7 @@ class _Subsets:
 
 def _classes_and_gini(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The majority class (ties low) and Gini impurity of each row of class counts."""
-    sizes = counts.sum(axis=1)
-    return counts.argmax(axis=1), 1.0 - ((counts / sizes[:, None]) ** 2).sum(axis=1)
+    return counts.argmax(axis=1), _gini_counts(counts, counts.sum(axis=1))
 
 
 def _grow_trees(x, y, n_classes, n_feats, rngs, bootstraps):

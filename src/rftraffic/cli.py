@@ -307,17 +307,20 @@ def _run_reproduce(args: argparse.Namespace) -> int:
     subset_spec = evaluate.ModelSpec(kind="svm", c=args.c, epochs=min(args.epochs, 40))
     export.check_grid(args.tree_grid, args.depth_grid)
     counts = simulate.proportional_counts(args.count)
-    if not 2 <= args.k <= args.count:
-        raise ConfigError(f"fold count {args.k} must be in [2, {args.count}]")
-    out = args.out
-    os.makedirs(out, exist_ok=True)
+    if args.k < 2:
+        raise ConfigError(f"fold count {args.k} must be at least 2")
     taxonomies = list(TAXONOMIES.values())
 
+    # built before --out exists: a corpus too small for the folds writes nothing
     x, labels = features.dataset_features(
         simulate.stream_dataset(simulate.BODY_STYLE_TEMPLATES, counts,
                                 derive_seed(args.seed, "reproduce-corpus"), topology, params),
         topology, params,
     )
+    if args.k > len(labels):
+        raise ConfigError(f"--k {args.k} exceeds the {len(labels)} vehicles in {args.count} traces")
+    out = args.out
+    os.makedirs(out, exist_ok=True)
     features.write_features_csv(os.path.join(out, "features.csv"), x, labels)
     scaling = features.fit_scaling(x)
     x_scaled = scaling.apply(x)

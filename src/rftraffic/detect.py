@@ -119,7 +119,6 @@ def detect_events(series: FilteredSeries, params: SystemParams) -> list[Attenuat
         start_idx = np.flatnonzero(start_ok[row])
         end_idx = np.flatnonzero(end_ok[row])
         pos = 0
-        prev_end = -1
         while True:
             si = np.searchsorted(start_idx, pos)
             if si >= len(start_idx):
@@ -129,7 +128,7 @@ def detect_events(series: FilteredSeries, params: SystemParams) -> list[Attenuat
             if ei >= len(end_idx):
                 break
             j_end = int(end_idx[ei])
-            back = max(j_start - h, prev_end + 1, 0)
+            back = max(j_start - h, pos)
             events.append(
                 AttenuationEvent(
                     link=row + 1,
@@ -138,7 +137,6 @@ def detect_events(series: FilteredSeries, params: SystemParams) -> list[Attenuat
                     min_level=float(values[back: j_end + 1].min()),
                 )
             )
-            prev_end = j_end
             pos = j_end + 1
     return events
 

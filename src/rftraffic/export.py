@@ -2,9 +2,9 @@
 
 The emitter produces one freestanding C89 translation unit with exactly two
 external symbols: ``int predict(const double features[92])`` and a version
-string constant.  Model parameters are unrolled into static const tables; no
-includes, no allocation, no library calls, so the unit compiles for bare-metal
-targets.
+string constant.  Every unit has one skeleton; a model kind supplies only its
+static const tables, its loop locals and its loop.  No includes, no
+allocation, no library calls, so the unit compiles for bare-metal targets.
 
 Program-memory footprints are estimated with one declared cost model, the
 module constants ``BYTES_PER_WEIGHT``, ``BYTES_PER_NODE`` and
@@ -85,117 +85,67 @@ def _c_float(value: float) -> str:
     return text if any(ch in text for ch in ".e") else text + ".0"
 
 
-def _c_int_table(name: str, values) -> str:
-    body = ", ".join(str(int(v)) for v in values)
-    return f"static const int {name}[{len(values)}] = {{ {body} }};"
+def _c_row(values, ctype: str) -> str:
+    fmt = _c_float if ctype == "double" else lambda v: str(int(v))
+    return "{ " + ", ".join(fmt(v) for v in values) + " }"
 
 
-def _c_double_table(name: str, values) -> str:
-    body = ", ".join(_c_float(v) for v in values)
-    return f"static const double {name}[{len(values)}] = {{ {body} }};"
+def _c_table(ctype: str, name: str, values: np.ndarray) -> str:
+    return f"static const {ctype} {name}[{len(values)}] = {_c_row(values.tolist(), ctype)};"
 
 
-def _emit_header(kind: str) -> list[str]:
-    return [
-        "/* generated vehicle-class inference routine; freestanding C89 */",
-        f'const char predict_version[] = "rftraffic {__version__} {kind}";',
-        "",
-    ]
-
-
-def _emit_vote_tail(n_classes: int) -> list[str]:
-    return [
-        "    best = 0;",
-        f"    for (k = 1; k < {n_classes}; ++k) {{",
-        "        if (votes[k] > votes[best]) {",
-        "            best = k;",
-        "        }",
-        "    }",
-        "    return best;",
-        "}",
-        "",
-    ]
-
-
-def _emit_svm(model: SvmEnsemble) -> str:
+def _svm_parts(model: SvmEnsemble):
+    """The ensemble's kind, input width, tables, loop locals and pair loop."""
     n_pairs, width = model.weights.shape
     dim = width - 1
-    y = model.n_classes
-    lines = _emit_header("svm_ensemble")
-    rows = ["{ " + ", ".join(_c_float(v) for v in row) + " }" for row in model.weights.tolist()]
-    lines.append(f"static const double pair_weights[{n_pairs}][{width}] = {{")
-    for i, row in enumerate(rows):
-        lines.append("    " + row + ("," if i < n_pairs - 1 else ""))
-    lines.append("};")
-    lines.append(_c_int_table("pair_neg", model.pairs[:, 0].tolist()))
-    lines.append(_c_int_table("pair_pos", model.pairs[:, 1].tolist()))
-    lines.extend(
-        [
-            "",
-            f"int predict(const double features[{dim}])",
-            "{",
-            f"    int votes[{y}];",
-            "    double acc;",
-            "    int k;",
-            "    int i;",
-            "    int best;",
-            f"    for (k = 0; k < {y}; ++k) {{",
-            "        votes[k] = 0;",
-            "    }",
-            f"    for (k = 0; k < {n_pairs}; ++k) {{",
-            f"        acc = pair_weights[k][{dim}];",
-            f"        for (i = 0; i < {dim}; ++i) {{",
-            "            acc += pair_weights[k][i] * features[i];",
-            "        }",
-            "        if (acc >= 0.0) {",
-            "            votes[pair_pos[k]] += 1;",
-            "        } else {",
-            "            votes[pair_neg[k]] += 1;",
-            "        }",
-            "    }",
-        ]
-    )
-    lines.extend(_emit_vote_tail(y))
-    return "\n".join(lines)
+    rows = [_c_row(row, "double") for row in model.weights.tolist()]
+    tables = [
+        f"static const double pair_weights[{n_pairs}][{width}] = {{",
+        "    " + ",\n    ".join(rows),
+        "};",
+        _c_table("int", "pair_neg", model.pairs[:, 0]),
+        _c_table("int", "pair_pos", model.pairs[:, 1]),
+    ]
+    loop = [
+        f"    for (k = 0; k < {n_pairs}; ++k) {{",
+        f"        acc = pair_weights[k][{dim}];",
+        f"        for (i = 0; i < {dim}; ++i) {{",
+        "            acc += pair_weights[k][i] * features[i];",
+        "        }",
+        "        if (acc >= 0.0) {",
+        "            votes[pair_pos[k]] += 1;",
+        "        } else {",
+        "            votes[pair_neg[k]] += 1;",
+        "        }",
+        "    }",
+    ]
+    return "svm_ensemble", dim, tables, ("double acc", "int k", "int i"), loop
 
 
-def _emit_forest(model: RandomForest) -> str:
-    y = model.n_classes
-    lines = _emit_header("random_forest")
-    lines.append(_c_int_table("tree_root", model.trees.tolist()))
-    lines.append(_c_int_table("node_feature", model.feature.tolist()))
-    lines.append(_c_double_table("node_threshold", model.threshold.tolist()))
-    lines.append(_c_int_table("node_left", model.left.tolist()))
-    lines.append(_c_int_table("node_right", model.right.tolist()))
-    lines.append(_c_int_table("node_class", model.klass.tolist()))
-    lines.extend(
-        [
-            "",
-            f"int predict(const double features[{N_FEATURES}])",
-            "{",
-            f"    int votes[{y}];",
-            "    int t;",
-            "    int n;",
-            "    int k;",
-            "    int best;",
-            f"    for (k = 0; k < {y}; ++k) {{",
-            "        votes[k] = 0;",
-            "    }",
-            f"    for (t = 0; t < {len(model.trees)}; ++t) {{",
-            "        n = tree_root[t];",
-            "        while (node_feature[n] >= 0) {",
-            "            if (features[node_feature[n]] <= node_threshold[n]) {",
-            "                n = node_left[n];",
-            "            } else {",
-            "                n = node_right[n];",
-            "            }",
-            "        }",
-            "        votes[node_class[n]] += 1;",
-            "    }",
-        ]
-    )
-    lines.extend(_emit_vote_tail(y))
-    return "\n".join(lines)
+def _forest_parts(model: RandomForest):
+    """The forest's kind, input width, node tables, loop locals and tree loop."""
+    tables = [
+        _c_table("int", "tree_root", model.trees),
+        _c_table("int", "node_feature", model.feature),
+        _c_table("double", "node_threshold", model.threshold),
+        _c_table("int", "node_left", model.left),
+        _c_table("int", "node_right", model.right),
+        _c_table("int", "node_class", model.klass),
+    ]
+    loop = [
+        f"    for (t = 0; t < {len(model.trees)}; ++t) {{",
+        "        n = tree_root[t];",
+        "        while (node_feature[n] >= 0) {",
+        "            if (features[node_feature[n]] <= node_threshold[n]) {",
+        "                n = node_left[n];",
+        "            } else {",
+        "                n = node_right[n];",
+        "            }",
+        "        }",
+        "        votes[node_class[n]] += 1;",
+        "    }",
+    ]
+    return "random_forest", N_FEATURES, tables, ("int t", "int n", "int k"), loop
 
 
 def emit_inference_source(model: SvmEnsemble | RandomForest) -> str:
@@ -203,10 +153,37 @@ def emit_inference_source(model: SvmEnsemble | RandomForest) -> str:
     if isinstance(model, SvmEnsemble):
         if not len(model.weights):
             raise ValueError("cannot emit source for an empty ensemble")
-        return _emit_svm(model)
-    if len(model.trees) == 0:
-        raise ValueError("cannot emit source for an empty forest")
-    return _emit_forest(model)
+        kind, dim, tables, local_decls, loop = _svm_parts(model)
+    else:
+        if len(model.trees) == 0:
+            raise ValueError("cannot emit source for an empty forest")
+        kind, dim, tables, local_decls, loop = _forest_parts(model)
+    y = model.n_classes
+    return "\n".join([
+        "/* generated vehicle-class inference routine; freestanding C89 */",
+        f'const char predict_version[] = "rftraffic {__version__} {kind}";',
+        "",
+        *tables,
+        "",
+        f"int predict(const double features[{dim}])",
+        "{",
+        f"    int votes[{y}];",
+        *(f"    {decl};" for decl in local_decls),
+        "    int best;",
+        f"    for (k = 0; k < {y}; ++k) {{",
+        "        votes[k] = 0;",
+        "    }",
+        *loop,
+        "    best = 0;",
+        f"    for (k = 1; k < {y}; ++k) {{",
+        "        if (votes[k] > votes[best]) {",
+        "            best = k;",
+        "        }",
+        "    }",
+        "    return best;",
+        "}",
+        "",
+    ])
 
 
 # ---------------------------------------------------------------------------

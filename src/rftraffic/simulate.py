@@ -214,8 +214,6 @@ class _LobeProfile:
     def __call__(self, u: np.ndarray) -> np.ndarray:
         out = np.ones_like(u, dtype=float)
         inside = (u >= 0.0) & (u <= 1.0)
-        if not np.any(inside):
-            return out
         ui = u[inside]
         idx = np.clip(np.searchsorted(self.edges, ui, side="right") - 1, 0, len(self.lo) - 1)
         width = self.edges[idx + 1] - self.edges[idx]

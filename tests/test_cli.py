@@ -234,6 +234,19 @@ def test_reproduce_checks_model_flags_before_writing(tmp_path, flags):
     assert not out.exists()
 
 
+def test_reproduce_needs_as_many_vehicles_as_folds(tmp_path, capsys):
+    """A corpus of fewer vehicles than --k is a configuration error that writes nothing."""
+    cfg = tmp_path / "sys.cfg"
+    # thresholds this low let no trace dip below them: the corpus has no vehicle
+    cfg.write_text("theta_start = 0.3\ntheta_guard = 0.5\ntheta_end = 0.6\n")
+    out = tmp_path / "out"
+    assert main(["reproduce", "--count", "20", "--k", "3", "--params", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "configuration error: --k 3 exceeds the 0 vehicles in 20 traces\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["--threads", "2", "simulate", "--out", "x"],
     ["simulate", "--threads", "2", "--out", "x"],

@@ -37,6 +37,14 @@ def trained(body_small):
     return scaled, y, ens, forest
 
 
+@pytest.fixture(scope="module")
+def one_pair(binary_small):
+    """A binary ensemble: one pair, one row of weights."""
+    x, labels = binary_small
+    scaled = fit_scaling(x).apply(x)
+    return train_svm_ensemble(scaled, BINARY.encode(labels), BINARY.classes, epochs=10, seed=6)
+
+
 def test_platform_profiles():
     budgets = {p.name: p.program_memory_bytes for p in PLATFORMS}
     assert budgets == {"msp": 16_320, "atmega": 32_000, "esp": 4_000_000}
@@ -126,6 +134,23 @@ def test_emitted_forest_source_is_pinned(trained):
     assert (hashlib.sha256(source.encode()).hexdigest()
             == "711a0d73f58d7120fa10187aed0de5a5670d9c026108176502123f6bd360a135")
     assert count_operations(forest) == 85
+
+
+def test_emitted_svm_sources_are_pinned(trained, one_pair):
+    # each ensemble's C file, pinned byte for byte: the skeleton it shares with
+    # the forest must not move it
+    for ens, n_pairs, digest in (
+        (trained[2], 21, "005cdc6ed79b35e93cfb65807c257b7abd880bb938895cf2a2175f29ca323b55"),
+        (one_pair, 1, "362ce199777ae4f5f8f6549ca3f0bd609b553812d416d74276b36fad28b3d60f"),
+    ):
+        assert len(ens.weights) == n_pairs
+        assert hashlib.sha256(emit_inference_source(ens).encode()).hexdigest() == digest
+
+
+def test_one_pair_source_matches_library_predictions(one_pair):
+    vectors = np.random.default_rng(78).uniform(-1.0, 1.0, size=(300, 92))
+    source = emit_inference_source(one_pair)
+    assert np.array_equal(compile_and_predict(source, vectors), one_pair.predict(vectors))
 
 
 def test_stump_forest_emits_single_branch(binary_small):
